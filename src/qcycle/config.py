@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from .cycles import CycleSpec, build_brayton, build_carnot, build_diesel, build_otto
 from .errors import ConfigError
 from .numerics import DEFAULT_POLICY, NumericsPolicy
-from .substances import KINDS, SpectrumModel
+from .substances import BOX_KINDS, KINDS, OSCILLATOR_KINDS, SpectrumModel
 
 _CYCLE_FIELDS = {
     "brayton": ("F1", "F0", "L_A", "L_B"),
@@ -34,9 +34,6 @@ _POLICY_FIELDS = (
     "root_max_iter",
     "fd_step_rel",
 )
-
-_MASS_KINDS = ("box1d", "box2d", "box3d")
-_MODE_KINDS = ("harmonic1d", "harmonic2d", "harmonic3d", "cavity")
 
 
 @dataclass(frozen=True)
@@ -102,9 +99,9 @@ def _validate_substance(node: dict) -> tuple[str, float, float]:
             f"substance.kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
     allowed = ("kind",)
-    if kind in _MASS_KINDS:
+    if kind in BOX_KINDS:
         allowed += ("mass",)
-    if kind in _MODE_KINDS:
+    if kind in OSCILLATOR_KINDS:
         allowed += ("mode_constant",)
     _reject_unknown(node, allowed, "substance")
     mass = _positive_number(node.get("mass", 1.0), "substance.mass")
@@ -230,9 +227,9 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(config: RunConfig) -> str:
     """JSON document that parses back into an equivalent RunConfig."""
     substance: dict = {"kind": config.substance_kind}
-    if config.substance_kind in _MASS_KINDS:
+    if config.substance_kind in BOX_KINDS:
         substance["mass"] = config.mass
-    if config.substance_kind in _MODE_KINDS:
+    if config.substance_kind in OSCILLATOR_KINDS:
         substance["mode_constant"] = config.mode_constant
     document = {
         "substance": substance,

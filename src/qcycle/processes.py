@@ -134,6 +134,7 @@ def adiabatic_advance(
         partition_value=state.partition_value,
         log_partition=state.log_partition,
         truncation_error_bound=state.truncation_error_bound,
+        axes=state.axes,
     )
 
 
@@ -250,11 +251,7 @@ def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
 def segment_point(
     segment: ProcessSegment, t: float, policy: NumericsPolicy = DEFAULT_POLICY
 ) -> tuple[float, float]:
-    """(beta, L) at path parameter t; linear in the free variable.
-
-    t slightly outside [0, 1] is permitted (the heat cross-check
-    differences probabilities across the endpoints).
-    """
+    """(beta, L) at path parameter t; linear in the free variable."""
     kind = segment.kind
     if kind == "isochoric":
         beta = segment.beta_start + t * (segment.beta_end - segment.beta_start)
@@ -280,10 +277,12 @@ def segment_heat_work(
     grid (identically zero for isochoric legs, exactly delta_U for
     adiabatic legs, whose probabilities are frozen and Q = 0).  Q is
     reported from the exact bookkeeping delta_U - W_on; Q_direct
-    rediscretizes the heat as the quadrature of sum_n E_n dP_n/dt with
-    centered differences of the occupation vector.  Its budget never drops
-    below the rounding noise of those differences, so a segment of a few
-    ulp in L returns instead of exhausting the quadrature depth.
+    rediscretizes the heat as the quadrature of sum_n (E_n - E_0) dP_n/dt
+    (per axis, times d for the multi-dimensional kinds) with second-order
+    differences of the occupation vector that stay inside the segment.  Its
+    budget never drops below the rounding noise of those differences, so a
+    segment of a few ulp in L returns instead of exhausting the quadrature
+    depth.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
@@ -332,40 +331,61 @@ def segment_heat_work(
         # 3e-9 relative: an order below the 1e-8 closure contract, but above
         # the noise the adaptive refinement would otherwise chase.
         h = max(policy.fd_step_rel, 1e-5)
+        axis, d = model.axis, model.dimension
 
         def occupations(st: GibbsState, n: int) -> np.ndarray:
-            # The state truncated at n >= levels_used levels.  Both ends of
-            # a difference must omit the same tail: where the truncation
-            # count changes between t - h and t + h, the omitted weight
-            # would otherwise enter the rate amplified by 1/h, a step that
-            # no quadrature budget can resolve.
+            # The state truncated at n >= levels_used levels.  Every vector
+            # of a difference must omit the same tail: where the truncation
+            # count changes across the stencil, the omitted weight would
+            # otherwise enter the rate amplified by 1/h, a step that no
+            # quadrature budget can resolve.
             if st.levels_used == n:
                 return st.probabilities
-            levels = model.level_energies(st.length, n)
+            levels = axis.level_energies(st.length, n)
             weights = np.exp(-st.beta * (levels - levels[0]))
             return weights / weights.sum()
 
         def heat_rate(t: float) -> float:
-            hi, lo = state_at(t + h), state_at(t - h)
-            n = max(hi.levels_used, lo.levels_used)
+            # dP/dt by the centred difference; within h of an end, where that
+            # would leave [0, 1] (an isobar may not exist beyond its start),
+            # by the slope at t of the quadratic through three states inside
+            # the segment.  That is the second-order one-sided difference at
+            # the end and the centred one at distance h, so the rate has no
+            # step there for the adaptive quadrature to chase.
+            if h <= t <= 1.0 - h:
+                hi, lo = state_at(t + h), state_at(t - h)
+                n = max(hi.levels_used, lo.levels_used)
+                dp = occupations(hi, n) - occupations(lo, n)
+            else:
+                a = 0.0 if t < h else 1.0 - 2.0 * h
+                u = (t - a) / h
+                weighted = (
+                    (state_at(a), 2.0 * u - 3.0),
+                    (state_at(a + h), 4.0 - 4.0 * u),
+                    (state_at(a + 2.0 * h), 2.0 * u - 1.0),
+                )
+                n = max(st.levels_used for st, _ in weighted)
+                dp = sum(c * occupations(st, n) for st, c in weighted)
             _, L = segment_point(segment, t, policy)
-            energies = model.level_energies(L, n)
-            dp = occupations(hi, n) - occupations(lo, n)
-            return float((energies * dp).sum()) / (2.0 * h)
+            energies = axis.level_energies(L, n)
+            return d * float((energies - energies[0]) @ dp) / (2.0 * h)
 
-        # Rounding in the occupation vectors puts noise of about
-        # eps <|E|> / (2 h) on heat_rate, with <|E|> = sum_n |E_n| P_n, and no
-        # budget below that can be met.  The scale is floored so that the
-        # budget never drops under it: on a segment whose heat is at the
-        # rounding level (|dL| of a few ulp) the refinement stops at the
-        # noise instead of raising, while on ordinary segments the
-        # relative budget binds as before.
+        # Every vector is normalized and the stencil weights sum to zero, so
+        # weighting dP with the gaps E_n - E_0 instead of E_n changes nothing
+        # but the rounding: the noise on heat_rate is about
+        # eps <E - E_0> / (2 h), which scales with the thermal energy rather
+        # than with the ground energy, and no budget below it can be met.
+        # The scale is floored so that the budget never drops under it: on a
+        # segment whose heat is at the rounding level (|dL| of a few ulp) the
+        # refinement stops at the noise instead of raising, while on
+        # ordinary segments the relative budget binds as before.
         cross_policy = replace(policy, quad_tol=max(policy.quad_tol, 3e-9))
-        mean_abs_energy = max(
-            float(np.abs(state_energies(model, st)) @ st.probabilities)
-            for st in states
-        )
-        noise = np.finfo(float).eps * mean_abs_energy / (2.0 * h)
+
+        def thermal_energy(st: GibbsState) -> float:  # <E - E_0>
+            energies = state_energies(model, st)
+            return d * float((energies - energies[0]) @ st.probabilities)
+
+        noise = np.finfo(float).eps * max(map(thermal_energy, states)) / (2.0 * h)
         scale = max(abs(Q), abs(W_on), abs(delta_U), noise / cross_policy.quad_tol)
         Q_direct = integrate_adaptive(
             heat_rate, 0.0, 1.0, cross_policy, scale_hint=scale

@@ -13,7 +13,7 @@ constant remain as explicit positive parameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,16 +25,16 @@ from .numerics import (
     sum_with_tail_bound,
 )
 
-# kind -> (dimension d, scaling power p in E_n ~ L^{-p})
+# kind -> (dimension d, scaling power p in E_n ~ L^{-p}, kind of one axis)
 _KIND_TABLE = {
-    "box1d": (1, 2),
-    "box2d": (2, 2),
-    "box3d": (3, 2),
-    "harmonic1d": (1, 1),
-    "harmonic2d": (2, 1),
-    "harmonic3d": (3, 1),
-    "cavity": (1, 1),
-    "spin_half": (1, 1),
+    "box1d": (1, 2, "box1d"),
+    "box2d": (2, 2, "box1d"),
+    "box3d": (3, 2, "box1d"),
+    "harmonic1d": (1, 1, "harmonic1d"),
+    "harmonic2d": (2, 1, "harmonic1d"),
+    "harmonic3d": (3, 1, "harmonic1d"),
+    "cavity": (1, 1, "cavity"),
+    "spin_half": (1, 1, "spin_half"),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -78,17 +78,30 @@ class SpectrumModel:
 
     @property
     def gamma(self) -> float:
-        d, p = _KIND_TABLE[self.kind]
+        d, p, _ = _KIND_TABLE[self.kind]
         return 1.0 + p / d
 
     @property
     def finite_levels(self) -> int | None:
         return 2 if self.kind == "spin_half" else None
 
+    @property
+    def axis(self) -> SpectrumModel:
+        """The one-dimensional kind of which this kind is `dimension` copies.
+
+        box2d/3d are box1d axes of the same mass, harmonic2d/3d harmonic1d
+        axes of the same mode constant; the 1D kinds are their own axis.
+        """
+        kind = _KIND_TABLE[self.kind][2]
+        return self if kind == self.kind else replace(self, kind=kind)
+
     def level_energies(self, L: float, count: int) -> np.ndarray:
         """First `count` level energies, flattened by non-decreasing energy.
 
-        Finite spectra return fewer values once exhausted.
+        Finite spectra return fewer values once exhausted.  For the
+        multi-dimensional kinds this enumerates the multi-index spectrum
+        directly, the brute-force route that the per-axis state functions
+        are tested against; the state functions sum over model.axis instead.
         """
         if L <= 0.0:
             raise ValueError(f"coordinate must be positive, got L={L}")
@@ -103,15 +116,43 @@ class SpectrumModel:
             if kind == "box1d":
                 n = np.arange(1, count + 1, dtype=float)
                 return unit * n * n
-            return unit * _box_flat_values(self.dimension, count)
+            squares = _flattened_sums(
+                lambda k: np.arange(1, k + 1, dtype=float) ** 2, self.dimension, count
+            )
+            return unit * squares
         # oscillator family, including the single cavity mode
         omega = self.mode_constant / L
         if kind in ("harmonic1d", "cavity"):
             return omega * (np.arange(count, dtype=float) + 0.5)
-        return omega * _osc_flat_values(self.dimension, count)
+        halves = _flattened_sums(
+            lambda k: np.arange(k, dtype=float) + 0.5, self.dimension, count
+        )
+        return omega * halves
 
     def ground_energy(self, L: float) -> float:
         return float(self.level_energies(L, 1)[0])
+
+
+def _flattened_sums(axis_values, dim: int, count: int) -> np.ndarray:
+    """The `count` smallest sums v_{n_1} + ... + v_{n_dim} over all multi-indices.
+
+    axis_values(k) returns the first k values of one axis, increasing.  The
+    grid of the first k values per axis is enumerated, and only sums
+    strictly below the smallest sum any point outside the grid can take are
+    kept, which guarantees a complete prefix.  Memory grows as k^dim.
+    """
+    if count == 0:
+        return np.zeros(0)
+    k = int(count ** (1.0 / dim)) + 2
+    while True:
+        v = axis_values(k + 1)
+        sums = v[:k]
+        for _ in range(dim - 1):
+            sums = (sums[:, None] + v[None, :k]).ravel()
+        sums = np.sort(sums[sums < v[k] + (dim - 1) * v[0]])
+        if sums.size >= count:
+            return sums[:count]
+        k *= 2
 
 
 def box(dim: int = 1, mass: float = 1.0) -> SpectrumModel:
@@ -144,65 +185,6 @@ def spin_half() -> SpectrumModel:
     the L = 1/B convention and is reported as-is.
     """
     return SpectrumModel(kind="spin_half")
-
-
-# --------------------------------------------------------------------------
-# Flattened level enumeration for the separable multi-dimensional kinds.
-# Cached dimensionless values; scaled by the 1D energy unit at call time.
-
-_BOX_FLAT_CACHE: dict[int, np.ndarray] = {}
-_OSC_FLAT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _box_flat_values(dim: int, count: int) -> np.ndarray:
-    """Sorted sums of squares n_1^2 + ... + n_d^2 over n_i >= 1.
-
-    Enumerates a cube [1, K]^d and keeps only values strictly below the
-    smallest value any point outside the cube can take, which guarantees a
-    complete prefix of the spectrum.
-    """
-    cached = _BOX_FLAT_CACHE.get(dim)
-    if cached is not None and cached.size >= count:
-        return cached[:count]
-    if dim == 2:
-        k = int(math.sqrt(4.0 * count / math.pi)) + 2
-    else:
-        k = int((6.0 * count / math.pi) ** (1.0 / 3.0)) + 2
-    while True:
-        sq = np.arange(1, k + 1, dtype=float) ** 2
-        if dim == 2:
-            q = (sq[:, None] + sq[None, :]).ravel()
-        else:
-            q = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
-        cut = (k + 1) ** 2 + (dim - 1)  # minimum value outside the cube
-        q = np.sort(q[q < cut])
-        if q.size >= count:
-            _BOX_FLAT_CACHE[dim] = q
-            return q[:count]
-        k = int(1.5 * k) + 1
-
-
-def _osc_flat_values(dim: int, count: int) -> np.ndarray:
-    """Sorted oscillator values N + dim/2, shell N repeated C(N+dim-1, dim-1)."""
-    cached = _OSC_FLAT_CACHE.get(dim)
-    if cached is not None and cached.size >= count:
-        return cached[:count]
-    chunks = []
-    size = 0
-    n = 0
-    while size < count:
-        g = math.comb(n + dim - 1, dim - 1)
-        chunks.append(np.full(g, n + 0.5 * dim))
-        size += g
-        n += 1
-    values = np.concatenate(chunks)
-    _OSC_FLAT_CACHE[dim] = values
-    return values[:count]
-
-
-def _osc_shell_start(dim: int, shell: int) -> int:
-    """Flattened index of the first state in a given oscillator shell."""
-    return math.comb(shell - 1 + dim, dim) if shell > 0 else 0
 
 
 def energy_level(model: SpectrumModel, n: int, L: float) -> float:
@@ -245,10 +227,10 @@ def _box1d_tail(c: float, n_levels: int) -> float:
 
 
 def _shifted_system(model: SpectrumModel, beta: float, L: float, policy: NumericsPolicy):
-    """Shifted Boltzmann factors and a certified tail bound for one kind.
+    """Shifted Boltzmann factors and a certified tail bound for one 1D kind.
 
     Returns (block, tail, e_ground, first_block): block(i0, i1) evaluates
-    exp(-beta (E_i - E_0)) for flattened indices [i0, i1); tail(n, s, t)
+    exp(-beta (E_i - E_0)) for level indices [i0, i1); tail(n, s, t)
     bounds the omitted remainder given n terms summed to s, last term t;
     first_block estimates the level count so the certified loop usually
     finishes in one pass.
@@ -298,51 +280,7 @@ def _shifted_system(model: SpectrumModel, beta: float, L: float, policy: Numeric
 
         return block, tail, e0, 2
 
-    if kind in ("box2d", "box3d"):
-        d = model.dimension
-        c = beta * math.pi**2 / (2.0 * model.mass * L * L)
-        # per-axis shifted sum, bounding the full product from above
-        s1, _, b1 = sum_with_tail_bound(
-            lambda i0, i1: np.exp(
-                -c * (np.arange(i0 + 1, i1 + 1, dtype=float) ** 2 - 1.0)
-            ),
-            lambda n, _s, _t: _box1d_tail(c, n),
-            policy,
-        )
-        full_ub = (s1 + b1) ** d
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            q = _box_flat_values(d, i1)[i0:i1]
-            return np.exp(-c * (q - d))
-
-        def tail(_n: int, s: float, _t: float) -> float:
-            return max(full_ub - s, 0.0) + 8e-16 * full_ub
-
-        return block, tail, e0, 64
-
-    # harmonic2d / harmonic3d: shells N with binomial degeneracy
-    d = model.dimension
-    x = beta * model.mode_constant / L
-    r = math.exp(-x)
-
-    def block(i0: int, i1: int) -> np.ndarray:
-        v = _osc_flat_values(d, i1)[i0:i1]
-        return np.exp(-x * (v - 0.5 * d))
-
-    def tail(n_used: int, _s: float, _t: float) -> float:
-        shell = int(_osc_flat_values(d, n_used)[n_used - 1] - 0.5 * d)
-        in_shell_left = _osc_shell_start(d, shell) + math.comb(
-            shell + d - 1, d - 1
-        ) - n_used
-        bound = in_shell_left * math.exp(-x * shell)
-        nxt = shell + 1
-        ratio_ub = (nxt + d) / (nxt + 1) * r  # degeneracy ratio decreases
-        if ratio_ub >= 1.0:
-            return math.inf
-        t_next = math.comb(nxt + d - 1, d - 1) * math.exp(-x * nxt)
-        return bound + t_next / (1.0 - ratio_ub)
-
-    return block, tail, e0, 64
+    raise ValueError(f"no one-dimensional sum for kind {kind!r}; use model.axis")
 
 
 def _check_state_args(beta: float, L: float) -> None:
@@ -387,17 +325,12 @@ def partition_function(
     """Truncated partition sum with a certified relative tail bound.
 
     Returns (Z, levels_used, tail_bound) where tail_bound is the omitted
-    weight relative to Z.  Z itself can under- or overflow at extreme
-    beta * E_0; use gibbs_state().log_partition where that matters.
+    weight relative to Z, and levels_used counts per-axis levels as
+    GibbsState.levels_used does.  Z itself can under- or overflow at
+    extreme beta * E_0; use gibbs_state().log_partition where that matters.
     """
-    _check_state_args(beta, L)
-    z, used, bound, _, e0 = _shifted_partition(model, beta, L, policy)
-    log_z = math.log(z) - beta * e0
-    try:
-        value = math.exp(log_z)
-    except OverflowError:
-        value = math.inf
-    return value, used, bound / z
+    state = gibbs_state(model, beta, L, policy)
+    return state.partition_value, state.levels_used, state.truncation_error_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,6 +341,13 @@ class GibbsState:
     non-decreasing energy; truncation_error_bound bounds the omitted tail
     weight relative to the partition sum.  log_partition is always finite;
     partition_value may under/overflow at extreme beta * E_0.
+
+    The state is the product of `axes` identical, independent copies of
+    one probability vector.  For the separable multi-dimensional kinds
+    (axes = d = 2 or 3), probabilities is the occupation vector of one axis
+    over the levels of model.axis, and levels_used counts those per-axis
+    levels; the flattened multi-index state is its d-fold outer product.
+    For the 1D kinds axes = 1 and the vector is the state itself.
     """
 
     beta: float
@@ -416,6 +356,7 @@ class GibbsState:
     partition_value: float
     log_partition: float
     truncation_error_bound: float
+    axes: int = 1
 
     def __post_init__(self) -> None:
         _check_state_args(self.beta, self.length)
@@ -438,10 +379,16 @@ def gibbs_state(
     L: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> GibbsState:
+    """Equilibrium state at (beta, L).
+
+    The multi-dimensional kinds are summed as d copies of model.axis:
+    ln Z = d ln z_axis, and with r the axis's relative tail bound the
+    product omits at most (1 + r)^d - 1 of Z.
+    """
     _check_state_args(beta, L)
-    z, used, bound, block, e0 = _shifted_partition(model, beta, L, policy)
-    probs = np.asarray(block(0, used), dtype=float) / z
-    log_z = math.log(z) - beta * e0
+    d = model.dimension
+    z, used, bound, block, e0 = _shifted_partition(model.axis, beta, L, policy)
+    log_z = d * (math.log(z) - beta * e0)
     try:
         value = math.exp(log_z)
     except OverflowError:
@@ -449,16 +396,18 @@ def gibbs_state(
     return GibbsState(
         beta=beta,
         length=L,
-        probabilities=probs,
+        probabilities=np.asarray(block(0, used), dtype=float) / z,
         partition_value=value,
         log_partition=log_z,
-        truncation_error_bound=bound / z,
+        truncation_error_bound=math.expm1(d * math.log1p(bound / z)),
+        axes=d,
     )
 
 
 def state_energies(model: SpectrumModel, state: GibbsState) -> np.ndarray:
-    """Level energies matching the state's probability vector."""
-    return model.level_energies(state.length, state.levels_used)
+    """Level energies matching the state's probability vector: those of
+    model.axis, per axis, for the multi-dimensional kinds."""
+    return model.axis.level_energies(state.length, state.levels_used)
 
 
 def force(state: GibbsState, model: SpectrumModel) -> float:
@@ -466,27 +415,29 @@ def force(state: GibbsState, model: SpectrumModel) -> float:
 
     Valid for any probability vector, equilibrium or not.  The level
     derivatives are analytic: dE_n/dL = -p E_n / L with p the kind's
-    scaling power, so F = p U / L identically.
+    scaling power, so F = p U / L identically.  A product state's force is
+    the sum over its axes.
     """
     energies = state_energies(model, state)
     dE_dL = -model.scaling_power * energies / state.length
-    return -float((state.probabilities * dE_dL).sum())
+    return -state.axes * float((state.probabilities * dE_dL).sum())
 
 
 def internal_energy(state: GibbsState, model: SpectrumModel) -> float:
-    """U = sum_n P_n E_n over the truncated level set."""
-    return float((state.probabilities * state_energies(model, state)).sum())
+    """U = sum_n P_n E_n over the truncated level set, summed over axes."""
+    energies = state_energies(model, state)
+    return state.axes * float((state.probabilities * energies).sum())
 
 
 def entropy(state: GibbsState) -> float:
-    """Gibbs-Shannon entropy -sum_n P_n ln P_n (k = 1).
+    """Gibbs-Shannon entropy -sum_n P_n ln P_n (k = 1), summed over axes.
 
     This is the exact entropy for any probability vector; for equilibrium
     states it equals ln Z + beta U.
     """
     p = state.probabilities
     p = p[p > 0.0]
-    return -float((p * np.log(p)).sum())
+    return -state.axes * float((p * np.log(p)).sum())
 
 
 def free_energy(
@@ -497,8 +448,8 @@ def free_energy(
 ) -> float:
     """F = -(1/beta) ln Z from the truncated sum, evaluated in log space."""
     _check_state_args(beta, L)
-    z, _, _, _, e0 = _shifted_partition(model, beta, L, policy)
-    return e0 - math.log(z) / beta
+    z, _, _, _, e0 = _shifted_partition(model.axis, beta, L, policy)
+    return model.dimension * (e0 - math.log(z) / beta)
 
 
 def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
@@ -611,13 +562,16 @@ def beta_for_force(
     """Inverse temperature at which the equilibrium force equals the target.
 
     Exact closed inversions for the cavity/harmonic1d (log form) and the
-    spin (atanh form); a bracketed root solve of the summed force for the
-    box and multi-dimensional kinds.  The classical box inversion
-    beta = 1/(F L) only seeds the bracket: the returned beta satisfies
-    |F(beta, L) - F0| <= 1e-10 |F0| against the summed force.
+    spin (atanh form); a bracketed root solve of the summed force for
+    box1d.  The multi-dimensional kinds solve their axis at the target F/d,
+    so the harmonic2d/3d isobars are closed-form too.  The classical box
+    inversion beta = 1/(F L) only seeds the bracket: the returned beta
+    satisfies |F(beta, L) - F0| <= 1e-10 |F0| against the summed force.
     """
     if L <= 0.0:
         raise ValueError(f"coordinate must be positive, got L={L}")
+    if model.dimension > 1:
+        return beta_for_force(model.axis, force_target / model.dimension, L, policy)
     kind = model.kind
 
     if kind in ("cavity", "harmonic1d"):
@@ -646,11 +600,7 @@ def beta_for_force(
             f"the zero-temperature force {floor} of kind {kind!r}"
         )
 
-    d, p = model.dimension, model.scaling_power
-    if kind in BOX_KINDS:
-        seed = p * d / (2.0 * force_target * L)  # classical equipartition
-    else:
-        seed = d / (force_target * L)
+    seed = 1.0 / (force_target * L)  # classical equipartition F L = kT
 
     def residual(b: float) -> float:
         return equilibrium_force(model, b, L, policy) - force_target
@@ -661,12 +611,11 @@ def beta_for_force(
         return seed
     if f_seed > 0.0:  # force too large, need colder (larger beta)
         factor = 2.0
-        if kind in BOX_KINDS:
-            # near the classical limit the root sits at
-            # beta_cl / (1 - sqrt(beta E_1 / pi)); overshoot that slightly
-            x = math.sqrt(seed * model.ground_energy(L) / math.pi)
-            if x < 0.125:
-                factor = 1.0 + 4.0 * x + 1e-9
+        # near the classical limit the root sits at
+        # beta_cl / (1 - sqrt(beta E_1 / pi)); overshoot that slightly
+        x = math.sqrt(seed * model.ground_energy(L) / math.pi)
+        if x < 0.125:
+            factor = 1.0 + 4.0 * x + 1e-9
         for _ in range(200):
             hi *= factor
             if residual(hi) <= 0.0:

@@ -12,7 +12,7 @@ from qcycle.cycles import (
     closed_form_efficiency,
     run_cycle,
 )
-from qcycle.substances import box, cavity_mode, force, harmonic, spin_half
+from qcycle.substances import box, cavity_mode, force, gibbs_state, harmonic, spin_half
 
 
 class TestClosedFormEfficiency:
@@ -139,6 +139,17 @@ class TestOttoAndCarnot:
         report = run_cycle(build_otto(box(2), 1.0, 2.0, 0.1, 2.0), samples_per_segment=8)
         assert report.eta_closed == pytest.approx(0.75, rel=1e-12)
         assert abs(report.eta_numeric - report.eta_closed) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "model, L_A", [(box(3), 10.0), (box(2), 100.0)], ids=["box3d", "box2d"]
+    )
+    def test_multidimensional_carnot_stays_small(self, model, L_A):
+        # the flattened multi-index sums took 4 GB of states here
+        report = run_cycle(build_carnot(model, 10.0, 5.0, L_A, 2.0 * L_A))
+        assert abs(report.eta_numeric - 0.5) <= 1e-8
+        for result in report.segment_results:
+            for s in result.samples:
+                assert gibbs_state(model, s.beta, s.L).levels_used <= 20_000
 
     def test_otto_not_an_engine_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from qcycle.substances import (
     entropy,
     equilibrium_force,
     gibbs_state,
+    harmonic,
     internal_energy,
     regime_parameter,
     spin_half,
@@ -91,6 +92,13 @@ class TestAdiabaticAdvance:
         assert np.array_equal(state.probabilities, moved.probabilities)
         fresh = gibbs_state(model, moved.beta, moved.length)
         assert abs(entropy(fresh) - entropy(state)) <= 1e-12
+
+    def test_product_state_keeps_its_axes(self):
+        model = harmonic(3)
+        state = gibbs_state(model, 0.8, 1.0)
+        moved = adiabatic_advance(model, state, 1.5)
+        assert moved.axes == 3
+        assert entropy(moved) == entropy(state)
 
     def test_invalid_target(self):
         model = box(1)
@@ -223,3 +231,35 @@ class TestSegmentHeatWork:
         r = segment_heat_work(seg, samples_per_segment=8)
         ds = r.samples[-1].S - r.samples[0].S
         assert r.Q == pytest.approx(ds / beta, rel=1e-9)
+
+    def test_cold_isobar_cross_check_stays_inside_segment(self):
+        # The held force lies within about 1e-5 of the zero-temperature force
+        # pi^2/L^3 at the start, so the path does not exist just before it.
+        L_a, L_b = 1.3642008072044707, 2.267072997342462
+        f1 = equilibrium_force(box(1), 1.6718891195479735, L_a)
+        seg = isobaric_segment(box(1), f1, L_a, L_b)
+        r = segment_heat_work(seg, samples_per_segment=4)
+        assert r.Q == pytest.approx(5.26, abs=0.01)
+        scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * scale
+
+    def test_cold_isochore_heat_closes_to_contract(self):
+        # Q = -5.2e-6 against a ground energy of 4.9: weighting dP with the
+        # gaps E_n - E_0 keeps the rounding noise at the thermal scale
+        r = segment_heat_work(isochoric_segment(box(1), 1.0, 1.0, 1.2))
+        assert r.Q == pytest.approx(-5.22e-6, rel=1e-3)
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * abs(r.Q)
+
+    @pytest.mark.parametrize(
+        "seg",
+        [
+            isothermal_segment(box(2), 0.8, 1.0, 1.6),
+            isothermal_segment(harmonic(3), 0.6, 1.1, 1.8),
+            isochoric_segment(box(3), 1.2, 0.6, 1.8),
+        ],
+        ids=lambda seg: f"{seg.kind}-{seg.model.kind}",
+    )
+    def test_multidimensional_first_law_closure(self, seg):
+        r = segment_heat_work(seg, samples_per_segment=8)
+        scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * scale

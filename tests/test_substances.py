@@ -46,6 +46,25 @@ def box_direct(beta, L, n_terms, mass=1.0):
     return z_shift * math.exp(-beta * e[0]), u, s
 
 
+def flattened_direct(model, beta, L):
+    """Brute-force (ln Z, U, F, S, free energy) over the flattened
+    multi-index spectrum, summed until beta (E_n - E_0) exceeds 40."""
+    count = 64
+    while True:
+        e = model.level_energies(L, count)
+        if beta * (e[-1] - e[0]) > 40.0:
+            break
+        count *= 2
+    w = np.exp(-beta * (e - e[0]))
+    z_shift = float(w.sum())
+    p = w / z_shift
+    log_z = math.log(z_shift) - beta * float(e[0])
+    u = float(p @ e)
+    f = float(p @ (model.scaling_power * e / L))  # -sum_n P_n dE_n/dL
+    s = -float(p[p > 0.0] @ np.log(p[p > 0.0]))
+    return log_z, u, f, s, -log_z / beta
+
+
 class TestSpectrum:
     def test_box1d_level(self):
         assert energy_level(box(1), 1, math.pi) == pytest.approx(0.5, rel=1e-15)
@@ -100,6 +119,12 @@ class TestSpectrum:
                   cavity_mode(), spin_half()]
         for model in models:
             assert model.gamma == pytest.approx(expected[model.kind], rel=1e-15)
+
+    def test_axis_keeps_parameters(self):
+        assert box(3, mass=0.7).axis == box(1, mass=0.7)
+        assert harmonic(2, mode_constant=1.4).axis == harmonic(1, mode_constant=1.4)
+        for model in ALL_1D:
+            assert model.axis is model
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +181,56 @@ class TestPartitionFunction:
             partition_function(box(1), -1.0, 1.0)
         with pytest.raises(ValueError):
             partition_function(box(1), 1.0, 0.0)
+
+
+MULTID = (box(2, mass=0.7), box(3, mass=0.7), harmonic(2, 1.4), harmonic(3, 1.4))
+
+
+class TestMultidimensionalOracle:
+    """The per-axis product state against direct sums over the flattened
+    multi-index spectrum, which no state function sums."""
+
+    @pytest.mark.parametrize("model", MULTID, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("x", (0.3, 1.0, 3.0))
+    def test_state_functions_match_flattened_sums(self, model, x):
+        L = 1.3
+        beta = x / regime_parameter(model.axis, 1.0, L)  # per axis
+        state = gibbs_state(model, beta, L)
+        log_z, u, f, s, a = flattened_direct(model, beta, L)
+        assert state.axes == model.dimension
+        assert state.log_partition == pytest.approx(log_z, rel=1e-11)
+        assert internal_energy(state, model) == pytest.approx(u, rel=1e-11)
+        assert force(state, model) == pytest.approx(f, rel=1e-11)
+        assert entropy(state) == pytest.approx(s, rel=1e-11)
+        assert free_energy(model, beta, L) == pytest.approx(a, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (harmonic(3), 0.05),
+            (harmonic(3), 1e-3),
+            (harmonic(2), 1e-3),
+            (box(3), 1e-3),
+            (box(2), 1e-6),
+            (box(2), 1e-7),
+        ],
+        ids=lambda v: getattr(v, "kind", repr(v)),
+    )
+    def test_former_level_cap_points_evaluate(self, model, x):
+        # x is the regime parameter: beta*omega for the oscillators, beta
+        # times the ground energy for the boxes.  The flattened multi-index
+        # sum reached level_cap = 1e7 at each of these points.
+        L = 1.0
+        beta = x / regime_parameter(model, 1.0, L)
+        state = gibbs_state(model, beta, L)
+        assert state.truncation_error_bound <= 1e-11  # (1 + r)^d - 1, r <= 1e-12
+        identity = state.log_partition + beta * internal_energy(state, model)
+        assert entropy(state) == pytest.approx(identity, rel=1e-10)
+        if model.kind.startswith("harmonic"):
+            axis_u = internal_energy_closed(harmonic(1), beta, L)
+            assert internal_energy(state, model) == pytest.approx(
+                model.dimension * axis_u, rel=1e-10
+            )
 
 
 class TestGibbsState:
