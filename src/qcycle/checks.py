@@ -266,7 +266,7 @@ def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
         if r.segment.kind != "isochoric"
     )
     return [
-        ("first_law_closure", _check_first_law(results), 1e-8),
+        ("first_law_closure", _check_first_law(results), 1e-9),
         ("adiabat_entropy_invariance", _check_adiabat_entropy(policy), 1e-12),
         ("held_value_drift", max(_held_drift(r) for r in results), 1e-8),
         ("work_force_duality", duality, 1e-8),

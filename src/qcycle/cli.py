@@ -9,14 +9,13 @@ error, 3 numeric non-convergence, 4 physical-domain error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
 import sys
 
 from .checks import SCOPES, run_checks
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, substance_document
 from .cycles import CycleReport, closed_form_efficiency, run_cycle
 from .errors import ConfigError, ConvergenceError, DomainError
 
@@ -83,11 +82,6 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _report_document(config: RunConfig, report: CycleReport) -> dict:
-    substance: dict = {"kind": config.substance_kind}
-    if config.substance_kind.startswith("box"):
-        substance["mass"] = config.mass
-    elif config.substance_kind != "spin_half":
-        substance["mode_constant"] = config.mode_constant
     corners = [
         {
             "label": c.label,
@@ -103,7 +97,7 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
     ]
     return {
         "units": UNITS_NOTE,
-        "substance": substance,
+        "substance": substance_document(config),
         "cycle": {"kind": config.cycle_kind, **config.cycle_params},
         "gamma": report.gamma_used,
         "eta_numeric": report.eta_numeric,
@@ -219,16 +213,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         step = (args.stop - args.start) / (args.steps - 1)
         values = [args.start + i * step for i in range(args.steps)]
 
-    workers = os.cpu_count() or 1
+    # The points run one after another: the cycles are Python-bound, so a
+    # thread pool only adds contention.  QCYCLE_NUM_THREADS is still read
+    # and validated, as the accepted contract of earlier versions.
     env_cap = os.environ.get("QCYCLE_NUM_THREADS")
     if env_cap:
         try:
-            workers = max(1, min(workers, int(env_cap)))
+            int(env_cap)
         except ValueError as err:
             raise ConfigError(f"QCYCLE_NUM_THREADS must be an integer: {err}") from err
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(config, name, v), values))
+    rows = [_sweep_point(config, name, v) for v in values]
 
     lines = ["parameter,value,eta_numeric,eta_closed,exit_code"]
     for value, eta_n, eta_c, code in rows:

@@ -224,15 +224,20 @@ def parse_config(text: str) -> RunConfig:
     return validate_config(document)
 
 
-def serialize_config(config: RunConfig) -> str:
-    """JSON document that parses back into an equivalent RunConfig."""
+def substance_document(config: RunConfig) -> dict:
+    """The config's substance section: its kind and the parameter it uses."""
     substance: dict = {"kind": config.substance_kind}
     if config.substance_kind in BOX_KINDS:
         substance["mass"] = config.mass
     if config.substance_kind in OSCILLATOR_KINDS:
         substance["mode_constant"] = config.mode_constant
+    return substance
+
+
+def serialize_config(config: RunConfig) -> str:
+    """JSON document that parses back into an equivalent RunConfig."""
     document = {
-        "substance": substance,
+        "substance": substance_document(config),
         "cycle": {"kind": config.cycle_kind, **config.cycle_params},
         "numerics": {k: getattr(config.policy, k) for k in _POLICY_FIELDS},
         "output": asdict(config.output),

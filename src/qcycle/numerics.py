@@ -175,7 +175,13 @@ def _simpson(f, a, b, fa, fm, fb, whole, eps, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if abs(delta) <= 15.0 * eps:
+    # delta / 15 estimates the error only on a panel that resolves f.  Where
+    # f changes by more than a factor 2 across the panel (exp(40 t) at width
+    # 1/2), the extrapolated value can miss by five times that, so there the
+    # whole difference must meet the budget.
+    values = (abs(fa), abs(flm), abs(fm), abs(frm), abs(fb))
+    resolved = max(values) <= 2.0 * min(values)
+    if abs(delta) <= (15.0 if resolved else 1.0) * eps:
         return left + right + delta / 15.0
     if depth <= 0:
         raise ConvergenceError("adaptive quadrature exceeded max depth")

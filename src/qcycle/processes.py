@@ -1,18 +1,19 @@
-"""Quasi-static process segments and first-law heat/work integration.
+"""Quasi-static process segments and their first-law bookkeeping.
 
 A segment is one leg of a cycle: isothermal, isochoric, isobaric or
 adiabatic.  The path is parameterized linearly in the free variable over
 t in [0, 1] (L for all kinds except isochoric, which is linear in beta);
 the conserved quantity of each kind is recorded and can be checked at any
-sample.  Work on the system is the quadrature of dW = sum_n P_n dE_n along
-the path, heat is the exact first-law complement Q = dU - W, and an
-independent finite-difference quadrature of dQ = sum_n E_n dP_n is carried
-as a cross-check.
+sample.  Every state along a path is a Gibbs state of a spectrum
+E_n = c_n / L^p, so the work sum_n P_n dE_n and the heat sum_n E_n dP_n
+have closed forms on every segment kind: the cumulative heat and work are
+exact at each sample, and the quadrature of the exact heat rate is carried
+as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .substances import (
     entropy,
     equilibrium_force,
     force,
+    gap_moments,
     gibbs_state,
     internal_energy,
-    state_energies,
 )
 
 SEGMENT_KINDS = ("isothermal", "isochoric", "isobaric", "adiabatic")
@@ -76,11 +77,11 @@ class PathSample:
 class SegmentResult:
     """Integrated heat and work of one segment.
 
-    Q is the first-law bookkeeping value delta_U - W_on; Q_direct is the
-    independent quadrature of sum_n E_n dP_n and must agree with Q within
-    quadrature tolerance, or within the finite-difference rounding noise
-    where the heat is smaller than that.  W_on is work done ON the system
-    (positive compressing a positive-force substance); W_by = -W_on.
+    Q, W_on and delta_U are the closed forms of segment_heat_work, so
+    Q = delta_U - W_on up to rounding; Q_direct is the adaptive quadrature
+    of the exact heat rate sum_n E_n dP_n/dt and agrees with Q within the
+    quadrature tolerance.  W_on is work done ON the system (positive
+    compressing a positive-force substance); W_by = -W_on.
     """
 
     segment: ProcessSegment
@@ -269,141 +270,77 @@ def segment_heat_work(
     segment: ProcessSegment,
     policy: NumericsPolicy = DEFAULT_POLICY,
     samples_per_segment: int = 64,
-    with_cross_check: bool = True,
 ) -> SegmentResult:
-    """Integrate heat and work along a segment.
+    """Heat and work along a segment, exact at every sample.
 
-    W_on = -int F dL by adaptive quadrature accumulated over the sample
-    grid (identically zero for isochoric legs, exactly delta_U for
-    adiabatic legs, whose probabilities are frozen and Q = 0).  Q is
-    reported from the exact bookkeeping delta_U - W_on; Q_direct
-    rediscretizes the heat as the quadrature of sum_n (E_n - E_0) dP_n/dt
-    (per axis, times d for the multi-dimensional kinds) with second-order
-    differences of the occupation vector that stay inside the segment.  Its
-    budget never drops below the rounding noise of those differences, so a
-    segment of a few ulp in L returns instead of exhausting the quadrature
-    depth.
+    With d axes, per-axis ground energy E_0 and gap_moments (ln z, <g>, Var)
+    of g = E - E_0, the cumulative work on the system is
+    A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
+    -F0 (L(t) - L0) on an isobar, zero on an isochore and U(t) - U(0) on an
+    adiabat.  delta_U = d (Delta E_0 + Delta <g>), so a cold segment keeps
+    its relative accuracy.  Q is T Delta S with S = d (ln z + beta <g>) on an
+    isotherm and delta_U - W_on on the other kinds (zero on an adiabat).
+
+    Q_direct is the adaptive quadrature of the exact heat rate
+    sum_n E_n dP_n/dt = -d kappa Var, kappa = beta' - p beta L'/L, which on
+    an isobar (F = p U / L held) reduces to (p + 1) U L'/L.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
-    model = segment.model
+    model, kind = segment.model, segment.kind
+    d, p = model.dimension, model.scaling_power
     dL = segment.L_end - segment.L_start
-    cache: dict[float, GibbsState] = {}
+    dbeta = segment.beta_end - segment.beta_start
 
     def state_at(t: float) -> GibbsState:
-        st = cache.get(t)
-        if st is None:
-            beta, L = segment_point(segment, t, policy)
-            st = gibbs_state(model, beta, L, policy)
-            cache[t] = st
-        return st
-
-    def work_rate(t: float) -> float:
-        return -force(state_at(t), model) * dL
+        beta, L = segment_point(segment, t, policy)
+        return gibbs_state(model, beta, L, policy)
 
     ts = np.linspace(0.0, 1.0, samples_per_segment)
     states = [state_at(float(t)) for t in ts]
-    U = np.array([internal_energy(st, model) for st in states])
-    S = np.array([entropy(st) for st in states])
-    F = np.array([force(st, model) for st in states])
+    log_z, gap, _ = np.array([gap_moments(model, st) for st in states]).T
+    L = np.array([st.length for st in states])
+    e0 = d * np.array([model.axis.ground_energy(x) for x in L])
+    U_cum = (e0 - e0[0]) + d * (gap - gap[0])
 
-    if segment.kind == "isochoric":
-        W_cum = np.zeros_like(ts)
-    elif segment.kind == "adiabatic":
-        W_cum = U - U[0]  # frozen probabilities: dU is pure work
+    if kind == "isothermal":
+        shift = d * (log_z - log_z[0]) / segment.beta_start
+        W_cum = (e0 - e0[0]) - shift
+        Q_cum = shift + d * (gap - gap[0])
     else:
-        W_cum = np.empty_like(ts)
-        W_cum[0] = 0.0
-        for i in range(1, ts.size):
-            W_cum[i] = W_cum[i - 1] + integrate_adaptive(
-                work_rate, float(ts[i - 1]), float(ts[i]), policy
-            )
-    W_on = float(W_cum[-1])
-    delta_U = float(U[-1] - U[0])
-    Q = delta_U - W_on
-    Q_cum = (U - U[0]) - W_cum
+        if kind == "isochoric":
+            W_cum = np.zeros_like(ts)
+        elif kind == "isobaric":
+            W_cum = -segment.held_value * (L - L[0])
+        else:  # adiabatic: frozen probabilities, dU is pure work
+            W_cum = U_cum
+        Q_cum = U_cum - W_cum
+    W_on, Q, delta_U = float(W_cum[-1]), float(Q_cum[-1]), float(U_cum[-1])
 
-    if segment.kind == "adiabatic" or not with_cross_check:
-        Q_direct = 0.0 if segment.kind == "adiabatic" else Q
-    else:
-        # The differenced occupation vector carries rounding noise of order
-        # eps/h, so the step is floored at 1e-5 and the quadrature budget at
-        # 3e-9 relative: an order below the 1e-8 closure contract, but above
-        # the noise the adaptive refinement would otherwise chase.
-        h = max(policy.fd_step_rel, 1e-5)
-        axis, d = model.axis, model.dimension
+    def heat_rate(t: float) -> float:
+        st = state_at(t)
+        if kind == "isobaric":
+            return (p + 1) * internal_energy(st, model) * dL / st.length
+        kappa = dbeta - p * st.beta * dL / st.length
+        return -d * kappa * gap_moments(model, st)[2]
 
-        def occupations(st: GibbsState, n: int) -> np.ndarray:
-            # The state truncated at n >= levels_used levels.  Every vector
-            # of a difference must omit the same tail: where the truncation
-            # count changes across the stencil, the omitted weight would
-            # otherwise enter the rate amplified by 1/h, a step that no
-            # quadrature budget can resolve.
-            if st.levels_used == n:
-                return st.probabilities
-            levels = axis.level_energies(st.length, n)
-            weights = np.exp(-st.beta * (levels - levels[0]))
-            return weights / weights.sum()
-
-        def heat_rate(t: float) -> float:
-            # dP/dt by the centred difference; within h of an end, where that
-            # would leave [0, 1] (an isobar may not exist beyond its start),
-            # by the slope at t of the quadratic through three states inside
-            # the segment.  That is the second-order one-sided difference at
-            # the end and the centred one at distance h, so the rate has no
-            # step there for the adaptive quadrature to chase.
-            if h <= t <= 1.0 - h:
-                hi, lo = state_at(t + h), state_at(t - h)
-                n = max(hi.levels_used, lo.levels_used)
-                dp = occupations(hi, n) - occupations(lo, n)
-            else:
-                a = 0.0 if t < h else 1.0 - 2.0 * h
-                u = (t - a) / h
-                weighted = (
-                    (state_at(a), 2.0 * u - 3.0),
-                    (state_at(a + h), 4.0 - 4.0 * u),
-                    (state_at(a + 2.0 * h), 2.0 * u - 1.0),
-                )
-                n = max(st.levels_used for st, _ in weighted)
-                dp = sum(c * occupations(st, n) for st, c in weighted)
-            _, L = segment_point(segment, t, policy)
-            energies = axis.level_energies(L, n)
-            return d * float((energies - energies[0]) @ dp) / (2.0 * h)
-
-        # Every vector is normalized and the stencil weights sum to zero, so
-        # weighting dP with the gaps E_n - E_0 instead of E_n changes nothing
-        # but the rounding: the noise on heat_rate is about
-        # eps <E - E_0> / (2 h), which scales with the thermal energy rather
-        # than with the ground energy, and no budget below it can be met.
-        # The scale is floored so that the budget never drops under it: on a
-        # segment whose heat is at the rounding level (|dL| of a few ulp) the
-        # refinement stops at the noise instead of raising, while on
-        # ordinary segments the relative budget binds as before.
-        cross_policy = replace(policy, quad_tol=max(policy.quad_tol, 3e-9))
-
-        def thermal_energy(st: GibbsState) -> float:  # <E - E_0>
-            energies = state_energies(model, st)
-            return d * float((energies - energies[0]) @ st.probabilities)
-
-        noise = np.finfo(float).eps * max(map(thermal_energy, states)) / (2.0 * h)
-        scale = max(abs(Q), abs(W_on), abs(delta_U), noise / cross_policy.quad_tol)
-        Q_direct = integrate_adaptive(
-            heat_rate, 0.0, 1.0, cross_policy, scale_hint=scale
-        )
+    Q_direct = 0.0
+    if kind != "adiabatic":
+        Q_direct = integrate_adaptive(heat_rate, 0.0, 1.0, policy)
 
     records = tuple(
         PathSample(
             t=float(ts[i]),
-            L=states[i].length,
-            beta=states[i].beta,
-            T=states[i].temperature,
-            F=float(F[i]),
-            U=float(U[i]),
-            S=float(S[i]),
+            L=st.length,
+            beta=st.beta,
+            T=st.temperature,
+            F=force(st, model),
+            U=internal_energy(st, model),
+            S=entropy(st),
             Q_cum=float(Q_cum[i]),
             W_cum=float(W_cum[i]),
         )
-        for i in range(ts.size)
+        for i, st in enumerate(states)
     )
     return SegmentResult(
         segment=segment,
@@ -420,11 +357,10 @@ def work_gauss_reference(
     policy: NumericsPolicy = DEFAULT_POLICY,
     panels: int = 20,
 ) -> float:
-    """W_on rediscretized on a fixed Gauss-Legendre grid.
+    """W_on as the quadrature of -F dL on a fixed Gauss-Legendre grid.
 
-    Same force integrand as segment_heat_work but a different node set and
-    refinement rule; agreement checks the integrator rather than repeating
-    it.
+    An independent route to the closed-form work of segment_heat_work: it
+    integrates the summed equilibrium force along the realized path.
     """
     if segment.kind == "isochoric":
         return 0.0

@@ -440,6 +440,25 @@ def entropy(state: GibbsState) -> float:
     return -state.axes * float((p * np.log(p)).sum())
 
 
+def gap_moments(model: SpectrumModel, state: GibbsState) -> tuple[float, float, float]:
+    """Per-axis (ln z, <E - E_0>, Var E) of a Gibbs state.
+
+    z = sum_n exp(-beta (E_n - E_0)) is the ground-shifted partition sum,
+    taken as ln z = log1p(sum_{n>=1} P_n / P_0), and the moments are centred
+    moments of the gaps E_n - E_0 over state.probabilities.  Both keep their
+    relative accuracy however empty the excited levels are.  With d axes,
+    ln Z = d (ln z - beta E_0), U = d (E_0 + <E - E_0>) and
+    S = d (ln z + beta <E - E_0>).
+    """
+    p = state.probabilities
+    energies = state_energies(model, state)
+    gaps = energies - energies[0]
+    mean = float(p @ gaps)
+    deviation = gaps - mean
+    log_z = math.log1p(float(p[1:].sum()) / float(p[0]))
+    return log_z, mean, float(p @ (deviation * deviation))
+
+
 def free_energy(
     model: SpectrumModel,
     beta: float,

@@ -131,6 +131,8 @@ class TestIntegrateAdaptive:
             (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
             (lambda x: x**5, 0.0, 2.0, 64.0 / 6.0),
             (lambda x: math.exp(-3.0 * x), 0.0, 4.0, (1 - math.exp(-12.0)) / 3.0),
+            # the cold isochore's heat rate: unresolved on the half panel
+            (lambda x: math.exp(-39.3 * x), 0.0, 1.0, -math.expm1(-39.3) / 39.3),
         ]
         for f, a, b, exact in cases:
             got = integrate_adaptive(f, a, b, DEFAULT_POLICY)

@@ -1,7 +1,9 @@
 """Segment construction, schedules, adiabats and first-law integration."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from qcycle.substances import (
     internal_energy,
     regime_parameter,
     spin_half,
+    vacuum_force,
 )
 
 
@@ -191,7 +194,7 @@ class TestSegmentHeatWork:
         for seg in segments:
             r = segment_heat_work(seg, samples_per_segment=8)
             scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-            assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * scale
+            assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
             gauss = work_gauss_reference(seg)
             assert abs(r.W_on - gauss) <= 1e-8 * scale
 
@@ -241,14 +244,14 @@ class TestSegmentHeatWork:
         r = segment_heat_work(seg, samples_per_segment=4)
         assert r.Q == pytest.approx(5.26, abs=0.01)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * scale
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
 
     def test_cold_isochore_heat_closes_to_contract(self):
         # Q = -5.2e-6 against a ground energy of 4.9: weighting dP with the
         # gaps E_n - E_0 keeps the rounding noise at the thermal scale
         r = segment_heat_work(isochoric_segment(box(1), 1.0, 1.0, 1.2))
         assert r.Q == pytest.approx(-5.22e-6, rel=1e-3)
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * abs(r.Q)
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * abs(r.Q)
 
     @pytest.mark.parametrize(
         "seg",
@@ -262,4 +265,93 @@ class TestSegmentHeatWork:
     def test_multidimensional_first_law_closure(self, seg):
         r = segment_heat_work(seg, samples_per_segment=8)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-8 * scale
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
+
+
+def _mp_levels(substance, dim, L):
+    """Every level of the flattened spectrum, enumerated directly.
+
+    The box cases below are cold (beta E_1 >= 10), so indices up to 12 per
+    axis leave out weight below exp(-1600) of the partition sum.
+    """
+    L = mp.mpf(L)
+    if substance == "spin_half":
+        return [-1 / (2 * L), 1 / (2 * L)]
+    unit = mp.pi**2 / (2 * L * L)
+    indices = itertools.product(range(1, 13), repeat=dim)
+    return [unit * sum(n * n for n in index) for index in indices]
+
+
+def _mp_entropy_energy(levels, beta):
+    """(S, U) of the Gibbs state over `levels`, by direct level sums."""
+    beta = mp.mpf(beta)
+    weights = [mp.exp(-beta * e) for e in levels]
+    z = mp.fsum(weights)
+    u = mp.fsum(e * w for e, w in zip(levels, weights)) / z
+    return mp.log(z) + beta * u, u
+
+
+@pytest.mark.parametrize(
+    "kind, substance, dim, L0, L1, beta0, beta1",
+    [
+        # an ordinary spin isotherm, Q = 0.13
+        ("isothermal", "spin_half", 1, 0.9661252222001411, 2.901673744973057,
+         3.06266951365504, 3.06266951365504),
+        # Q = 3.8e-12 against 2 E_1 = 30: no difference of energies resolves it
+        ("isochoric", "box", 2, 0.5770209846557413, 0.5770209846557413,
+         0.7196730685174368, 0.6866010794992774),
+        # Q = -2.4e-16 against 3 E_1 = 27
+        ("isochoric", "box", 3, 0.7446670251850824, 0.7446670251850824,
+         1.5112053044146398, 2.529103442588524),
+        # Q = 2.5e-15 against E_1 = 7.7
+        ("isothermal", "box", 1, 0.8, 0.9, 2.0, 2.0),
+        # Q = 1.3e-38 against E_1 = 14
+        ("isothermal", "box", 1, 0.6, 0.7, 3.0, 3.0),
+    ],
+    ids=["spin-isotherm", "box2d-isochore", "box3d-isochore",
+         "box1d-isotherm", "box1d-cold-isotherm"],
+)
+def test_heat_matches_level_sum_reference(kind, substance, dim, L0, L1, beta0, beta1):
+    model = spin_half() if substance == "spin_half" else box(dim)
+    if kind == "isothermal":
+        seg = isothermal_segment(model, beta0, L0, L1)
+    else:
+        seg = isochoric_segment(model, L0, beta0, beta1)
+    r = segment_heat_work(seg, samples_per_segment=4)
+    with mp.workdps(80):
+        s0, u0 = _mp_entropy_energy(_mp_levels(substance, dim, L0), beta0)
+        s1, u1 = _mp_entropy_energy(_mp_levels(substance, dim, L1), beta1)
+        reference = float((s1 - s0) / beta0 if kind == "isothermal" else u1 - u0)
+    assert abs(r.Q - reference) <= 1e-12 * abs(reference)
+    assert abs(r.Q - r.Q_direct) <= 1e-9 * abs(r.Q)
+
+
+def test_random_segments_close():
+    models = (
+        box(1), box(2), box(3), harmonic(1), harmonic(3), cavity_mode(), spin_half()
+    )
+    rng = np.random.default_rng(2007)
+    closed = 0
+    for _ in range(150):
+        model = models[rng.integers(len(models))]
+        kind = ("isothermal", "isochoric", "isobaric")[rng.integers(3)]
+        beta, beta_end = rng.uniform(0.2, 5.0, 2)
+        L0, L1 = rng.uniform(0.5, 3.0, 2)
+        if kind == "isobaric":  # expanding
+            L0, L1 = min(L0, L1), max(L0, L1)
+        end = beta_end if kind == "isochoric" else L1
+        try:
+            seg = build_segment(kind, model, (beta, L0), end)
+        except DomainError:
+            # the held force does not exceed the zero-temperature force, to
+            # rounding, at one end of the path
+            held = equilibrium_force(model, beta, L0)
+            excess = min(held - vacuum_force(model, L) for L in (L0, L1))
+            assert excess <= 1e-12 * abs(held)
+            continue
+        r = segment_heat_work(seg, samples_per_segment=4)
+        scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale, seg
+        assert abs(r.Q - r.Q_direct) <= 1e-9 * abs(r.Q), seg
+        closed += 1
+    assert closed >= 120
