@@ -104,12 +104,13 @@ def isobaric_schedule(
 ) -> float:
     """Bath schedule beta(L) that holds the equilibrium force constant.
 
-    Closed inversions where they are exact: the cavity/1D-oscillator
+    An alias of substances.beta_for_force.  Closed inversions where they are
+    exact: the cavity/1D-oscillator
     beta = (L/kappa) ln((2 F L^2 + kappa)/(2 F L^2 - kappa)), defined only
     above the vacuum force kappa/(2 L^2), and the spin's atanh form for
-    negative targets.  Box kinds invert the summed force by a bracketed
-    root solve seeded with the classical beta = 1/(F L).  In every case
-    the residual satisfies |F(beta, L) - F0| <= 1e-10 |F0|.
+    negative targets.  Box kinds solve <g>(x) = F L/(2 E_1) - 1 on one axis
+    by safeguarded Newton in ln x over the exact kernel.  In every case the
+    residual satisfies |F(beta, L) - F0| <= 1e-10 |F0|.
     """
     return beta_for_force(model, force_target, L, policy)
 
@@ -122,8 +123,9 @@ def adiabatic_advance(
     All level spacings of the supported spectra scale by the common factor
     (L/L_to)^p, so the occupation probabilities stay frozen and beta
     rescales by (L_to/L)^p, keeping every beta * E_n invariant.  The
-    probability vector of the returned state is the same array; entropy and
-    the partition value are exactly conserved.
+    returned state keeps x = beta Delta and the kernel moments, rescales
+    E_0 and Delta, and shares the state's probability vector, built or not;
+    entropy and the partition value are exactly conserved.
     """
     if L_to <= 0.0:
         raise ValueError(f"coordinate must be positive, got L={L_to}")
@@ -131,11 +133,14 @@ def adiabatic_advance(
     return GibbsState(
         beta=state.beta * ratio,
         length=L_to,
-        probabilities=state.probabilities,
         partition_value=state.partition_value,
         log_partition=state.log_partition,
-        truncation_error_bound=state.truncation_error_bound,
         axes=state.axes,
+        ground=state.ground / ratio,
+        gap=state.gap / ratio,
+        x=state.x,
+        moments=state.moments,
+        occupations=state.occupations,
     )
 
 

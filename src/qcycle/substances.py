@@ -2,9 +2,14 @@
 
 A substance is a parameterized family of energy levels E_n(L) over one
 externally controlled coordinate L (box width, cavity length, inverse
-magnetic field).  Every level of every supported substance scales as a pure
-power of L, E_n(L) = c_n / L^p, which makes the conjugate force, the
-adiabats, and the truncation bounds exact and cheap.
+magnetic field).  Every 1D spectrum is E_n = E_0 + Delta g_n with E_0 and
+Delta proportional to L^-p, so each equilibrium quantity depends on
+(beta, L) only through x = beta Delta, and the separable 2D/3D kinds are d
+copies of their 1D axis.  One exact kernel per 1D kind gives
+(ln z, <g>, Var g) at x with no truncated sum: closed forms for the linear
+and two-level spectra, and for box1d a short direct series above x = 1 and
+the Jacobi theta inversion below it.  A state's probability vector is built
+only when it is read.
 
 Natural units throughout: hbar = m = k = 1 (mass and the oscillator mode
 constant remain as explicit positive parameters).
@@ -18,12 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (
-    DEFAULT_POLICY,
-    NumericsPolicy,
-    find_root_bracketed,
-    sum_with_tail_bound,
-)
+from .numerics import DEFAULT_POLICY, NumericsPolicy
 
 # kind -> (dimension d, scaling power p in E_n ~ L^{-p}, kind of one axis)
 _KIND_TABLE = {
@@ -212,9 +212,98 @@ def energy_level(model: SpectrumModel, n: int, L: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Canonical-ensemble machinery.  All sums are taken relative to the ground
-# level so they stay in range at any temperature: the shifted partition sum
-# Z~ = sum_n exp(-beta (E_n - E_0)) starts at 1 and ln Z = ln Z~ - beta E_0.
+# Canonical-ensemble machinery.  ln Z = d (ln z(x) - beta E_0) with the
+# ground-shifted axis sum z = sum_n exp(-x g_n) >= 1, which stays in range
+# at any temperature.
+
+_PI2 = math.pi**2
+_LN2 = math.log(2.0)
+
+
+def _axis_scale(axis: SpectrumModel, L: float) -> tuple[float, float]:
+    """(E_0, Delta) of a 1D kind at L, with E_n = E_0 + Delta g_n.
+
+    g_n = n^2 - 1 (n >= 1) for box1d, n (n >= 0) for the oscillator and the
+    cavity, and 0, 1 for the spin.
+    """
+    kind = axis.kind
+    if kind == "box1d":
+        e1 = _PI2 / (2.0 * axis.mass * L * L)
+        return e1, e1
+    if kind == "spin_half":
+        return -0.5 / L, 1.0 / L
+    omega = axis.mode_constant / L
+    return 0.5 * omega, omega
+
+
+def _kernel(kind: str, x: float) -> tuple[float, float, float]:
+    """Exact (ln z, <g>, Var g) of one 1D kind at x = beta Delta.
+
+    z = sum_n exp(-x g_n) over every level; nothing is truncated.  The
+    linear spectra (g = n) and the spin have closed forms.  Every output is
+    finite for x >= 1e-30.
+    """
+    if kind == "box1d":
+        return _box1d_kernel(x)
+    q = math.exp(-x)
+    if kind == "spin_half":
+        return math.log1p(q), q / (1.0 + q), q / (1.0 + q) ** 2
+    one_minus_q = -math.expm1(-x)
+    # -log(1 - q) loses digits of q where q is small, -log1p(-q) where q -> 1
+    log_z = -math.log(one_minus_q) if x < _LN2 else -math.log1p(-q)
+    mean = q / one_minus_q
+    return log_z, mean, mean / one_minus_q
+
+
+def _box1d_kernel(x: float) -> tuple[float, float, float]:
+    """(ln z, <g>, Var g) for g_n = n^2 - 1.
+
+    For x >= 1 the direct series, whose terms fall by at least e^-5 each
+    from n = 2; ln z = log1p(sum_{n>=2} w_n) and the variance is a centred
+    moment, so both keep their relative accuracy when the excited levels are
+    nearly empty.  For x < 1 the Jacobi theta inversion (Whittaker & Watson,
+    ch. 21)
+
+        A = 1 + 2 sum_{n>=1} exp(-x n^2) = sqrt(pi/x) theta,
+        theta = 1 + 2 sum_{k>=1} exp(-y_k),  y_k = pi^2 k^2 / x,
+
+    with z = e^x (A - 1)/2.  theta's derivatives are carried as x theta'/theta
+    and x^2 theta''/theta, sums of y^j e^-y <= 1, so nothing overflows; three
+    terms reach e^-88 at x = 1.
+    """
+    if x >= 1.0:
+        terms = []
+        excited = 0.0
+        n = 2
+        while True:
+            g = float(n * n - 1)
+            w = math.exp(-x * g)
+            terms.append((g, w))
+            excited += w
+            if w <= 2.0**-60 * excited:
+                break
+            n += 1
+        z = 1.0 + excited
+        mean = sum(g * w for g, w in terms) / z
+        var = (mean * mean + sum(w * (g - mean) ** 2 for g, w in terms)) / z
+        return math.log1p(excited), mean, var
+    u = _PI2 / x
+    t0 = t1 = t2 = 0.0
+    for k2 in (1.0, 4.0, 9.0):
+        y = u * k2
+        e = math.exp(-y)
+        t0 += e
+        t1 += y * e
+        t2 += (y * y - 2.0 * y) * e
+    theta = 1.0 + 2.0 * t0
+    d1 = 2.0 * t1 / theta  # x theta'/theta
+    d2 = 2.0 * t2 / theta  # x^2 theta''/theta
+    a = math.sqrt(math.pi / x) * theta
+    b = d1 - 0.5  # x A'/A
+    f = a / (a - 1.0)  # A/(A - 1): converts moments of A into moments of z
+    mean = -1.0 - f * b / x
+    var = f * (0.5 + d2 - d1 * d1 - b * b / (a - 1.0)) / (x * x)
+    return x + math.log(0.5 * (a - 1.0)), mean, var
 
 
 def _box1d_tail(c: float, n_levels: int) -> float:
@@ -226,61 +315,47 @@ def _box1d_tail(c: float, n_levels: int) -> float:
     return 0.5 * math.sqrt(math.pi / c) * math.exp(c + math.log(e))
 
 
-def _shifted_system(model: SpectrumModel, beta: float, L: float, policy: NumericsPolicy):
-    """Shifted Boltzmann factors and a certified tail bound for one 1D kind.
+def _shifted_partition(
+    kind: str, x: float, log_z: float, policy: NumericsPolicy
+) -> tuple[np.ndarray, float]:
+    """Occupation vector of one 1D kind at x, and its relative tail bound.
 
-    Returns (block, tail, e_ground, first_block): block(i0, i1) evaluates
-    exp(-beta (E_i - E_0)) for level indices [i0, i1); tail(n, s, t)
-    bounds the omitted remainder given n terms summed to s, last term t;
-    first_block estimates the level count so the certified loop usually
-    finishes in one pass.
+    The level count N comes from a closed-form bound on the omitted weight
+    (the Gaussian comparison integral for box1d, q^N for g = n), measured
+    against the exact z = exp(log_z) and driven below policy.series_tol.
+    N is checked against policy.level_cap before anything is allocated; the
+    Boltzmann factors are then evaluated once and divided by z.
     """
-    kind = model.kind
-    e0 = model.ground_energy(L)
-
-    if kind == "box1d":
-        c = beta * e0  # = beta E_1
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            n = np.arange(i0 + 1, i1 + 1, dtype=float)
-            return np.exp(-c * (n * n - 1.0))
-
-        def tail(n_used: int, _s: float, _t: float) -> float:
-            return _box1d_tail(c, n_used)
-
-        hint = int(math.sqrt((4.0 - math.log(policy.series_tol)) / c)) + 2
-        return block, tail, e0, min(hint, policy.level_cap)
-
-    if kind in ("harmonic1d", "cavity"):
-        x = beta * model.mode_constant / L
-        denom = -math.expm1(-x)  # 1 - e^{-x}, exact for small x
-
-        def block(i0: int, i1: int) -> np.ndarray:
-            return np.exp(-x * np.arange(i0, i1, dtype=float))
-
-        def tail(_n: int, _s: float, t: float) -> float:
-            if denom == 0.0:
-                return math.inf
-            return t * math.exp(-x) / denom
-
-        if denom > 0.0:
-            hint = int(-math.log(policy.series_tol * denom) / x) + 2
-        else:
-            hint = policy.level_cap
-        return block, tail, e0, max(2, min(hint, policy.level_cap))
-
+    z = math.exp(log_z)
     if kind == "spin_half":
-        weights = np.array([1.0, math.exp(-beta / L)])
+        return np.array([1.0, math.exp(-x)]) / z, 0.0
+    if kind == "box1d":
+        count = int(math.sqrt((4.0 - math.log(policy.series_tol)) / x)) + 2
 
-        def block(i0: int, i1: int) -> np.ndarray:
-            return weights[i0:i1]
+        def tail(n: int) -> float:
+            return _box1d_tail(x, n) / z
 
-        def tail(_n: int, _s: float, _t: float) -> float:
-            return 0.0
+    else:
+        count = max(2, math.ceil((4.0 - math.log(policy.series_tol)) / x))
 
-        return block, tail, e0, 2
+        def tail(n: int) -> float:
+            return math.exp(-x * n)  # sum_{m >= n} q^m = q^n z
 
-    raise ValueError(f"no one-dimensional sum for kind {kind!r}; use model.axis")
+    while True:
+        if count > policy.level_cap:
+            raise ConvergenceError(
+                f"{count} levels needed to bound the tail below "
+                f"{policy.series_tol:.1e} of z at x = {x:.3e}; "
+                f"level cap {policy.level_cap} reached"
+            )
+        bound = tail(count)
+        if bound <= policy.series_tol:
+            break
+        count *= 2
+    n = np.arange(count, dtype=float)
+    if kind == "box1d":
+        n = n * (n + 2.0)  # g = (n + 1)^2 - 1 for level n + 1
+    return np.exp(-x * n) / z, bound
 
 
 def _check_state_args(beta: float, L: float) -> None:
@@ -290,83 +365,114 @@ def _check_state_args(beta: float, L: float) -> None:
         raise ValueError(f"coordinate must be positive, got L={L}")
 
 
-def _shifted_partition(
-    model: SpectrumModel, beta: float, L: float, policy: NumericsPolicy
-):
-    """(z_shifted, levels_used, absolute_tail_bound, block, e_ground)."""
-    block, tail, e0, first_block = _shifted_system(model, beta, L, policy)
-    z, used, bound = sum_with_tail_bound(block, tail, policy, first_block=first_block)
-    _closed_form_crosscheck(model, beta, L, z, bound)
-    return z, used, bound, block, e0
-
-
-def _closed_form_crosscheck(model, beta, L, z_shifted, bound) -> None:
-    """The exactly summable spectra double as internal consistency checks."""
-    kind = model.kind
-    if kind in ("harmonic1d", "cavity"):
-        closed = 1.0 / -math.expm1(-beta * model.mode_constant / L)
-    elif kind == "spin_half":
-        closed = 1.0 + math.exp(-beta / L)
-    else:
-        return
-    if abs(z_shifted - closed) > bound + 1e-11 * closed:
-        raise ConvergenceError(
-            f"truncated partition sum {z_shifted!r} disagrees with the "
-            f"closed form {closed!r} for kind {kind!r}"
-        )
-
-
 def partition_function(
     model: SpectrumModel,
     beta: float,
     L: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> tuple[float, int, float]:
-    """Truncated partition sum with a certified relative tail bound.
+    """Exact partition sum, with the size and tail bound of its level vector.
 
-    Returns (Z, levels_used, tail_bound) where tail_bound is the omitted
-    weight relative to Z, and levels_used counts per-axis levels as
-    GibbsState.levels_used does.  Z itself can under- or overflow at
-    extreme beta * E_0; use gibbs_state().log_partition where that matters.
+    Returns (Z, levels_used, tail_bound): Z from the kernel, and the per-axis
+    level count and relative omitted weight of the state's probability
+    vector, which this builds.  Z itself can under- or overflow at extreme
+    beta * E_0; use gibbs_state().log_partition where that matters.
     """
     state = gibbs_state(model, beta, L, policy)
     return state.partition_value, state.levels_used, state.truncation_error_bound
 
 
-@dataclass(frozen=True, eq=False)
+class _Occupations:
+    """A state's per-axis (probabilities, relative tail bound), built on the
+    first read and kept.  States that an adiabat maps onto each other share
+    one instance, so they share one vector."""
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._value = None
+
+    def get(self) -> tuple[np.ndarray, float]:
+        if self._value is None:
+            probabilities, bound = self._build()
+            probabilities.flags.writeable = False
+            self._value = (probabilities, bound)
+            self._build = None
+        return self._value
+
+
 class GibbsState:
-    """Thermal state: truncated occupation probabilities at (beta, L).
+    """Thermal state at (beta, L): `axes` identical, independent copies of one
+    1D axis (axes = d for the separable 2D/3D kinds, 1 otherwise).
 
-    probabilities are normalized over the included levels, ordered by
-    non-decreasing energy; truncation_error_bound bounds the omitted tail
-    weight relative to the partition sum.  log_partition is always finite;
-    partition_value may under/overflow at extreme beta * E_0.
+    A state from gibbs_state carries per axis the ground energy `ground`
+    (E_0), the gap unit `gap` (Delta), x = beta Delta and the exact kernel
+    `moments` = (ln z, <g>, Var g); every state function reads these.
+    log_partition = d (ln z - beta E_0) is always finite; partition_value may
+    under/overflow at extreme beta * E_0.
 
-    The state is the product of `axes` identical, independent copies of
-    one probability vector.  For the separable multi-dimensional kinds
-    (axes = d = 2 or 3), probabilities is the occupation vector of one axis
-    over the levels of model.axis, and levels_used counts those per-axis
-    levels; the flattened multi-index state is its d-fold outer product.
-    For the 1D kinds axes = 1 and the vector is the state itself.
+    probabilities is the per-axis occupation vector over the levels of
+    model.axis, ordered by non-decreasing energy; the flattened multi-index
+    state is its d-fold outer product.  It is built only when probabilities,
+    levels_used or truncation_error_bound is read, truncated where the
+    omitted weight falls below policy.series_tol of z, and then kept.
+    truncation_error_bound bounds the omitted weight of the product state
+    relative to Z.
+
+    A state built from an explicit `probabilities` vector (any occupation,
+    equilibrium or not) has moments None, and the state functions sum over
+    its levels instead.
     """
 
-    beta: float
-    length: float
-    probabilities: np.ndarray
-    partition_value: float
-    log_partition: float
-    truncation_error_bound: float
-    axes: int = 1
+    __slots__ = (
+        "beta", "length", "partition_value", "log_partition", "axes",
+        "ground", "gap", "x", "moments", "occupations",
+    )
 
-    def __post_init__(self) -> None:
-        _check_state_args(self.beta, self.length)
-        if self.truncation_error_bound < 0.0:
-            raise ValueError("truncation_error_bound must be non-negative")
-        self.probabilities.flags.writeable = False
+    def __init__(
+        self,
+        beta: float,
+        length: float,
+        probabilities: np.ndarray | None = None,
+        partition_value: float = math.nan,
+        log_partition: float = math.nan,
+        truncation_error_bound: float = 0.0,
+        axes: int = 1,
+        *,
+        ground: float = math.nan,
+        gap: float = math.nan,
+        x: float = math.nan,
+        moments: tuple[float, float, float] | None = None,
+        occupations: _Occupations | None = None,
+    ) -> None:
+        _check_state_args(beta, length)
+        if occupations is None:
+            if probabilities is None:
+                raise ValueError("a state needs probabilities or occupations")
+            if truncation_error_bound < 0.0:
+                raise ValueError("truncation_error_bound must be non-negative")
+            probabilities.flags.writeable = False
+            occupations = _Occupations(lambda: (probabilities, truncation_error_bound))
+        values = (
+            beta, length, partition_value, log_partition, axes,
+            ground, gap, x, moments, occupations,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"GibbsState is immutable; cannot set {name!r}")
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.occupations.get()[0]
+
+    @property
+    def truncation_error_bound(self) -> float:
+        return math.expm1(self.axes * math.log1p(self.occupations.get()[1]))
 
     @property
     def levels_used(self) -> int:
@@ -379,16 +485,19 @@ def gibbs_state(
     L: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> GibbsState:
-    """Equilibrium state at (beta, L).
+    """Equilibrium state at (beta, L), from one kernel evaluation.
 
-    The multi-dimensional kinds are summed as d copies of model.axis:
-    ln Z = d ln z_axis, and with r the axis's relative tail bound the
-    product omits at most (1 + r)^d - 1 of Z.
+    The multi-dimensional kinds are d copies of model.axis: ln Z =
+    d (ln z - beta E_0).  No level is summed here; policy.series_tol and
+    policy.level_cap bind only if the state's probability vector is read.
     """
     _check_state_args(beta, L)
+    axis = model.axis
     d = model.dimension
-    z, used, bound, block, e0 = _shifted_partition(model.axis, beta, L, policy)
-    log_z = d * (math.log(z) - beta * e0)
+    ground, gap = _axis_scale(axis, L)
+    x = beta * gap
+    moments = _kernel(axis.kind, x)
+    log_z = d * (moments[0] - beta * ground)
     try:
         value = math.exp(log_z)
     except OverflowError:
@@ -396,11 +505,16 @@ def gibbs_state(
     return GibbsState(
         beta=beta,
         length=L,
-        probabilities=np.asarray(block(0, used), dtype=float) / z,
         partition_value=value,
         log_partition=log_z,
-        truncation_error_bound=math.expm1(d * math.log1p(bound / z)),
         axes=d,
+        ground=ground,
+        gap=gap,
+        x=x,
+        moments=moments,
+        occupations=_Occupations(
+            lambda: _shifted_partition(axis.kind, x, moments[0], policy)
+        ),
     )
 
 
@@ -418,38 +532,47 @@ def force(state: GibbsState, model: SpectrumModel) -> float:
     scaling power, so F = p U / L identically.  A product state's force is
     the sum over its axes.
     """
-    energies = state_energies(model, state)
-    dE_dL = -model.scaling_power * energies / state.length
-    return -state.axes * float((state.probabilities * dE_dL).sum())
+    return model.scaling_power * internal_energy(state, model) / state.length
 
 
 def internal_energy(state: GibbsState, model: SpectrumModel) -> float:
-    """U = sum_n P_n E_n over the truncated level set, summed over axes."""
-    energies = state_energies(model, state)
-    return state.axes * float((state.probabilities * energies).sum())
+    """U = d (E_0 + Delta <g>), or sum_n P_n E_n summed over axes for a state
+    built from an explicit vector."""
+    if state.moments is None:
+        energies = state_energies(model, state)
+        return state.axes * float((state.probabilities * energies).sum())
+    return state.axes * (state.ground + state.gap * state.moments[1])
 
 
 def entropy(state: GibbsState) -> float:
     """Gibbs-Shannon entropy -sum_n P_n ln P_n (k = 1), summed over axes.
 
-    This is the exact entropy for any probability vector; for equilibrium
-    states it equals ln Z + beta U.
+    For an equilibrium state this is d (ln z + x <g>) = ln Z + beta U, from
+    the kernel; a state built from an explicit vector sums over its levels.
     """
-    p = state.probabilities
-    p = p[p > 0.0]
-    return -state.axes * float((p * np.log(p)).sum())
+    if state.moments is None:
+        p = state.probabilities
+        p = p[p > 0.0]
+        return -state.axes * float((p * np.log(p)).sum())
+    log_z, mean, _ = state.moments
+    return state.axes * (log_z + state.x * mean)
 
 
 def gap_moments(model: SpectrumModel, state: GibbsState) -> tuple[float, float, float]:
     """Per-axis (ln z, <E - E_0>, Var E) of a Gibbs state.
 
-    z = sum_n exp(-beta (E_n - E_0)) is the ground-shifted partition sum,
-    taken as ln z = log1p(sum_{n>=1} P_n / P_0), and the moments are centred
-    moments of the gaps E_n - E_0 over state.probabilities.  Both keep their
-    relative accuracy however empty the excited levels are.  With d axes,
+    z = sum_n exp(-beta (E_n - E_0)) is the ground-shifted partition sum.
+    For an equilibrium state this is the kernel's (ln z, Delta <g>,
+    Delta^2 Var g).  For a state built from an explicit vector, ln z =
+    log1p(sum_{n>=1} P_n / P_0) and the moments are centred moments of the
+    gaps E_n - E_0 over its probabilities.  Both keep their relative
+    accuracy however empty the excited levels are.  With d axes,
     ln Z = d (ln z - beta E_0), U = d (E_0 + <E - E_0>) and
     S = d (ln z + beta <E - E_0>).
     """
+    if state.moments is not None:
+        log_z, mean, var = state.moments
+        return log_z, state.gap * mean, state.gap * state.gap * var
     p = state.probabilities
     energies = state_energies(model, state)
     gaps = energies - energies[0]
@@ -465,10 +588,11 @@ def free_energy(
     L: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> float:
-    """F = -(1/beta) ln Z from the truncated sum, evaluated in log space."""
+    """F = -(1/beta) ln Z = d (E_0 - ln z / beta), from the kernel."""
     _check_state_args(beta, L)
-    z, _, _, _, e0 = _shifted_partition(model.axis, beta, L, policy)
-    return model.dimension * (e0 - math.log(z) / beta)
+    ground, gap = _axis_scale(model.axis, L)
+    log_z = _kernel(model.axis.kind, beta * gap)[0]
+    return model.dimension * (ground - log_z / beta)
 
 
 def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
@@ -485,7 +609,7 @@ def equilibrium_force(
     L: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Force of the equilibrium state at (beta, L), from the truncated sum."""
+    """Force p U / L of the equilibrium state at (beta, L), from the kernel."""
     return force(gibbs_state(model, beta, L, policy), model)
 
 
@@ -581,11 +705,14 @@ def beta_for_force(
     """Inverse temperature at which the equilibrium force equals the target.
 
     Exact closed inversions for the cavity/harmonic1d (log form) and the
-    spin (atanh form); a bracketed root solve of the summed force for
-    box1d.  The multi-dimensional kinds solve their axis at the target F/d,
-    so the harmonic2d/3d isobars are closed-form too.  The classical box
-    inversion beta = 1/(F L) only seeds the bracket: the returned beta
-    satisfies |F(beta, L) - F0| <= 1e-10 |F0| against the summed force.
+    spin (atanh form).  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the
+    target fixes <g> = F L / (2 E_1) - 1, which _box1d_x_for_mean solves for
+    x by safeguarded Newton; beta = x / E_1.  The multi-dimensional kinds
+    solve their axis at the target F/d, so the harmonic2d/3d isobars are
+    closed-form too.  A box target at or below the zero-temperature force
+    raises DomainError, and the returned beta satisfies
+    |F(beta, L) - F0| <= 1e-10 |F0| against equilibrium_force, or
+    ConvergenceError is raised.
     """
     if L <= 0.0:
         raise ValueError(f"coordinate must be positive, got L={L}")
@@ -612,50 +739,67 @@ def beta_for_force(
             )
         return L * math.log((1.0 + y) / (1.0 - y))  # 2 L atanh(y)
 
-    floor = vacuum_force(model, L)
-    if force_target <= floor:
+    e1, _ = _axis_scale(model, L)
+    mean = force_target * L / (2.0 * e1) - 1.0
+    if mean <= 0.0:
         raise DomainError(
             f"no positive temperature: force {force_target} does not exceed "
-            f"the zero-temperature force {floor} of kind {kind!r}"
+            f"the zero-temperature force {vacuum_force(model, L)} of kind {kind!r}"
         )
-
-    seed = 1.0 / (force_target * L)  # classical equipartition F L = kT
-
-    def residual(b: float) -> float:
-        return equilibrium_force(model, b, L, policy) - force_target
-
-    lo = hi = seed
-    f_seed = residual(seed)
-    if f_seed == 0.0:
-        return seed
-    if f_seed > 0.0:  # force too large, need colder (larger beta)
-        factor = 2.0
-        # near the classical limit the root sits at
-        # beta_cl / (1 - sqrt(beta E_1 / pi)); overshoot that slightly
-        x = math.sqrt(seed * model.ground_energy(L) / math.pi)
-        if x < 0.125:
-            factor = 1.0 + 4.0 * x + 1e-9
-        for _ in range(200):
-            hi *= factor
-            if residual(hi) <= 0.0:
-                break
-            factor = 2.0
-        else:
-            raise ConvergenceError("could not bracket the isobaric schedule")
-    else:
-        for _ in range(200):
-            lo *= 0.5
-            if residual(lo) >= 0.0:
-                break
-        else:
-            raise ConvergenceError("could not bracket the isobaric schedule")
-    root = find_root_bracketed(residual, lo, hi, policy)
-    if abs(residual(root)) > 1e-10 * abs(force_target):
+    beta = _box1d_x_for_mean(mean, policy) / e1
+    if abs(equilibrium_force(model, beta, L, policy) - force_target) > 1e-10 * abs(
+        force_target
+    ):
         raise ConvergenceError(
             f"isobaric schedule residual exceeds 1e-10 at L={L}, "
             f"target force {force_target}"
         )
-    return root
+    return beta
+
+
+def _box1d_x_for_mean(target: float, policy: NumericsPolicy) -> float:
+    """The x > 0 at which box1d's <g>(x) equals target > 0.
+
+    Safeguarded Newton on phi(s) = ln(<g>/target) in s = ln x, with the
+    exact slope dphi/ds = -x Var(g)/<g> < 0.  The seed is <g> ~ 1/(2x) when
+    warm (target >= 1) and <g> ~ 3 exp(-3x) when cold.  Every evaluated s
+    narrows a bracket around the root, and a step that leaves it is replaced
+    by bisection.  Newton converges quadratically here, so once a step is
+    below 1e-9 the error left after it is far below rounding; that step is
+    taken and returned.
+    policy.root_max_iter caps the kernel evaluations.
+    """
+    if target >= 1.0:
+        s = -math.log(2.0 * target)
+    else:
+        s = math.log(math.log(3.0 / target) / 3.0)
+    lo, hi = -math.inf, math.inf
+    for _ in range(policy.root_max_iter):
+        x = math.exp(s)
+        _, mean, var = _box1d_kernel(x)
+        if mean > 0.0 and var > 0.0:
+            phi = math.log(mean / target)
+            step = phi * mean / (x * var)
+        else:  # <g> underflowed: x is far too large
+            phi, step = -math.inf, math.nan
+        if phi > 0.0:
+            lo = s
+        elif phi < 0.0:
+            hi = s
+        else:
+            return x
+        if abs(step) <= 1e-9:
+            return math.exp(s + step)
+        if lo < s + step < hi:
+            s += step
+        elif math.isfinite(lo) and math.isfinite(hi):
+            s = 0.5 * (lo + hi)
+        else:
+            s += 1.0 if phi > 0.0 else -1.0
+    raise ConvergenceError(
+        f"isobaric schedule: Newton solve for <g> = {target!r} did not "
+        f"converge in {policy.root_max_iter} iterations"
+    )
 
 
 def heat_capacity(
@@ -665,36 +809,20 @@ def heat_capacity(
     mode: str = "coordinate",
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Heat capacity by centered finite differences on the summed energies.
+    """Exact heat capacity from the kernel.
 
-    mode='coordinate' gives C_V = dU/dT at fixed L.  mode='force' gives
-    C_P = (dU + F dL)/dT along the constant-force schedule through
-    (beta, L), differenced in L.
+    mode='coordinate' gives C_V = dU/dT at fixed L, which is d x^2 Var(g).
+    mode='force' gives C_P = (dU + F dL)/dT along the constant-force
+    schedule through (beta, L).  With F = p U / L held, dU/U = dL/L, and
+    the exact partials of U(T, L) give
+    C_P = (p + 1) U C_V / ((p + 1) U - p T C_V).
     """
-    _check_state_args(beta, L)
-
-    def u_at(b: float, x: float) -> float:
-        st = gibbs_state(model, b, x, policy)
-        return internal_energy(st, model)
-
+    if mode not in ("coordinate", "force"):
+        raise ValueError(f"mode must be 'coordinate' or 'force', got {mode!r}")
+    state = gibbs_state(model, beta, L, policy)
+    c_v = state.axes * state.x * state.x * state.moments[2]
     if mode == "coordinate":
-        T = 1.0 / beta
-        dT = max(policy.fd_step_rel * T, 1e-9)
-        if dT >= T:
-            dT = 0.5 * T
-        if dT / T < 1e-14:
-            raise ConvergenceError("heat-capacity temperature step underflow")
-        return (u_at(1.0 / (T + dT), L) - u_at(1.0 / (T - dT), L)) / (2.0 * dT)
-
-    if mode == "force":
-        f0 = equilibrium_force(model, beta, L, policy)
-        h = policy.fd_step_rel * L
-        beta_hi = beta_for_force(model, f0, L + h, policy)
-        beta_lo = beta_for_force(model, f0, L - h, policy)
-        dT = 1.0 / beta_hi - 1.0 / beta_lo
-        if dT == 0.0:
-            raise ConvergenceError("heat-capacity coordinate step underflow")
-        dU = u_at(beta_hi, L + h) - u_at(beta_lo, L - h)
-        return (dU + f0 * 2.0 * h) / dT
-
-    raise ValueError(f"mode must be 'coordinate' or 'force', got {mode!r}")
+        return c_v
+    p = model.scaling_power
+    u = internal_energy(state, model)
+    return (p + 1) * u * c_v / ((p + 1) * u - p * c_v / beta)

@@ -112,11 +112,27 @@ class TestRun:
         assert "vacuum force" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
-        # a level cap far below the certified truncation point
-        doc = dict(patch_outputs(CAVITY_BRAYTON, tmp_path))
-        doc["numerics"] = {"level_cap": 40}
+        # one Newton iteration cannot solve a box1d isobar's schedule
+        doc = {
+            "substance": {"kind": "box1d"},
+            "cycle": {"kind": "brayton", "F1": 20.0, "F0": 10.0, "L_A": 1.0, "L_B": 1.2},
+            "numerics": {"root_max_iter": 1},
+            "output": {"samples_per_segment": 8},
+        }
+        doc = patch_outputs(doc, tmp_path)
         assert main(["run", str(write_config(tmp_path, doc))]) == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_level_cap_does_not_bind_on_a_run(self, tmp_path):
+        # no run path builds a probability vector, so a level cap far below
+        # the truncation point changes nothing
+        reports = []
+        for numerics in ({}, {"level_cap": 40}):
+            doc = dict(patch_outputs(CAVITY_BRAYTON, tmp_path), numerics=numerics)
+            assert main(["run", str(write_config(tmp_path, doc))]) == 0
+            reports.append(json.loads((tmp_path / "report.json").read_text()))
+        for key in ("eta_numeric", "Q_in", "Q_out"):
+            assert reports[1][key] == reports[0][key]
 
 
 class TestTable:

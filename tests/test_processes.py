@@ -194,7 +194,7 @@ class TestSegmentHeatWork:
         for seg in segments:
             r = segment_heat_work(seg, samples_per_segment=8)
             scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-            assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
+            assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale
             gauss = work_gauss_reference(seg)
             assert abs(r.W_on - gauss) <= 1e-8 * scale
 
@@ -244,14 +244,14 @@ class TestSegmentHeatWork:
         r = segment_heat_work(seg, samples_per_segment=4)
         assert r.Q == pytest.approx(5.26, abs=0.01)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale
 
     def test_cold_isochore_heat_closes_to_contract(self):
         # Q = -5.2e-6 against a ground energy of 4.9: weighting dP with the
         # gaps E_n - E_0 keeps the rounding noise at the thermal scale
         r = segment_heat_work(isochoric_segment(box(1), 1.0, 1.0, 1.2))
         assert r.Q == pytest.approx(-5.22e-6, rel=1e-3)
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * abs(r.Q)
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * abs(r.Q)
 
     @pytest.mark.parametrize(
         "seg",
@@ -265,7 +265,7 @@ class TestSegmentHeatWork:
     def test_multidimensional_first_law_closure(self, seg):
         r = segment_heat_work(seg, samples_per_segment=8)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale
 
 
 def _mp_levels(substance, dim, L):
@@ -323,7 +323,7 @@ def test_heat_matches_level_sum_reference(kind, substance, dim, L0, L1, beta0, b
         s1, u1 = _mp_entropy_energy(_mp_levels(substance, dim, L1), beta1)
         reference = float((s1 - s0) / beta0 if kind == "isothermal" else u1 - u0)
     assert abs(r.Q - reference) <= 1e-12 * abs(reference)
-    assert abs(r.Q - r.Q_direct) <= 1e-9 * abs(r.Q)
+    assert abs(r.Q - r.Q_direct) <= 1e-10 * abs(r.Q)
 
 
 def test_random_segments_close():
@@ -351,7 +351,7 @@ def test_random_segments_close():
             continue
         r = segment_heat_work(seg, samples_per_segment=4)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
-        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-9 * scale, seg
-        assert abs(r.Q - r.Q_direct) <= 1e-9 * abs(r.Q), seg
+        assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale, seg
+        assert abs(r.Q - r.Q_direct) <= 1e-10 * abs(r.Q), seg
         closed += 1
     assert closed >= 120

@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qcycle import substances
+from qcycle.cycles import build_brayton, run_cycle
 from qcycle.errors import ConvergenceError, DomainError
 from qcycle.numerics import DEFAULT_POLICY, NumericsPolicy, derivative_centered
 from qcycle.substances import (
@@ -28,6 +31,7 @@ from qcycle.substances import (
     partition_function,
     regime_parameter,
     spin_half,
+    state_energies,
     vacuum_force,
 )
 
@@ -133,6 +137,90 @@ class TestSpectrum:
             box(1, mass=-1.0)
         with pytest.raises(ValueError):
             harmonic(1, mode_constant=0.0)
+
+
+# g_n of each 1D kind (E_n = E_0 + Delta g_n), and its first index
+_GAPS = {
+    "box1d": (lambda n: n * n - 1, 1),
+    "cavity": (lambda n: n, 0),
+    "harmonic1d": (lambda n: n, 0),
+}
+
+
+def mp_kernel(kind, x):
+    """(ln z, <g>, Var g) of z = sum_n exp(-x g_n), by mpmath level sums.
+
+    The sums run over the excited levels (g > 0), so that ln z = log1p(...)
+    keeps its digits when they are nearly empty.  Above x = 0.05 they are
+    direct sums up to x g = 120; below, where the terms decay slowly, they
+    run by Euler-Maclaurin summation.
+    """
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if kind == "spin_half":
+            sums = [mp.exp(-x)] * 3
+        else:
+            gap, first = _GAPS[kind]
+
+            def term(n, j):
+                return gap(n) ** j * mp.exp(-x * gap(n))
+
+            if x >= 0.05:
+                levels = range(first + 1, first + 2 + int(mp.sqrt(120 / x) if kind == "box1d" else 120 / x))
+                sums = [mp.fsum(term(n, j) for n in levels) for j in range(3)]
+            else:
+                sums = [mp.nsum(lambda n, j=j: term(n, j), [first + 1, mp.inf], method="e")
+                        for j in range(3)]
+        excited, s1, s2 = sums
+        z = 1 + excited
+        mean = s1 / z
+        return float(mp.log1p(excited)), float(mean), float(s2 / z - mean * mean)
+
+
+KERNEL_KINDS = ("box1d", "cavity", "harmonic1d", "spin_half")
+
+
+class TestKernel:
+    """The exact per-axis kernel against mpmath level sums."""
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize(
+        "x", (1e-9, 1e-5, 0.05, 0.3, 0.69, 0.7, 0.999, 1.0, 1.7, 5.0, 50.0)
+    )
+    def test_matches_mpmath_sums(self, kind, x):
+        got = substances._kernel(kind, x)
+        for value, reference in zip(got, mp_kernel(kind, x)):
+            assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("x", (1e-30, 700.0))
+    def test_finite_at_extremes(self, kind, x):
+        assert all(math.isfinite(v) for v in substances._kernel(kind, x))
+
+    @pytest.mark.parametrize("model", ALL_1D, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("x", (1e-3, 0.1, 0.7, 1.0, 2.0, 10.0))
+    def test_lazy_vector_matches_kernel(self, model, x):
+        # the level vector, cut where the omitted weight is below 1e-16 of z,
+        # against the state functions that read only the kernel
+        L = 1.3
+        beta = x / regime_parameter(model, 1.0, L)
+        state = gibbs_state(model, beta, L, NumericsPolicy(series_tol=1e-16))
+        p = state.probabilities
+        # the vector's own sum of Boltzmann factors is z
+        assert abs(math.log(math.fsum(p))) <= 1e-13
+        energies = state_energies(model, state)
+        scale = abs(state.ground) + state.gap * state.moments[1]
+        assert abs(float(p @ energies) - internal_energy(state, model)) <= 1e-13 * scale
+        shannon = -float(p[p > 0.0] @ np.log(p[p > 0.0]))
+        assert shannon == pytest.approx(entropy(state), rel=1e-13, abs=1e-13)
+
+    def test_no_run_path_builds_a_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a probability vector was built")
+
+        monkeypatch.setattr(substances, "_shifted_partition", refuse)
+        report = run_cycle(build_brayton(box(1), 10.0, 1.25, 100.0, 200.0))
+        assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
 
 
 class TestPartitionFunction:
@@ -477,6 +565,36 @@ class TestHeatCapacity:
         with pytest.raises(ValueError):
             heat_capacity(box(1), 1.0, 1.0, "volume")
 
+    @pytest.mark.parametrize(
+        "model, beta, L",
+        [(box(1), 0.3, 1.0), (box(1), 0.05, 1.0), (cavity_mode(), 0.7, 1.3),
+         (spin_half(), 1.1, 0.8)],
+        ids=("box1d", "box1d-warm", "cavity", "spin_half"),
+    )
+    def test_exact_against_mpmath(self, model, beta, L):
+        # C_V = beta^2 d^2 ln Z/d beta^2, and C_P = -beta dS/d beta along
+        # dF = 0, both from partials of ln Z(beta, L) by mpmath level sums
+        def log_z(b, length):
+            if model.kind == "spin_half":
+                levels = [-1 / (2 * length), 1 / (2 * length)]
+            elif model.kind == "box1d":
+                levels = [mp.pi**2 * n * n / (2 * length**2) for n in range(1, 120)]
+            else:
+                levels = [(n + mp.mpf(0.5)) / length for n in range(400)]
+            return mp.log(mp.fsum(mp.exp(-b * e) for e in levels))
+
+        with mp.workdps(40):
+            b, x = mp.mpf(beta), mp.mpf(L)
+            d = {k: mp.diff(log_z, (b, x), k) for k in ((0, 1), (2, 0), (1, 1), (0, 2))}
+            s_b = -b * d[2, 0]
+            s_l = d[0, 1] - b * d[1, 1]
+            f_b = d[1, 1] / b - d[0, 1] / b**2
+            f_l = d[0, 2] / b
+            c_v = float(b * b * d[2, 0])
+            c_p = float(-b * (s_b - s_l * f_b / f_l))
+        assert heat_capacity(model, beta, L, "coordinate") == pytest.approx(c_v, rel=1e-12)
+        assert heat_capacity(model, beta, L, "force") == pytest.approx(c_p, rel=1e-12)
+
 
 class TestMonotonicity:
     def test_z_and_u_increase_with_temperature(self):
@@ -537,6 +655,16 @@ class TestBetaForForce:
     def test_spin_positive_force_unreachable(self):
         with pytest.raises(DomainError):
             beta_for_force(spin_half(), 0.1, 1.0)
+
+    def test_random_box_schedules(self):
+        # targets from 1e-8 to 1e8 above the zero-temperature force
+        rng = np.random.default_rng(4427)
+        model = box(1)
+        for _ in range(2000):
+            L = float(10.0 ** rng.uniform(-2.0, 3.0))
+            target = vacuum_force(model, L) * (1.0 + float(10.0 ** rng.uniform(-8.0, 8.0)))
+            beta = beta_for_force(model, target, L)
+            assert abs(equilibrium_force(model, beta, L) - target) <= 1e-10 * target
 
     def test_box2d_generic_root_solve(self):
         model = box(2)
