@@ -96,27 +96,29 @@ def _check_normalization(policy: NumericsPolicy) -> float:
 _EOS_GRID = (1e-4, 1e-6, 1e-8)
 
 
-def _box_eos_deviations(policy: NumericsPolicy) -> list[float]:
-    """|F L beta - 1| for box1d at beta E_1 in the classical-limit grid."""
+def _box_eos_excess(policy: NumericsPolicy) -> list[float]:
+    """F L beta - 1 for box1d at beta E_1 in the classical-limit grid."""
     model = box(1)
     L = 1.0
     e1 = model.ground_energy(L)
-    out = []
-    for c in _EOS_GRID:
-        beta = c / e1
-        out.append(abs(equilibrium_force(model, beta, L, policy) * L * beta - 1.0))
-    return out
+    return [
+        equilibrium_force(model, c / e1, L, policy) * L * (c / e1) - 1.0
+        for c in _EOS_GRID
+    ]
 
 
 def _check_eos_limit(policy: NumericsPolicy) -> float:
-    devs = _box_eos_deviations(policy)
-    return max(
-        dev / (3.0 * math.sqrt(c / math.pi)) for dev, c in zip(devs, _EOS_GRID)
-    )
+    """F L beta - 1 against s / (1 - s), s = sqrt(beta E_1 / pi), relative:
+    the theta inversion's F L beta = 1 / (1 - s), up to O(e^{-pi^2/(beta E_1)})."""
+    worst = 0.0
+    for excess, c in zip(_box_eos_excess(policy), _EOS_GRID):
+        s = math.sqrt(c / math.pi)
+        worst = max(worst, abs(excess - s / (1.0 - s)) / (s / (1.0 - s)))
+    return worst
 
 
 def _check_eos_monotone(policy: NumericsPolicy) -> float:
-    devs = _box_eos_deviations(policy)
+    devs = [abs(excess) for excess in _box_eos_excess(policy)]
     return 0.0 if devs[0] > devs[1] > devs[2] else 1.0
 
 
@@ -168,7 +170,7 @@ def _substance_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     return [
         ("force_matches_free_energy_gradient", _check_force_gradient(policy), 1e-6),
         ("gibbs_normalization", _check_normalization(policy), policy.series_tol),
-        ("box1d_equation_of_state_limit", _check_eos_limit(policy), 1.0),
+        ("box1d_equation_of_state_limit", _check_eos_limit(policy), 1e-10),
         ("box1d_equation_of_state_monotone", _check_eos_monotone(policy), 0.5),
         ("cavity_force_exactness", _check_cavity_exactness(policy), 1e-12),
         ("entropy_identity", _check_entropy_identity(policy), 1e-10),

@@ -115,12 +115,12 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
 
 
 def _diagram_csv(report: CycleReport) -> str:
+    row = "%d," + ",".join(["%.17g"] * 9)  # "%.17g" writes what _fmt writes
     lines = ["segment_index,t,L,beta,T,F,U,S,Q_cum,W_cum"]
     for index, result in enumerate(report.segment_results):
         for s in result.samples:
             lines.append(
-                f"{index},{_fmt(s.t)},{_fmt(s.L)},{_fmt(s.beta)},{_fmt(s.T)},"
-                f"{_fmt(s.F)},{_fmt(s.U)},{_fmt(s.S)},{_fmt(s.Q_cum)},{_fmt(s.W_cum)}"
+                row % (index, s.t, s.L, s.beta, s.T, s.F, s.U, s.S, s.Q_cum, s.W_cum)
             )
     return "\n".join(lines) + "\n"
 

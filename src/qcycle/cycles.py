@@ -147,6 +147,10 @@ def _require_1d(model: SpectrumModel, kind: str) -> None:
         )
 
 
+def _corner_states(model, segments, policy) -> tuple[GibbsState, ...]:
+    return tuple(gibbs_state(model, s.beta_start, s.L_start, policy) for s in segments)
+
+
 def build_brayton(
     model: SpectrumModel,
     F1: float,
@@ -172,15 +176,11 @@ def build_brayton(
     seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L_C, policy)
     seg_cd = isobaric_segment(model, F0, L_C, L_D, policy)
     seg_da = adiabatic_segment(model, seg_cd.beta_end, L_D, L_A, policy)
-    corners = tuple(
-        gibbs_state(model, seg.beta_start, seg.L_start, policy)
-        for seg in (seg_ab, seg_bc, seg_cd, seg_da)
-    )
     return CycleSpec(
         model=model,
         kind="brayton",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=corners,
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
         parameters={
             "F1": F1,
             "F0": F0,
@@ -221,15 +221,11 @@ def build_diesel(
     beta_d = seg_ab.beta_start * (L1 / L_A) ** power
     seg_cd = isochoric_segment(model, L1, seg_bc.beta_end, beta_d)
     seg_da = adiabatic_segment(model, beta_d, L1, L_A, policy)
-    corners = tuple(
-        gibbs_state(model, seg.beta_start, seg.L_start, policy)
-        for seg in (seg_ab, seg_bc, seg_cd, seg_da)
-    )
     return CycleSpec(
         model=model,
         kind="diesel",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=corners,
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
         degenerate=(r_C == r_E),
     )
@@ -273,15 +269,11 @@ def build_otto(
     seg_bc = adiabatic_segment(model, beta_hot, L0, L1, policy)
     seg_cd = isochoric_segment(model, L1, beta_c, beta_cold)
     seg_da = adiabatic_segment(model, beta_cold, L1, L0, policy)
-    corners = tuple(
-        gibbs_state(model, seg.beta_start, seg.L_start, policy)
-        for seg in (seg_ab, seg_bc, seg_cd, seg_da)
-    )
     return CycleSpec(
         model=model,
         kind="otto",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=corners,
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
         parameters={
             "L0": L0,
             "L1": L1,
@@ -313,15 +305,11 @@ def build_carnot(
     seg_bc = adiabatic_segment(model, beta_h, L_B, L_C, policy)
     seg_cd = isothermal_segment(model, beta_c, L_C, L_D)
     seg_da = adiabatic_segment(model, beta_c, L_D, L_A, policy)
-    corners = tuple(
-        gibbs_state(model, seg.beta_start, seg.L_start, policy)
-        for seg in (seg_ab, seg_bc, seg_cd, seg_da)
-    )
     return CycleSpec(
         model=model,
         kind="carnot",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=corners,
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
         parameters={
             "T_H": T_H,
             "T_C": T_C,

@@ -8,6 +8,7 @@ outputs bit-for-bit.  No randomized schemes are used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,50 +145,60 @@ def find_root_bracketed(
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
     *,
     scale_hint: float = 0.0,
 ) -> float:
-    """Integral of f over [a, b] by adaptive Simpson refinement.
+    """Integral of a vectorised f over [a, b] by adaptive Simpson refinement.
 
-    The interval-halving error estimate is driven below
-    ``policy.quad_tol`` relative to the coarse integral magnitude (or to
-    ``scale_hint`` when the integral itself may vanish by cancellation).
-    Node placement is deterministic.
+    Panels are refined breadth first: f is called once per level, on the
+    array of the quarter points of every open panel.  A panel's halving
+    difference delta must meet the level's budget, policy.quad_tol times the
+    coarse integral magnitude (or scale_hint, where the integral may cancel)
+    halved per level.  A panel open at depth policy.quad_max_depth, or a
+    level of more than 2^16 open panels, raises ConvergenceError.
     """
     if a == b:
         return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    f3 = f(np.array([a, 0.5 * (a + b), b])).reshape(3, 1)
+    fa, fm, fb = f3[:, 0]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     rough_abs = abs(b - a) / 6.0 * (abs(fa) + 4.0 * abs(fm) + abs(fb))
     scale = max(abs(whole), rough_abs, abs(scale_hint), 1e-300)
-    budget = policy.quad_tol * scale
-    return _simpson(f, a, b, fa, fm, fb, whole, budget, policy.quad_max_depth)
-
-
-def _simpson(f, a, b, fa, fm, fb, whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # delta / 15 estimates the error only on a panel that resolves f.  Where
-    # f changes by more than a factor 2 across the panel (exp(40 t) at width
-    # 1/2), the extrapolated value can miss by five times that, so there the
-    # whole difference must meet the budget.
-    values = (abs(fa), abs(flm), abs(fm), abs(frm), abs(fb))
-    resolved = max(values) <= 2.0 * min(values)
-    if abs(delta) <= (15.0 if resolved else 1.0) * eps:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise ConvergenceError("adaptive quadrature exceeded max depth")
-    return _simpson(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1) + _simpson(
-        f, m, b, fm, frm, fb, right, 0.5 * eps, depth - 1
-    )
+    eps = policy.quad_tol * scale
+    # the open panels of a level share their width h; per panel its left
+    # end lo, f at its ends and midpoint (rows of f3) and its Simpson value
+    h, lo, simpson = b - a, np.array([a]), np.array([whole])
+    accepted = []
+    for depth in range(policy.quad_max_depth, -1, -1):
+        n = lo.size
+        quarters = f(np.concatenate((lo + 0.25 * h, lo + 0.75 * h)))
+        v = np.empty((5, n))  # f at each panel's five nodes, left to right
+        v[0::2], v[1::2] = f3, quarters.reshape(2, n)
+        halves = h / 12.0 * (v[0:4:2] + 4.0 * v[1:4:2] + v[2:5:2])  # left, right
+        refined = halves[0] + halves[1]
+        delta = refined - simpson
+        # delta / 15 estimates the error only on a panel that resolves f.
+        # Where f changes by more than a factor 2 across the panel (exp(40 t)
+        # at width 1/2), the extrapolated value can miss by five times that,
+        # so there the whole difference must meet the budget.
+        size = np.abs(v)
+        resolved = np.maximum.reduce(size) <= 2.0 * np.minimum.reduce(size)
+        done = np.abs(delta) <= np.where(resolved, 15.0 * eps, eps)
+        accepted.append((refined + delta / 15.0)[done])
+        split = ~done
+        if not split.any():
+            return math.fsum(np.concatenate(accepted).tolist())
+        # the cap on open panels bounds the next level's node arrays
+        if depth == 0 or np.count_nonzero(split) > 2**16:
+            raise ConvergenceError("adaptive quadrature exceeded max depth")
+        lo = np.concatenate((lo[split], lo[split] + 0.5 * h))
+        f3 = np.concatenate((v[:3, split], v[2:, split]), axis=1)
+        simpson = halves[:, split].reshape(-1)
+        h, eps = 0.5 * h, 0.5 * eps
 
 
 # Fixed composite Gauss-Legendre rule.  Used as a second, independently
@@ -196,22 +207,21 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def integrate_gauss(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     panels: int = 20,
 ) -> float:
-    """Composite 8-point Gauss-Legendre quadrature on a fixed panel grid."""
+    """Composite 8-point Gauss-Legendre quadrature on a fixed panel grid;
+    the vectorised f is called once, on the array of every node."""
     if a == b:
         return 0.0
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            total += half * w * f(mid + half * x)
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    terms = half[:, None] * _GL_WEIGHTS * f(nodes.ravel()).reshape(nodes.shape)
+    return math.fsum(terms.ravel().tolist())
 
 
 def derivative_centered(

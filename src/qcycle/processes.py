@@ -21,13 +21,11 @@ from .numerics import DEFAULT_POLICY, NumericsPolicy, integrate_adaptive, integr
 from .substances import (
     GibbsState,
     SpectrumModel,
+    axis_states,
     beta_for_force,
     entropy,
     equilibrium_force,
-    force,
-    gap_moments,
     gibbs_state,
-    internal_energy,
 )
 
 SEGMENT_KINDS = ("isothermal", "isochoric", "isobaric", "adiabatic")
@@ -98,19 +96,15 @@ class SegmentResult:
 
 def isobaric_schedule(
     model: SpectrumModel,
-    force_target: float,
-    L: float,
+    force_target,
+    L,
     policy: NumericsPolicy = DEFAULT_POLICY,
-) -> float:
+):
     """Bath schedule beta(L) that holds the equilibrium force constant.
 
-    An alias of substances.beta_for_force.  Closed inversions where they are
-    exact: the cavity/1D-oscillator
-    beta = (L/kappa) ln((2 F L^2 + kappa)/(2 F L^2 - kappa)), defined only
-    above the vacuum force kappa/(2 L^2), and the spin's atanh form for
-    negative targets.  Box kinds solve <g>(x) = F L/(2 E_1) - 1 on one axis
-    by safeguarded Newton in ln x over the exact kernel.  In every case the
-    residual satisfies |F(beta, L) - F0| <= 1e-10 |F0|.
+    An alias of substances.beta_for_force: closed inversions for the linear
+    spectra and the spin, one vectorised Newton solve for the box kinds,
+    floats or arrays, and |F(beta, L) - F0| <= 1e-10 |F0| in every case.
     """
     return beta_for_force(model, force_target, L, policy)
 
@@ -181,8 +175,9 @@ def isobaric_segment(
     L_end: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> ProcessSegment:
-    beta_start = isobaric_schedule(model, force_held, L_start, policy)
-    beta_end = isobaric_schedule(model, force_held, L_end, policy)
+    beta_start, beta_end = isobaric_schedule(
+        model, force_held, np.array([L_start, L_end]), policy
+    ).tolist()
     return ProcessSegment(
         kind="isobaric",
         model=model,
@@ -255,16 +250,19 @@ def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
 
 
 def segment_point(
-    segment: ProcessSegment, t: float, policy: NumericsPolicy = DEFAULT_POLICY
-) -> tuple[float, float]:
-    """(beta, L) at path parameter t; linear in the free variable."""
+    segment: ProcessSegment, t, policy: NumericsPolicy = DEFAULT_POLICY
+):
+    """(beta, L) at path parameter t, a float or an array; linear in the
+    free variable.  For an array both come back with t's shape, an isobar's
+    beta from one schedule solve over all of t."""
     kind = segment.kind
+    # the held coordinate is taken as value + 0 t, so that it has t's shape
     if kind == "isochoric":
         beta = segment.beta_start + t * (segment.beta_end - segment.beta_start)
-        return beta, segment.L_start
+        return beta, segment.L_start + 0.0 * t
     L = segment.L_start + t * (segment.L_end - segment.L_start)
     if kind == "isothermal":
-        return segment.beta_start, L
+        return segment.beta_start + 0.0 * t, L
     if kind == "adiabatic":
         power = segment.model.scaling_power
         return segment.beta_start * (L / segment.L_start) ** power, L
@@ -278,17 +276,20 @@ def segment_heat_work(
 ) -> SegmentResult:
     """Heat and work along a segment, exact at every sample.
 
-    With d axes, per-axis ground energy E_0 and gap_moments (ln z, <g>, Var)
-    of g = E - E_0, the cumulative work on the system is
-    A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
+    The samples are array operations: one segment_point call and one
+    axis_states call give every sample's beta, L, per-axis ground energy
+    E_0 and kernel moments, and the PathSamples are built from the finished
+    columns.  With d axes and g = E - E_0, the cumulative work on the system
+    is A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
     -F0 (L(t) - L0) on an isobar, zero on an isochore and U(t) - U(0) on an
     adiabat.  delta_U = d (Delta E_0 + Delta <g>), so a cold segment keeps
     its relative accuracy.  Q is T Delta S with S = d (ln z + beta <g>) on an
     isotherm and delta_U - W_on on the other kinds (zero on an adiabat).
 
     Q_direct is the adaptive quadrature of the exact heat rate
-    sum_n E_n dP_n/dt = -d kappa Var, kappa = beta' - p beta L'/L, which on
-    an isobar (F = p U / L held) reduces to (p + 1) U L'/L.
+    sum_n E_n dP_n/dt = -d kappa Var g, kappa = beta' - p beta L'/L, which on
+    an isobar (F = p U / L held) reduces to (p + 1) U L'/L; the rate takes
+    each refinement level's nodes as one array.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
@@ -297,21 +298,20 @@ def segment_heat_work(
     dL = segment.L_end - segment.L_start
     dbeta = segment.beta_end - segment.beta_start
 
-    def state_at(t: float) -> GibbsState:
+    def states_at(t: np.ndarray):
         beta, L = segment_point(segment, t, policy)
-        return gibbs_state(model, beta, L, policy)
+        return beta, L, axis_states(model, beta, L)
 
     ts = np.linspace(0.0, 1.0, samples_per_segment)
-    states = [state_at(float(t)) for t in ts]
-    log_z, gap, _ = np.array([gap_moments(model, st) for st in states]).T
-    L = np.array([st.length for st in states])
-    e0 = d * np.array([model.axis.ground_energy(x) for x in L])
-    U_cum = (e0 - e0[0]) + d * (gap - gap[0])
+    beta, L, st = states_at(ts)
+    e0 = d * st.ground
+    thermal = st.gap * st.mean  # <E - E_0> per axis
+    U_cum = (e0 - e0[0]) + d * (thermal - thermal[0])
 
     if kind == "isothermal":
-        shift = d * (log_z - log_z[0]) / segment.beta_start
+        shift = d * (st.log_z - st.log_z[0]) / segment.beta_start
         W_cum = (e0 - e0[0]) - shift
-        Q_cum = shift + d * (gap - gap[0])
+        Q_cum = shift + d * (thermal - thermal[0])
     else:
         if kind == "isochoric":
             W_cum = np.zeros_like(ts)
@@ -322,38 +322,27 @@ def segment_heat_work(
         Q_cum = U_cum - W_cum
     W_on, Q, delta_U = float(W_cum[-1]), float(Q_cum[-1]), float(U_cum[-1])
 
-    def heat_rate(t: float) -> float:
-        st = state_at(t)
+    def heat_rate(t: np.ndarray) -> np.ndarray:
+        beta, L, st = states_at(t)
         if kind == "isobaric":
-            return (p + 1) * internal_energy(st, model) * dL / st.length
-        kappa = dbeta - p * st.beta * dL / st.length
-        return -d * kappa * gap_moments(model, st)[2]
+            return (p + 1) * (d * st.energy) * dL / L
+        kappa = dbeta - p * beta * dL / L
+        return -d * kappa * (st.gap * st.gap * st.var)
 
     Q_direct = 0.0
     if kind != "adiabatic":
         Q_direct = integrate_adaptive(heat_rate, 0.0, 1.0, policy)
 
-    records = tuple(
-        PathSample(
-            t=float(ts[i]),
-            L=st.length,
-            beta=st.beta,
-            T=st.temperature,
-            F=force(st, model),
-            U=internal_energy(st, model),
-            S=entropy(st),
-            Q_cum=float(Q_cum[i]),
-            W_cum=float(W_cum[i]),
-        )
-        for i, st in enumerate(states)
-    )
+    U = d * st.energy
+    S = d * (st.log_z + st.x * st.mean)
+    columns = (ts, L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
     return SegmentResult(
         segment=segment,
         Q=Q,
         W_on=W_on,
         delta_U=delta_U,
         Q_direct=Q_direct,
-        samples=records,
+        samples=tuple(map(PathSample, *(column.tolist() for column in columns))),
     )
 
 
@@ -365,14 +354,16 @@ def work_gauss_reference(
     """W_on as the quadrature of -F dL on a fixed Gauss-Legendre grid.
 
     An independent route to the closed-form work of segment_heat_work: it
-    integrates the summed equilibrium force along the realized path.
+    integrates the equilibrium force p U / L along the realized path.
     """
     if segment.kind == "isochoric":
         return 0.0
+    model = segment.model
     dL = segment.L_end - segment.L_start
 
-    def work_rate(t: float) -> float:
+    def work_rate(t: np.ndarray) -> np.ndarray:
         beta, L = segment_point(segment, t, policy)
-        return -force(gibbs_state(segment.model, beta, L, policy), segment.model) * dL
+        U = model.dimension * axis_states(model, beta, L).energy
+        return -model.scaling_power * U / L * dL
 
     return integrate_gauss(work_rate, 0.0, 1.0, panels=panels)

@@ -18,6 +18,7 @@ constant remain as explicit positive parameters).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,33 +237,64 @@ def _axis_scale(axis: SpectrumModel, L: float) -> tuple[float, float]:
     return 0.5 * omega, omega
 
 
-def _kernel(kind: str, x: float) -> tuple[float, float, float]:
-    """Exact (ln z, <g>, Var g) of one 1D kind at x = beta Delta.
+def _kernel(kind: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (ln z, <g>, Var g) of one 1D kind at x = beta Delta, an array of
+    any shape (or a float); each moment comes back with x's shape.
 
-    z = sum_n exp(-x g_n) over every level; nothing is truncated.  The
-    linear spectra (g = n) and the spin have closed forms.  Every output is
-    finite for x >= 1e-30.
+    z = sum_n exp(-x g_n) over every level, untruncated.  The linear spectra
+    (g = n) and the spin have closed forms; box1d takes the direct series
+    where x >= 1 and the theta inversion where x < 1, each on its masked
+    slice.  Every output is finite for x >= 1e-30.
     """
+    x = np.asarray(x, dtype=float)
     if kind == "box1d":
-        return _box1d_kernel(x)
-    q = math.exp(-x)
+        warm = x < 1.0
+        if warm.all():
+            return _box1d_theta(x)
+        if not warm.any():
+            return _box1d_series(x)
+        out = np.empty((3,) + x.shape)
+        out[:, warm] = _box1d_theta(x[warm])
+        out[:, ~warm] = _box1d_series(x[~warm])
+        return out[0], out[1], out[2]
+    q = np.exp(-x)
     if kind == "spin_half":
-        return math.log1p(q), q / (1.0 + q), q / (1.0 + q) ** 2
-    one_minus_q = -math.expm1(-x)
-    # -log(1 - q) loses digits of q where q is small, -log1p(-q) where q -> 1
-    log_z = -math.log(one_minus_q) if x < _LN2 else -math.log1p(-q)
+        upper = q / (1.0 + q)
+        return np.log1p(q), upper, upper / (1.0 + q)
+    one_minus_q = -np.expm1(-x)
+    # -log(1 - q) loses digits of q where q is small, -log1p(-q) where q -> 1;
+    # the second is taken only where q <= 1/2, and never sees q = 1
+    log_z = np.where(
+        x < _LN2, -np.log(one_minus_q), -np.log1p(-np.minimum(q, 0.5))
+    )
     mean = q / one_minus_q
     return log_z, mean, mean / one_minus_q
 
 
-def _box1d_kernel(x: float) -> tuple[float, float, float]:
-    """(ln z, <g>, Var g) for g_n = n^2 - 1.
+# g_n = n^2 - 1 for n = 2..8: at x >= 1 the first omitted term, e^-80x, is
+# below 2^-60 of the excited sum, which exceeds e^-3x
+_SERIES_GAPS = np.arange(2.0, 9.0) ** 2 - 1.0
+_THETA_SQUARES = np.array([1.0, 4.0, 9.0])
 
-    For x >= 1 the direct series, whose terms fall by at least e^-5 each
-    from n = 2; ln z = log1p(sum_{n>=2} w_n) and the variance is a centred
-    moment, so both keep their relative accuracy when the excited levels are
-    nearly empty.  For x < 1 the Jacobi theta inversion (Whittaker & Watson,
-    ch. 21)
+
+def _box1d_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x >= 1, by the direct series.
+
+    ln z = log1p(sum_{n>=2} w_n) keeps its relative accuracy when the excited
+    levels are nearly empty; <g^2> - <g>^2 cancels by at most 5 % here.
+    """
+    w = np.exp(np.multiply.outer(x, -_SERIES_GAPS))
+    gw = w * _SERIES_GAPS
+    excited = w.sum(axis=-1)
+    z = 1.0 + excited
+    mean = gw.sum(axis=-1) / z
+    var = (gw * _SERIES_GAPS).sum(axis=-1) / z - mean * mean
+    return np.log1p(excited), mean, var
+
+
+def _box1d_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x < 1, by the Jacobi theta
+    inversion (Whittaker & Watson, ch. 21)
 
         A = 1 + 2 sum_{n>=1} exp(-x n^2) = sqrt(pi/x) theta,
         theta = 1 + 2 sum_{k>=1} exp(-y_k),  y_k = pi^2 k^2 / x,
@@ -271,39 +303,18 @@ def _box1d_kernel(x: float) -> tuple[float, float, float]:
     and x^2 theta''/theta, sums of y^j e^-y <= 1, so nothing overflows; three
     terms reach e^-88 at x = 1.
     """
-    if x >= 1.0:
-        terms = []
-        excited = 0.0
-        n = 2
-        while True:
-            g = float(n * n - 1)
-            w = math.exp(-x * g)
-            terms.append((g, w))
-            excited += w
-            if w <= 2.0**-60 * excited:
-                break
-            n += 1
-        z = 1.0 + excited
-        mean = sum(g * w for g, w in terms) / z
-        var = (mean * mean + sum(w * (g - mean) ** 2 for g, w in terms)) / z
-        return math.log1p(excited), mean, var
-    u = _PI2 / x
-    t0 = t1 = t2 = 0.0
-    for k2 in (1.0, 4.0, 9.0):
-        y = u * k2
-        e = math.exp(-y)
-        t0 += e
-        t1 += y * e
-        t2 += (y * y - 2.0 * y) * e
-    theta = 1.0 + 2.0 * t0
-    d1 = 2.0 * t1 / theta  # x theta'/theta
-    d2 = 2.0 * t2 / theta  # x^2 theta''/theta
-    a = math.sqrt(math.pi / x) * theta
+    y = np.multiply.outer(_PI2 / x, _THETA_SQUARES)
+    e = np.exp(-y)
+    ye = y * e
+    theta = 1.0 + 2.0 * e.sum(axis=-1)
+    d1 = 2.0 * ye.sum(axis=-1) / theta  # x theta'/theta
+    d2 = 2.0 * ((y - 2.0) * ye).sum(axis=-1) / theta  # x^2 theta''/theta
+    a = np.sqrt(np.pi / x) * theta
     b = d1 - 0.5  # x A'/A
     f = a / (a - 1.0)  # A/(A - 1): converts moments of A into moments of z
     mean = -1.0 - f * b / x
     var = f * (0.5 + d2 - d1 * d1 - b * b / (a - 1.0)) / (x * x)
-    return x + math.log(0.5 * (a - 1.0)), mean, var
+    return x + np.log(0.5 * (a - 1.0)), mean, var
 
 
 def _box1d_tail(c: float, n_levels: int) -> float:
@@ -479,6 +490,30 @@ class GibbsState:
         return self.probabilities.size
 
 
+# Per-axis equilibrium quantities at (beta, L), floats or arrays: E_0, Delta,
+# x = beta Delta, the kernel's (ln z, <g>, Var g) and U = E_0 + Delta <g>.
+AxisStates = namedtuple("AxisStates", "ground gap x log_z mean var energy")
+
+
+def _axis_energy(kind: str, ground, gap, x, mean):
+    """Per-axis U = E_0 + Delta <g>; the spin's as -(Delta/2) tanh(x/2), to
+    which those terms cancel as x -> 0."""
+    if kind == "spin_half":
+        return -0.5 * gap * np.tanh(0.5 * x)
+    return ground + gap * mean
+
+
+def axis_states(model: SpectrumModel, beta, L) -> AxisStates:
+    """AxisStates of one axis of model at beta and L, floats or arrays of
+    one shape, from one kernel call.  The arguments are not validated."""
+    axis = model.axis
+    ground, gap = _axis_scale(axis, L)
+    x = beta * gap
+    log_z, mean, var = _kernel(axis.kind, x)
+    energy = _axis_energy(axis.kind, ground, gap, x, mean)
+    return AxisStates(ground, gap, x, log_z, mean, var, energy)
+
+
 def gibbs_state(
     model: SpectrumModel,
     beta: float,
@@ -492,11 +527,10 @@ def gibbs_state(
     policy.level_cap bind only if the state's probability vector is read.
     """
     _check_state_args(beta, L)
-    axis = model.axis
+    kind = model.axis.kind
     d = model.dimension
-    ground, gap = _axis_scale(axis, L)
-    x = beta * gap
-    moments = _kernel(axis.kind, x)
+    st = axis_states(model, np.array([beta]), np.array([L]))
+    ground, gap, x, *moments = (value.item() for value in st[:6])
     log_z = d * (moments[0] - beta * ground)
     try:
         value = math.exp(log_z)
@@ -511,9 +545,9 @@ def gibbs_state(
         ground=ground,
         gap=gap,
         x=x,
-        moments=moments,
+        moments=tuple(moments),
         occupations=_Occupations(
-            lambda: _shifted_partition(axis.kind, x, moments[0], policy)
+            lambda: _shifted_partition(kind, x, moments[0], policy)
         ),
     )
 
@@ -536,12 +570,15 @@ def force(state: GibbsState, model: SpectrumModel) -> float:
 
 
 def internal_energy(state: GibbsState, model: SpectrumModel) -> float:
-    """U = d (E_0 + Delta <g>), or sum_n P_n E_n summed over axes for a state
-    built from an explicit vector."""
+    """U = d (E_0 + Delta <g>) by _axis_energy, or sum_n P_n E_n summed over
+    axes for a state built from an explicit vector."""
     if state.moments is None:
         energies = state_energies(model, state)
         return state.axes * float((state.probabilities * energies).sum())
-    return state.axes * (state.ground + state.gap * state.moments[1])
+    energy = _axis_energy(
+        model.axis.kind, state.ground, state.gap, state.x, state.moments[1]
+    )
+    return state.axes * float(energy)
 
 
 def entropy(state: GibbsState) -> float:
@@ -558,30 +595,6 @@ def entropy(state: GibbsState) -> float:
     return state.axes * (log_z + state.x * mean)
 
 
-def gap_moments(model: SpectrumModel, state: GibbsState) -> tuple[float, float, float]:
-    """Per-axis (ln z, <E - E_0>, Var E) of a Gibbs state.
-
-    z = sum_n exp(-beta (E_n - E_0)) is the ground-shifted partition sum.
-    For an equilibrium state this is the kernel's (ln z, Delta <g>,
-    Delta^2 Var g).  For a state built from an explicit vector, ln z =
-    log1p(sum_{n>=1} P_n / P_0) and the moments are centred moments of the
-    gaps E_n - E_0 over its probabilities.  Both keep their relative
-    accuracy however empty the excited levels are.  With d axes,
-    ln Z = d (ln z - beta E_0), U = d (E_0 + <E - E_0>) and
-    S = d (ln z + beta <E - E_0>).
-    """
-    if state.moments is not None:
-        log_z, mean, var = state.moments
-        return log_z, state.gap * mean, state.gap * state.gap * var
-    p = state.probabilities
-    energies = state_energies(model, state)
-    gaps = energies - energies[0]
-    mean = float(p @ gaps)
-    deviation = gaps - mean
-    log_z = math.log1p(float(p[1:].sum()) / float(p[0]))
-    return log_z, mean, float(p @ (deviation * deviation))
-
-
 def free_energy(
     model: SpectrumModel,
     beta: float,
@@ -589,10 +602,7 @@ def free_energy(
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> float:
     """F = -(1/beta) ln Z = d (E_0 - ln z / beta), from the kernel."""
-    _check_state_args(beta, L)
-    ground, gap = _axis_scale(model.axis, L)
-    log_z = _kernel(model.axis.kind, beta * gap)[0]
-    return model.dimension * (ground - log_z / beta)
+    return -gibbs_state(model, beta, L, policy).log_partition / beta
 
 
 def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
@@ -698,106 +708,104 @@ def vacuum_force(model: SpectrumModel, L: float) -> float:
 
 def beta_for_force(
     model: SpectrumModel,
-    force_target: float,
-    L: float,
+    force_target,
+    L,
     policy: NumericsPolicy = DEFAULT_POLICY,
-) -> float:
+):
     """Inverse temperature at which the equilibrium force equals the target.
 
+    force_target and L are floats or arrays that broadcast together, all
+    solved at once; beta is a float or an array of the broadcast shape.
     Exact closed inversions for the cavity/harmonic1d (log form) and the
-    spin (atanh form).  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the
-    target fixes <g> = F L / (2 E_1) - 1, which _box1d_x_for_mean solves for
-    x by safeguarded Newton; beta = x / E_1.  The multi-dimensional kinds
-    solve their axis at the target F/d, so the harmonic2d/3d isobars are
-    closed-form too.  A box target at or below the zero-temperature force
-    raises DomainError, and the returned beta satisfies
-    |F(beta, L) - F0| <= 1e-10 |F0| against equilibrium_force, or
+    spin (atanh form).  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the target
+    fixes <g> = F L / (2 E_1) - 1, which _box1d_x_for_mean solves for x;
+    beta = x / E_1.  The multi-dimensional kinds solve their axis at the
+    target F/d.  A target no positive temperature reaches raises
+    DomainError, and every returned beta satisfies
+    |F(beta, L) - F0| <= 1e-10 |F0| against the kernel's force, or
     ConvergenceError is raised.
     """
-    if L <= 0.0:
-        raise ValueError(f"coordinate must be positive, got L={L}")
-    if model.dimension > 1:
-        return beta_for_force(model.axis, force_target / model.dimension, L, policy)
-    kind = model.kind
-
-    if kind in ("cavity", "harmonic1d"):
-        kappa = model.mode_constant
-        excess = 2.0 * force_target * L * L - kappa
-        if excess <= 0.0:
-            raise DomainError(
-                f"no positive temperature: force {force_target} does not "
-                f"exceed the vacuum force {0.5 * kappa / (L * L)}"
-            )
-        return (L / kappa) * math.log((2.0 * force_target * L * L + kappa) / excess)
-
-    if kind == "spin_half":
-        y = -2.0 * force_target * L * L
-        if not 0.0 < y < 1.0:
-            raise DomainError(
-                f"spin_half equilibrium force lies in (-1/(2 L^2), 0); "
-                f"target {force_target} at L={L} is unreachable"
-            )
-        return L * math.log((1.0 + y) / (1.0 - y))  # 2 L atanh(y)
-
-    e1, _ = _axis_scale(model, L)
-    mean = force_target * L / (2.0 * e1) - 1.0
-    if mean <= 0.0:
+    target = np.asarray(force_target, dtype=float) / model.dimension
+    shape = np.broadcast(target, L).shape
+    target, L = (np.zeros(shape) + target).ravel(), (np.zeros(shape) + L).ravel()
+    if (L <= 0.0).any():
+        raise ValueError(f"coordinate must be positive, got L={L.min()}")
+    axis = model.axis
+    kind = axis.kind
+    if kind == "box1d":
+        e1 = _axis_scale(axis, L)[0]
+        mean = target * L / (2.0 * e1) - 1.0
+        unreachable = mean <= 0.0
+    elif kind == "spin_half":
+        y = -2.0 * target * L * L
+        unreachable = (y <= 0.0) | (y >= 1.0)
+    else:
+        excess = 2.0 * target * L * L - axis.mode_constant
+        unreachable = excess <= 0.0
+    if unreachable.any():
+        i = np.flatnonzero(unreachable)[0]
+        span = "in (vacuum force, 0)" if kind == "spin_half" else "above the vacuum force"
         raise DomainError(
-            f"no positive temperature: force {force_target} does not exceed "
-            f"the zero-temperature force {vacuum_force(model, L)} of kind {kind!r}"
+            f"no positive temperature: the {kind} equilibrium force lies {span}, "
+            f"vacuum force {vacuum_force(axis, L[i])} at L={L[i]}, axis target {target[i]}"
         )
-    beta = _box1d_x_for_mean(mean, policy) / e1
-    if abs(equilibrium_force(model, beta, L, policy) - force_target) > 1e-10 * abs(
-        force_target
-    ):
-        raise ConvergenceError(
-            f"isobaric schedule residual exceeds 1e-10 at L={L}, "
-            f"target force {force_target}"
-        )
-    return beta
+    if kind == "box1d":
+        beta = _box1d_x_for_mean(mean, policy) / e1
+        realized = axis.scaling_power * axis_states(axis, beta, L).energy / L
+        missed = np.abs(realized - target) > 1e-10 * np.abs(target)
+        if missed.any():
+            i = np.flatnonzero(missed)[0]
+            raise ConvergenceError(
+                f"isobaric schedule residual exceeds 1e-10 at L={L[i]}, "
+                f"axis target force {target[i]}"
+            )
+    elif kind == "spin_half":
+        beta = L * np.log((1.0 + y) / (1.0 - y))  # 2 L atanh(y)
+    else:
+        kappa = axis.mode_constant
+        beta = (L / kappa) * np.log((2.0 * target * L * L + kappa) / excess)
+    return beta.item() if shape == () else beta.reshape(shape)
 
 
-def _box1d_x_for_mean(target: float, policy: NumericsPolicy) -> float:
-    """The x > 0 at which box1d's <g>(x) equals target > 0.
+def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
+    """The x > 0 at which box1d's <g>(x) equals target > 0, per element.
 
-    Safeguarded Newton on phi(s) = ln(<g>/target) in s = ln x, with the
-    exact slope dphi/ds = -x Var(g)/<g> < 0.  The seed is <g> ~ 1/(2x) when
-    warm (target >= 1) and <g> ~ 3 exp(-3x) when cold.  Every evaluated s
-    narrows a bracket around the root, and a step that leaves it is replaced
-    by bisection.  Newton converges quadratically here, so once a step is
-    below 1e-9 the error left after it is far below rounding; that step is
-    taken and returned.
+    Safeguarded Newton on phi(s) = ln(<g>/target) in s = ln x, slope
+    dphi/ds = -x Var(g)/<g> < 0, on all elements at once, seeded by
+    <g> ~ 1/(2x) when warm (target >= 1) and <g> ~ 3 exp(-3x) when cold.
+    Every evaluated s narrows its element's bracket, and a step that leaves
+    the bracket is replaced by bisection.  Newton converges quadratically,
+    so an element whose step falls below 1e-9 takes it and is done.
     policy.root_max_iter caps the kernel evaluations.
     """
-    if target >= 1.0:
-        s = -math.log(2.0 * target)
-    else:
-        s = math.log(math.log(3.0 / target) / 3.0)
-    lo, hi = -math.inf, math.inf
+    cold = np.log(np.log(3.0 / np.minimum(target, 1.0)) / 3.0)
+    s = np.where(target >= 1.0, -np.log(2.0 * target), cold)
+    lo, hi = np.full_like(s, -np.inf), np.full_like(s, np.inf)
+    result = np.empty_like(s)
+    todo = np.arange(s.size)  # the elements still iterating
     for _ in range(policy.root_max_iter):
-        x = math.exp(s)
-        _, mean, var = _box1d_kernel(x)
-        if mean > 0.0 and var > 0.0:
-            phi = math.log(mean / target)
+        x = np.exp(s)
+        _, mean, var = _kernel("box1d", x)
+        # <g> underflows to 0 only where x is far too large: there phi = -inf
+        # and the step is nan, so the bracket moves and the step is refused
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.log(mean / target)
             step = phi * mean / (x * var)
-        else:  # <g> underflowed: x is far too large
-            phi, step = -math.inf, math.nan
-        if phi > 0.0:
-            lo = s
-        elif phi < 0.0:
-            hi = s
-        else:
-            return x
-        if abs(step) <= 1e-9:
-            return math.exp(s + step)
-        if lo < s + step < hi:
-            s += step
-        elif math.isfinite(lo) and math.isfinite(hi):
-            s = 0.5 * (lo + hi)
-        else:
-            s += 1.0 if phi > 0.0 else -1.0
+        rising = phi > 0.0
+        lo, hi = np.where(rising, s, lo), np.where(rising, hi, s)
+        done = np.abs(step) <= 1e-9
+        result[todo[done]] = np.exp(s[done] + step[done])
+        if done.all():
+            return result
+        trial = s + step
+        inside = (lo < trial) & (trial < hi)
+        s = np.where(inside, trial, np.where(rising, s + 1.0, s - 1.0))
+        bisect = ~inside & (lo > -np.inf) & (hi < np.inf)
+        s[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        going = ~done
+        todo, s, lo, hi, target = todo[going], s[going], lo[going], hi[going], target[going]
     raise ConvergenceError(
-        f"isobaric schedule: Newton solve for <g> = {target!r} did not "
+        f"isobaric schedule: Newton solve for <g> = {target[0]!r} did not "
         f"converge in {policy.root_max_iter} iterations"
     )
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, files, determinism."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,6 +8,8 @@ import pathlib
 import pytest
 
 from qcycle.cli import main
+from qcycle.config import parse_config
+from qcycle.cycles import run_cycle
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "table2.csv"
 
@@ -66,6 +69,25 @@ class TestRun:
                 assert t > previous_t[seg]
             previous_t[seg] = t
             assert all(math.isfinite(float(cell)) for cell in cells[1:])
+
+    def test_diagram_cells_are_17_digit_samples(self, tmp_path):
+        # every cell is format(value, ".17g") of the report's samples; the
+        # spin Carnot cycle gives negative forces and energies
+        doc = patch_outputs({
+            "substance": {"kind": "spin_half"},
+            "cycle": {"kind": "carnot", "T_H": 2.0, "T_C": 1.0, "L_A": 1.0, "L_B": 3.0},
+            "output": {"samples_per_segment": 16},
+        }, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 0
+        config = parse_config(json.dumps(doc))
+        report = run_cycle(config.build_cycle(), config.policy, 16)
+        rows = [
+            [str(index)] + [format(v, ".17g") for v in dataclasses.astuple(sample)]
+            for index, result in enumerate(report.segment_results)
+            for sample in result.samples
+        ]
+        lines = (tmp_path / "diagram.csv").read_text().splitlines()
+        assert [line.split(",") for line in lines[1:]] == rows
 
     def test_csv_byte_determinism(self, tmp_path):
         doc = patch_outputs(CAVITY_BRAYTON, tmp_path)

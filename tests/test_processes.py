@@ -27,6 +27,7 @@ from qcycle.substances import (
     cavity_mode,
     entropy,
     equilibrium_force,
+    force,
     gibbs_state,
     harmonic,
     internal_energy,
@@ -266,6 +267,25 @@ class TestSegmentHeatWork:
         r = segment_heat_work(seg, samples_per_segment=8)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
         assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("model", [box(1), box(2), cavity_mode(), spin_half()],
+                         ids=lambda m: m.kind)
+@pytest.mark.parametrize("kind", ["isothermal", "isochoric", "isobaric", "adiabatic"])
+def test_array_samples_match_per_sample_states(model, kind):
+    # every sample of the array route against a state built for it alone;
+    # the box1d isochore runs x = beta E_1 from 0.74 to 8.4, across the
+    # kernel's switch at x = 1
+    end = 1.7 if kind == "isochoric" else 1.2
+    seg = build_segment(kind, model, (0.15, 1.0), end)
+    r = segment_heat_work(seg, samples_per_segment=16)
+    for sample in r.samples:
+        beta, L = segment_point(seg, sample.t)
+        assert (sample.beta, sample.L) == pytest.approx((beta, L), rel=1e-13, abs=0.0)
+        state = gibbs_state(model, sample.beta, sample.L)
+        expected = (internal_energy(state, model), entropy(state), force(state, model))
+        assert (sample.U, sample.S, sample.F) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert sample.T == 1.0 / sample.beta
 
 
 def _mp_levels(substance, dim, L):

@@ -193,6 +193,25 @@ class TestKernel:
             assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_one_mixed_array(self, kind):
+        # one call on an array straddling x = 1, with both extremes in it;
+        # at x = 1e-30, where nsum fails, the leading asymptotics are exact
+        # to rounding
+        xs = np.array([5.0, 1e-30, 0.999, 1.0, 1e-9, 700.0, 0.3, 1.7, 0.05, 50.0, 0.69, 0.7])
+        got = np.array(substances._kernel(kind, xs))
+        assert got.shape == (3, xs.size) and np.isfinite(got).all()
+        tiny = {
+            "box1d": (math.log(math.sqrt(math.pi / 1e-30) / 2.0), 0.5e30, 0.5e60),
+            "cavity": (-math.log(1e-30), 1e30, 1e60),
+            "harmonic1d": (-math.log(1e-30), 1e30, 1e60),
+            "spin_half": (math.log(2.0), 0.5, 0.25),
+        }[kind]
+        for column, x in zip(got.T, xs):
+            reference = tiny if x == 1e-30 else mp_kernel(kind, x)
+            for value, expected in zip(column, reference):
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @pytest.mark.parametrize("x", (1e-30, 700.0))
     def test_finite_at_extremes(self, kind, x):
         assert all(math.isfinite(v) for v in substances._kernel(kind, x))
@@ -506,6 +525,27 @@ class TestEntropy:
         )
 
 
+class TestHotSpin:
+    """The spin's U cancels to -(Delta/2) tanh(x/2) as x -> 0; the kernel's
+    E_0 + Delta <g> would lose 1e-9 of it at x = 1e-8."""
+
+    @pytest.mark.parametrize("x", (1e-5, 1e-8))
+    def test_energy_and_forces_against_mpmath(self, x):
+        model, L = spin_half(), 1.3
+        beta = x * L  # Delta = 1/L
+        with mp.workdps(40):
+            u = -mp.tanh(mp.mpf(x) / 2) / (2 * mp.mpf(L))
+            free = -mp.log(2 * mp.cosh(mp.mpf(x) / 2)) / mp.mpf(beta)
+            u, force_ref, free = float(u), float(u / L), float(free)
+        state = gibbs_state(model, beta, L)
+        assert internal_energy(state, model) == pytest.approx(u, rel=1e-14, abs=0.0)
+        assert force(state, model) == pytest.approx(force_ref, rel=1e-14, abs=0.0)
+        assert free_energy(model, beta, L) == pytest.approx(free, rel=1e-14, abs=0.0)
+        # the array route reads the same per-axis energy
+        energy = substances.axis_states(model, np.full(3, beta), np.full(3, L)).energy
+        assert energy == pytest.approx([internal_energy(state, model)] * 3, rel=1e-15)
+
+
 class TestFreeEnergy:
     def test_spin_closed_form(self):
         for beta, L in ((0.5, 1.0), (2.0, 0.7)):
@@ -665,6 +705,29 @@ class TestBetaForForce:
             target = vacuum_force(model, L) * (1.0 + float(10.0 ** rng.uniform(-8.0, 8.0)))
             beta = beta_for_force(model, target, L)
             assert abs(equilibrium_force(model, beta, L) - target) <= 1e-10 * target
+
+    def test_random_box_schedules_as_one_array(self):
+        # the targets of test_random_box_schedules, solved in one call; each
+        # residual by the scalar route
+        rng = np.random.default_rng(4427)
+        model = box(1)
+        pairs = []
+        for _ in range(2000):
+            x = float(10.0 ** rng.uniform(-2.0, 3.0))
+            pairs.append((x, vacuum_force(model, x) * (1.0 + float(10.0 ** rng.uniform(-8.0, 8.0)))))
+        L, targets = np.array(pairs).T
+        betas = beta_for_force(model, targets, L)
+        assert betas.shape == L.shape
+        for beta, target, x in zip(betas.tolist(), targets.tolist(), L.tolist()):
+            assert abs(equilibrium_force(model, beta, x) - target) <= 1e-10 * target
+
+    def test_array_solve_keeps_its_errors(self):
+        model = box(1)
+        L = np.array([1.0, 1.2, 1.5])
+        with pytest.raises(DomainError):
+            beta_for_force(model, math.pi**2, L)  # the vacuum force at L = 1
+        with pytest.raises(ConvergenceError):
+            beta_for_force(model, 30.0, L, NumericsPolicy(root_max_iter=1))
 
     def test_box2d_generic_root_solve(self):
         model = box(2)
