@@ -25,15 +25,18 @@ _CYCLE_FIELDS = {
     "carnot": ("T_H", "T_C", "L_A", "L_B"),
 }
 
-_POLICY_FIELDS = (
-    "series_tol",
-    "level_cap",
-    "quad_tol",
-    "quad_max_depth",
-    "root_tol",
-    "root_max_iter",
-    "fd_step_rel",
-)
+# NumericsPolicy fields and their types: a float must lie in (0, 1), an int
+# must be positive
+_POLICY_FIELDS = {"quad_tol": float, "quad_max_depth": int, "root_max_iter": int}
+# Fields of earlier versions that nothing reads any more: still type- and
+# range-checked, so every config that parsed before parses the same, then
+# ignored.
+_RETIRED_FIELDS = {
+    "series_tol": float,
+    "level_cap": int,
+    "root_tol": float,
+    "fd_step_rel": float,
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,12 @@ class RunConfig:
             "otto": build_otto,
             "carnot": build_carnot,
         }[self.cycle_kind]
-        return builder(self.model(), policy=self.policy, **self.cycle_params)
+        # a builder rejects what validation cannot see, such as an Otto
+        # ordering that is no engine or a Brayton on a 2D substance
+        try:
+            return builder(self.model(), policy=self.policy, **self.cycle_params)
+        except ValueError as err:
+            raise ConfigError(f"cycle: {err}") from err
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -153,20 +161,19 @@ def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
     return kind, params
 
 
-_POLICY_COUNT_FIELDS = ("level_cap", "quad_max_depth", "root_max_iter")
-
-
 def _validate_numerics(node) -> NumericsPolicy:
     node = _require_mapping(node, "numerics")
-    _reject_unknown(node, _POLICY_FIELDS, "numerics")
-    for name in _POLICY_COUNT_FIELDS:
-        if name in node and (isinstance(node[name], bool) or not isinstance(node[name], int)):
-            raise ConfigError(f"numerics.{name}: expected an integer")
-    merged = {**{k: getattr(DEFAULT_POLICY, k) for k in _POLICY_FIELDS}, **node}
-    try:
-        return NumericsPolicy(**merged)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"numerics: {err}") from err
+    fields = {**_POLICY_FIELDS, **_RETIRED_FIELDS}
+    _reject_unknown(node, tuple(fields), "numerics")
+    for name, value in node.items():
+        if isinstance(value, bool) or not isinstance(value, (fields[name], int)):
+            expected = "an integer" if fields[name] is int else "a number"
+            raise ConfigError(f"numerics.{name}: expected {expected}")
+        if fields[name] is float and not 0.0 < value < 1.0:
+            raise ConfigError(f"numerics: {name} must lie in (0, 1), got {value}")
+        if fields[name] is int and value <= 0:
+            raise ConfigError(f"numerics: {name} must be positive, got {value}")
+    return NumericsPolicy(**{k: v for k, v in node.items() if k in _POLICY_FIELDS})
 
 
 def _validate_output(node) -> OutputConfig:
@@ -239,7 +246,7 @@ def serialize_config(config: RunConfig) -> str:
     document = {
         "substance": substance_document(config),
         "cycle": {"kind": config.cycle_kind, **config.cycle_params},
-        "numerics": {k: getattr(config.policy, k) for k in _POLICY_FIELDS},
+        "numerics": asdict(config.policy),
         "output": asdict(config.output),
     }
     return json.dumps(document, indent=2)

@@ -147,8 +147,8 @@ def _require_1d(model: SpectrumModel, kind: str) -> None:
         )
 
 
-def _corner_states(model, segments, policy) -> tuple[GibbsState, ...]:
-    return tuple(gibbs_state(model, s.beta_start, s.L_start, policy) for s in segments)
+def _corner_states(model, segments) -> tuple[GibbsState, ...]:
+    return tuple(gibbs_state(model, s.beta_start, s.L_start) for s in segments)
 
 
 def build_brayton(
@@ -173,14 +173,14 @@ def build_brayton(
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
     seg_ab = isobaric_segment(model, F1, L_A, L_B, policy)
-    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L_C, policy)
+    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L_C)
     seg_cd = isobaric_segment(model, F0, L_C, L_D, policy)
-    seg_da = adiabatic_segment(model, seg_cd.beta_end, L_D, L_A, policy)
+    seg_da = adiabatic_segment(model, seg_cd.beta_end, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="brayton",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "F1": F1,
             "F0": F0,
@@ -217,15 +217,15 @@ def build_diesel(
     L_A, L_B = r_C * L1, r_E * L1
     power = model.scaling_power
     seg_ab = isobaric_segment(model, F1, L_A, L_B, policy)
-    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L1, policy)
+    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L1)
     beta_d = seg_ab.beta_start * (L1 / L_A) ** power
     seg_cd = isochoric_segment(model, L1, seg_bc.beta_end, beta_d)
-    seg_da = adiabatic_segment(model, beta_d, L1, L_A, policy)
+    seg_da = adiabatic_segment(model, beta_d, L1, L_A)
     return CycleSpec(
         model=model,
         kind="diesel",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
         degenerate=(r_C == r_E),
     )
@@ -245,7 +245,8 @@ def build_otto(
     coldest; A and C follow from the adiabats.  Engine operation needs the
     A->B isochore to actually heat, i.e. beta_cold (L0/L1)^p > beta_hot.
     Valid for any substance kind; the closed form uses the volume ratio
-    (L0/L1)^d.
+    (L0/L1)^d.  No isobar is solved, so policy goes unread; it keeps the
+    four builders' signatures alike.
     """
     if not 0.0 < L0 <= L1:
         raise ValueError(f"need L1 >= L0 > 0, got L0={L0}, L1={L1}")
@@ -266,14 +267,14 @@ def build_otto(
             f"{beta_a} < {beta_hot}"
         )
     seg_ab = isochoric_segment(model, L0, beta_a, beta_hot)
-    seg_bc = adiabatic_segment(model, beta_hot, L0, L1, policy)
+    seg_bc = adiabatic_segment(model, beta_hot, L0, L1)
     seg_cd = isochoric_segment(model, L1, beta_c, beta_cold)
-    seg_da = adiabatic_segment(model, beta_cold, L1, L0, policy)
+    seg_da = adiabatic_segment(model, beta_cold, L1, L0)
     return CycleSpec(
         model=model,
         kind="otto",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "L0": L0,
             "L1": L1,
@@ -293,7 +294,11 @@ def build_carnot(
     L_B: float,
     policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> CycleSpec:
-    """Two isotherms at T_H > T_C joined by adiabats; any substance kind."""
+    """Two isotherms at T_H > T_C joined by adiabats; any substance kind.
+
+    No isobar is solved, so policy goes unread; it keeps the four builders'
+    signatures alike.
+    """
     if T_C <= 0.0 or T_H < T_C:
         raise ValueError(f"need T_H >= T_C > 0, got T_H={T_H}, T_C={T_C}")
     if not 0.0 < L_A <= L_B:
@@ -302,14 +307,14 @@ def build_carnot(
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
     seg_ab = isothermal_segment(model, beta_h, L_A, L_B)
-    seg_bc = adiabatic_segment(model, beta_h, L_B, L_C, policy)
+    seg_bc = adiabatic_segment(model, beta_h, L_B, L_C)
     seg_cd = isothermal_segment(model, beta_c, L_C, L_D)
-    seg_da = adiabatic_segment(model, beta_c, L_D, L_A, policy)
+    seg_da = adiabatic_segment(model, beta_c, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="carnot",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da), policy),
+        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "T_H": T_H,
             "T_C": T_C,

@@ -191,13 +191,9 @@ def isobaric_segment(
 
 
 def adiabatic_segment(
-    model: SpectrumModel,
-    beta_start: float,
-    L_start: float,
-    L_end: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
+    model: SpectrumModel, beta_start: float, L_start: float, L_end: float
 ) -> ProcessSegment:
-    start = gibbs_state(model, beta_start, L_start, policy)
+    start = gibbs_state(model, beta_start, L_start)
     beta_end = beta_start * (L_end / L_start) ** model.scaling_power
     return ProcessSegment(
         kind="adiabatic",
@@ -228,10 +224,10 @@ def build_segment(
     if kind == "isochoric":
         return isochoric_segment(model, L, beta, endpoint)
     if kind == "isobaric":
-        held = equilibrium_force(model, beta, L, policy)
+        held = equilibrium_force(model, beta, L)
         return isobaric_segment(model, held, L, endpoint, policy)
     if kind == "adiabatic":
-        return adiabatic_segment(model, beta, L, endpoint, policy)
+        return adiabatic_segment(model, beta, L, endpoint)
     raise ValueError(f"unknown segment kind {kind!r}")
 
 

@@ -131,7 +131,10 @@ class SpectrumModel:
         return omega * halves
 
     def ground_energy(self, L: float) -> float:
-        return float(self.level_energies(L, 1)[0])
+        """Lowest level energy, d E_0 of the axis; no level is enumerated."""
+        if L <= 0.0:
+            raise ValueError(f"coordinate must be positive, got L={L}")
+        return self.dimension * _axis_scale(self.axis, L)[0]
 
 
 def _flattened_sums(axis_values, dim: int, count: int) -> np.ndarray:
@@ -326,41 +329,45 @@ def _box1d_tail(c: float, n_levels: int) -> float:
     return 0.5 * math.sqrt(math.pi / c) * math.exp(c + math.log(e))
 
 
-def _shifted_partition(
-    kind: str, x: float, log_z: float, policy: NumericsPolicy
-) -> tuple[np.ndarray, float]:
+# A level vector is cut where the omitted weight falls below _VECTOR_CUT of z,
+# under double rounding, and may hold at most _LEVEL_CAP levels.
+_VECTOR_CUT = 1e-16
+_LEVEL_CAP = 10_000_000
+
+
+def _shifted_partition(kind: str, x: float, log_z: float) -> tuple[np.ndarray, float]:
     """Occupation vector of one 1D kind at x, and its relative tail bound.
 
     The level count N comes from a closed-form bound on the omitted weight
     (the Gaussian comparison integral for box1d, q^N for g = n), measured
-    against the exact z = exp(log_z) and driven below policy.series_tol.
-    N is checked against policy.level_cap before anything is allocated; the
-    Boltzmann factors are then evaluated once and divided by z.
+    against the exact z = exp(log_z) and driven below _VECTOR_CUT.  N is
+    checked against _LEVEL_CAP before anything is allocated; the Boltzmann
+    factors are then evaluated once and divided by z.
     """
     z = math.exp(log_z)
     if kind == "spin_half":
         return np.array([1.0, math.exp(-x)]) / z, 0.0
     if kind == "box1d":
-        count = int(math.sqrt((4.0 - math.log(policy.series_tol)) / x)) + 2
+        count = int(math.sqrt((4.0 - math.log(_VECTOR_CUT)) / x)) + 2
 
         def tail(n: int) -> float:
             return _box1d_tail(x, n) / z
 
     else:
-        count = max(2, math.ceil((4.0 - math.log(policy.series_tol)) / x))
+        count = max(2, math.ceil((4.0 - math.log(_VECTOR_CUT)) / x))
 
         def tail(n: int) -> float:
             return math.exp(-x * n)  # sum_{m >= n} q^m = q^n z
 
     while True:
-        if count > policy.level_cap:
+        if count > _LEVEL_CAP:
             raise ConvergenceError(
                 f"{count} levels needed to bound the tail below "
-                f"{policy.series_tol:.1e} of z at x = {x:.3e}; "
-                f"level cap {policy.level_cap} reached"
+                f"{_VECTOR_CUT:.0e} of z at x = {x:.3e}; "
+                f"level cap {_LEVEL_CAP} reached"
             )
         bound = tail(count)
-        if bound <= policy.series_tol:
+        if bound <= _VECTOR_CUT:
             break
         count *= 2
     n = np.arange(count, dtype=float)
@@ -377,10 +384,7 @@ def _check_state_args(beta: float, L: float) -> None:
 
 
 def partition_function(
-    model: SpectrumModel,
-    beta: float,
-    L: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
+    model: SpectrumModel, beta: float, L: float
 ) -> tuple[float, int, float]:
     """Exact partition sum, with the size and tail bound of its level vector.
 
@@ -389,7 +393,7 @@ def partition_function(
     vector, which this builds.  Z itself can under- or overflow at extreme
     beta * E_0; use gibbs_state().log_partition where that matters.
     """
-    state = gibbs_state(model, beta, L, policy)
+    state = gibbs_state(model, beta, L)
     return state.partition_value, state.levels_used, state.truncation_error_bound
 
 
@@ -425,7 +429,7 @@ class GibbsState:
     model.axis, ordered by non-decreasing energy; the flattened multi-index
     state is its d-fold outer product.  It is built only when probabilities,
     levels_used or truncation_error_bound is read, truncated where the
-    omitted weight falls below policy.series_tol of z, and then kept.
+    omitted weight falls below 1e-16 of z, and then kept.
     truncation_error_bound bounds the omitted weight of the product state
     relative to Z.
 
@@ -514,17 +518,12 @@ def axis_states(model: SpectrumModel, beta, L) -> AxisStates:
     return AxisStates(ground, gap, x, log_z, mean, var, energy)
 
 
-def gibbs_state(
-    model: SpectrumModel,
-    beta: float,
-    L: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
-) -> GibbsState:
+def gibbs_state(model: SpectrumModel, beta: float, L: float) -> GibbsState:
     """Equilibrium state at (beta, L), from one kernel evaluation.
 
     The multi-dimensional kinds are d copies of model.axis: ln Z =
-    d (ln z - beta E_0).  No level is summed here; policy.series_tol and
-    policy.level_cap bind only if the state's probability vector is read.
+    d (ln z - beta E_0).  No level is summed here; the probability vector
+    is built only if it is read.
     """
     _check_state_args(beta, L)
     kind = model.axis.kind
@@ -546,9 +545,7 @@ def gibbs_state(
         gap=gap,
         x=x,
         moments=tuple(moments),
-        occupations=_Occupations(
-            lambda: _shifted_partition(kind, x, moments[0], policy)
-        ),
+        occupations=_Occupations(lambda: _shifted_partition(kind, x, moments[0])),
     )
 
 
@@ -595,14 +592,9 @@ def entropy(state: GibbsState) -> float:
     return state.axes * (log_z + state.x * mean)
 
 
-def free_energy(
-    model: SpectrumModel,
-    beta: float,
-    L: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
-) -> float:
+def free_energy(model: SpectrumModel, beta: float, L: float) -> float:
     """F = -(1/beta) ln Z = d (E_0 - ln z / beta), from the kernel."""
-    return -gibbs_state(model, beta, L, policy).log_partition / beta
+    return -gibbs_state(model, beta, L).log_partition / beta
 
 
 def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
@@ -613,14 +605,9 @@ def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
     return 1.0 / math.expm1(beta * model.mode_constant / L)
 
 
-def equilibrium_force(
-    model: SpectrumModel,
-    beta: float,
-    L: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
-) -> float:
+def equilibrium_force(model: SpectrumModel, beta: float, L: float) -> float:
     """Force p U / L of the equilibrium state at (beta, L), from the kernel."""
-    return force(gibbs_state(model, beta, L, policy), model)
+    return force(gibbs_state(model, beta, L), model)
 
 
 # --------------------------------------------------------------------------
@@ -815,7 +802,6 @@ def heat_capacity(
     beta: float,
     L: float,
     mode: str = "coordinate",
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> float:
     """Exact heat capacity from the kernel.
 
@@ -827,7 +813,7 @@ def heat_capacity(
     """
     if mode not in ("coordinate", "force"):
         raise ValueError(f"mode must be 'coordinate' or 'force', got {mode!r}")
-    state = gibbs_state(model, beta, L, policy)
+    state = gibbs_state(model, beta, L)
     c_v = state.axes * state.x * state.x * state.moments[2]
     if mode == "coordinate":
         return c_v

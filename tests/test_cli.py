@@ -12,6 +12,7 @@ from qcycle.config import parse_config
 from qcycle.cycles import run_cycle
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "table2.csv"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 CAVITY_BRAYTON = {
     "substance": {"kind": "cavity"},
@@ -146,8 +147,8 @@ class TestRun:
         assert "numeric error" in capsys.readouterr().err
 
     def test_level_cap_does_not_bind_on_a_run(self, tmp_path):
-        # no run path builds a probability vector, so a level cap far below
-        # the truncation point changes nothing
+        # level_cap is a retired numerics field: accepted, validated and
+        # ignored, so a cap far below any truncation point changes nothing
         reports = []
         for numerics in ({}, {"level_cap": 40}):
             doc = dict(patch_outputs(CAVITY_BRAYTON, tmp_path), numerics=numerics)
@@ -155,6 +156,33 @@ class TestRun:
             reports.append(json.loads((tmp_path / "report.json").read_text()))
         for key in ("eta_numeric", "Q_in", "Q_out"):
             assert reports[1][key] == reports[0][key]
+
+    @pytest.mark.parametrize(
+        "substance, cycle, message",
+        [
+            # the ordering rules hold, but compression leaves it too hot
+            ("box1d", {"kind": "otto", "L0": 1.0, "L1": 2.0,
+                       "beta_hot": 0.5, "beta_cold": 0.6}, "not an engine"),
+            ("box2d", {"kind": "brayton", "F1": 10.0, "F0": 1.25,
+                       "L_A": 100.0, "L_B": 200.0}, "one-dimensional"),
+        ],
+    )
+    def test_builder_rejection_exit_code(self, tmp_path, capsys, substance, cycle, message):
+        doc = patch_outputs({"substance": {"kind": substance}, "cycle": cycle}, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "diagram.csv").exists()
+
+    def test_readme_example_config_runs(self, tmp_path, monkeypatch):
+        text = README.read_text(encoding="utf-8")
+        example = text.split("```json\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)  # the example writes to relative paths
+        assert main(["run", str(write_config(tmp_path, json.loads(example)))]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["eta_numeric"] == pytest.approx(report["eta_closed"], abs=1e-12)
+        assert (tmp_path / "diagram.csv").exists()
 
 
 class TestTable:

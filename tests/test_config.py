@@ -6,6 +6,7 @@ import pytest
 
 from qcycle.config import parse_config, serialize_config, validate_config
 from qcycle.errors import ConfigError
+from qcycle.numerics import DEFAULT_POLICY
 
 MINIMAL_BRAYTON = {
     "substance": {"kind": "box1d"},
@@ -19,7 +20,7 @@ def test_minimal_brayton_config():
     assert config.cycle_kind == "brayton"
     assert config.cycle_params == {"F1": 8.0, "F0": 1.0, "L_A": 1.0, "L_B": 2.0}
     assert config.output.samples_per_segment == 64
-    assert config.policy.series_tol == 1e-12
+    assert config.policy == DEFAULT_POLICY
 
 
 def test_unknown_field_rejected_by_name():
@@ -86,15 +87,43 @@ def test_nonpositive_value_rejected():
 
 
 def test_numerics_overrides():
-    doc = dict(MINIMAL_BRAYTON, numerics={"series_tol": 1e-10, "level_cap": 1000})
+    doc = dict(MINIMAL_BRAYTON, numerics={"quad_tol": 1e-9, "root_max_iter": 50})
     config = validate_config(doc)
-    assert config.policy.series_tol == 1e-10
-    assert config.policy.level_cap == 1000
-    assert config.policy.quad_tol == 1e-10  # untouched default
+    assert config.policy.quad_tol == 1e-9
+    assert config.policy.root_max_iter == 50
+    assert config.policy.quad_max_depth == 40  # untouched default
     with pytest.raises(ConfigError, match="numerics"):
         validate_config(dict(MINIMAL_BRAYTON, numerics={"series_tol": 2.0}))
     with pytest.raises(ConfigError, match="numerics.banana"):
         validate_config(dict(MINIMAL_BRAYTON, numerics={"banana": 1}))
+
+
+@pytest.mark.parametrize(
+    "numerics",
+    [
+        {"series_tol": 1e-12},
+        {"level_cap": 40},
+        {"root_tol": 1e-8, "fd_step_rel": 1e-4},
+    ],
+)
+def test_retired_numerics_fields_accepted_and_ignored(numerics):
+    config = validate_config(dict(MINIMAL_BRAYTON, numerics=numerics))
+    assert config == validate_config(MINIMAL_BRAYTON)
+
+
+@pytest.mark.parametrize(
+    "numerics, message",
+    [
+        ({"root_tol": 0.0}, "root_tol"),
+        ({"fd_step_rel": "small"}, "fd_step_rel"),
+        ({"level_cap": 0}, "level_cap"),
+        ({"level_cap": 40.5}, "level_cap"),
+        ({"level_cap": True}, "level_cap"),
+    ],
+)
+def test_retired_numerics_fields_still_validated(numerics, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(dict(MINIMAL_BRAYTON, numerics=numerics))
 
 
 def test_output_validation():

@@ -1,5 +1,6 @@
 """Numerical kernel tests against closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,103 +11,9 @@ from qcycle.numerics import (
     DEFAULT_POLICY,
     NumericsPolicy,
     derivative_centered,
-    find_root_bracketed,
     integrate_adaptive,
     integrate_gauss,
-    sum_with_tail_bound,
 )
-
-
-def geometric_block(ratio):
-    def block(i0, i1):
-        return ratio ** np.arange(i0, i1, dtype=float)
-
-    return block
-
-
-def geometric_tail(ratio):
-    def tail(_n, _s, last):
-        return last * ratio / (1.0 - ratio)
-
-    return tail
-
-
-class TestSumWithTailBound:
-    def test_geometric_half(self):
-        total, used, bound = sum_with_tail_bound(
-            geometric_block(0.5), geometric_tail(0.5), DEFAULT_POLICY
-        )
-        assert total == pytest.approx(2.0, rel=1e-12)
-        assert bound <= DEFAULT_POLICY.series_tol * total
-        assert used >= 40
-
-    def test_single_nonzero_term(self):
-        def block(i0, i1):
-            return np.array([3.25])[i0:i1]
-
-        total, used, bound = sum_with_tail_bound(
-            block, lambda *_: 0.0, DEFAULT_POLICY
-        )
-        assert total == 3.25
-        assert used == 1
-        assert bound == 0.0
-
-    def test_gaussian_terms_match_direct_sum(self):
-        # terms e^{-n^2} decay faster than any geometric ratio below e^{-2n}
-        def block(i0, i1):
-            n = np.arange(i0, i1, dtype=float)
-            return np.exp(-n * n)
-
-        def tail(n, _s, last):
-            r = math.exp(-(2 * n + 1))
-            return last * r / (1.0 - r)
-
-        total, _, _ = sum_with_tail_bound(block, tail, DEFAULT_POLICY)
-        direct = sum(math.exp(-n * n) for n in range(50))
-        assert total == pytest.approx(direct, rel=1e-15)
-
-    def test_level_cap_exceeded(self):
-        policy = NumericsPolicy(level_cap=100)
-        with pytest.raises(ConvergenceError):
-            sum_with_tail_bound(
-                geometric_block(0.9999), lambda n, s, t: 1.0, policy
-            )
-
-    def test_bound_is_honest_for_geometric(self):
-        # the certified bound must never undershoot the true omitted tail
-        ratio = 0.7
-        total, used, bound = sum_with_tail_bound(
-            geometric_block(ratio), geometric_tail(ratio), DEFAULT_POLICY
-        )
-        true_tail = ratio**used / (1.0 - ratio)
-        assert bound >= true_tail
-        assert abs(total - 1.0 / (1.0 - ratio)) <= bound + 1e-15
-
-
-class TestFindRootBracketed:
-    def test_linear(self):
-        assert find_root_bracketed(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0)
-
-    def test_exponential(self):
-        root = find_root_bracketed(lambda x: math.exp(x) - 2.0, 0.0, 1.0)
-        assert root == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(ConvergenceError):
-            find_root_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
-
-    def test_endpoint_root(self):
-        assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_swapped_bracket(self):
-        root = find_root_bracketed(lambda x: x - 0.25, 1.0, 0.0)
-        assert root == pytest.approx(0.25, rel=1e-12)
-
-    def test_determinism(self):
-        f = lambda x: math.cos(x) - x  # noqa: E731
-        a = find_root_bracketed(f, 0.0, 1.0)
-        b = find_root_bracketed(f, 0.0, 1.0)
-        assert a == b
 
 
 class TestIntegrateAdaptive:
@@ -182,21 +89,20 @@ class TestDerivativeCentered:
 class TestNumericsPolicy:
     def test_defaults(self):
         p = NumericsPolicy()
-        assert p.series_tol == 1e-12
-        assert p.level_cap == 10_000_000
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "quad_tol", "quad_max_depth", "root_max_iter"
+        ]
         assert p.quad_tol == 1e-10
         assert p.quad_max_depth == 40
-        assert p.root_tol == 1e-12
         assert p.root_max_iter == 200
-        assert p.fd_step_rel == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"series_tol": 0.0},
-            {"series_tol": 1.5},
+            {"quad_tol": 0.0},
+            {"quad_tol": 1.5},
             {"quad_tol": -1e-3},
-            {"level_cap": 0},
+            {"quad_max_depth": 0},
             {"quad_max_depth": -1},
             {"root_max_iter": 0},
         ],

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from qcycle import substances
-from qcycle.cycles import build_brayton, run_cycle
+from qcycle.cycles import build_brayton, build_carnot, build_otto, run_cycle
 from qcycle.errors import ConvergenceError, DomainError
-from qcycle.numerics import DEFAULT_POLICY, NumericsPolicy, derivative_centered
+from qcycle.numerics import NumericsPolicy, derivative_centered
 from qcycle.substances import (
     GibbsState,
+    SpectrumModel,
     box,
     beta_for_force,
     cavity_mode,
@@ -100,6 +101,12 @@ class TestSpectrum:
 
     def test_box3d_ground(self):
         assert box(3).ground_energy(1.0) == pytest.approx(3.0 * math.pi**2 / 2.0)
+
+    @pytest.mark.parametrize("kind", substances.KINDS)
+    def test_ground_energy_is_lowest_enumerated_level(self, kind):
+        model = SpectrumModel(kind=kind, mass=0.7, mode_constant=1.4)
+        for L in (0.3, 1.0, 7.5):
+            assert model.ground_energy(L) == model.level_energies(L, 1)[0]
 
     def test_harmonic_shell_degeneracy(self):
         # 2D shells have degeneracy N+1, 3D shells (N+1)(N+2)/2
@@ -223,7 +230,7 @@ class TestKernel:
         # against the state functions that read only the kernel
         L = 1.3
         beta = x / regime_parameter(model, 1.0, L)
-        state = gibbs_state(model, beta, L, NumericsPolicy(series_tol=1e-16))
+        state = gibbs_state(model, beta, L)
         p = state.probabilities
         # the vector's own sum of Boltzmann factors is z
         assert abs(math.log(math.fsum(p))) <= 1e-13
@@ -241,12 +248,22 @@ class TestKernel:
         report = run_cycle(build_brayton(box(1), 10.0, 1.25, 100.0, 200.0))
         assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
 
+    def test_no_run_path_enumerates_multi_indices(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the flattened multi-index spectrum was enumerated")
+
+        monkeypatch.setattr(substances, "_flattened_sums", refuse)
+        carnot = run_cycle(build_carnot(box(2), 10.0, 5.0, 100.0, 200.0), samples_per_segment=8)
+        otto = run_cycle(build_otto(box(3), 1.0, 2.0, 0.3, 2.0), samples_per_segment=8)
+        assert abs(carnot.eta_numeric - 0.5) <= 1e-8
+        assert abs(otto.eta_numeric - otto.eta_closed) <= 1e-8
+
 
 class TestPartitionFunction:
     def test_cavity_closed_geometric(self):
         z, _, bound = partition_function(cavity_mode(), math.log(2.0), 1.0)
         assert z == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert bound <= DEFAULT_POLICY.series_tol
+        assert bound <= 1e-16
 
     def test_spin_high_temperature_limit(self):
         z, used, _ = partition_function(spin_half(), 1e-9, 1.0)
@@ -279,9 +296,10 @@ class TestPartitionFunction:
         assert z3 == pytest.approx(z1**3, rel=1e-11)
 
     def test_level_cap_error(self):
-        policy = NumericsPolicy(level_cap=50)
-        with pytest.raises(ConvergenceError):
-            partition_function(cavity_mode(), 1e-4, 1.0, policy)
+        # at x = 1e-7 the cavity vector needs about 4e8 levels to cut its
+        # tail below 1e-16 of z, past the 1e7 cap; nothing is allocated
+        with pytest.raises(ConvergenceError, match="level cap"):
+            partition_function(cavity_mode(), 1e-7, 1.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -426,10 +444,9 @@ class TestForce:
             force_equilibrium_closed(box(2), 1.0, 1.0)
 
     def test_cavity_summed_matches_closed_to_1e12(self):
-        tight = NumericsPolicy(series_tol=1e-15)
         for beta in (0.4, 1.0, 2.7):
             for L in (0.7, 1.9):
-                summed = equilibrium_force(cavity_mode(), beta, L, tight)
+                summed = equilibrium_force(cavity_mode(), beta, L)
                 closed = force_equilibrium_closed(cavity_mode(), beta, L)
                 assert summed == pytest.approx(closed, rel=1e-12)
 
