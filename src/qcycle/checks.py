@@ -268,7 +268,7 @@ def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
         if r.segment.kind != "isochoric"
     )
     return [
-        ("first_law_closure", _check_first_law(results), 1e-10),
+        ("first_law_closure", _check_first_law(results), 1e-12),
         ("adiabat_entropy_invariance", _check_adiabat_entropy(), 1e-12),
         ("held_value_drift", max(_held_drift(r) for r in results), 1e-8),
         ("work_force_duality", duality, 1e-10),
@@ -329,14 +329,14 @@ def _cycle_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     return [
         ("loop_closure", closure, 1e-10),
         ("loop_entropy_zero", loop_s, 1e-9),
-        ("carnot_universality_exact", _check_carnot_universality(policy, False), 1e-6),
+        ("carnot_universality_exact", _check_carnot_universality(policy, False), 1e-12),
         (
             "carnot_universality_box_classical",
             _check_carnot_universality(policy, True),
-            1e-3,
+            1e-12,
         ),
-        ("efficiency_agreement_exact", exact_agreement, 1e-8),
-        ("efficiency_agreement_box_classical", classical_agreement, 1e-3),
+        ("efficiency_agreement_exact", exact_agreement, 1e-12),
+        ("efficiency_agreement_box_classical", classical_agreement, 1e-12),
     ]
 
 

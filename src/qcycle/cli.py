@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -237,7 +238,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main reuses it, as
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qcycle",
         description=(
@@ -276,8 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", help="output CSV path (default sweep.csv)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     handler = {
         "run": cmd_run,
         "table": cmd_table,

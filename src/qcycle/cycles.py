@@ -26,7 +26,7 @@ from .processes import (
     isobaric_segment,
     isochoric_segment,
     isothermal_segment,
-    segment_heat_work,
+    stacked_heat_work,
 )
 from .substances import (
     GibbsState,
@@ -343,15 +343,14 @@ def run_cycle(
     policy: NumericsPolicy = DEFAULT_POLICY,
     samples_per_segment: int = 64,
 ) -> CycleReport:
-    """Integrate every segment and assemble the cycle report.
+    """Integrate the segments, as one stacked_heat_work batch, and assemble
+    the cycle report.
 
     Segments are classified into Q_in and Q_out by the sign of their heat.
     A cycle flagged degenerate at build time reports eta = 0 for both
     routes instead of the 0/0 ratio.
     """
-    results = tuple(
-        segment_heat_work(seg, policy, samples_per_segment) for seg in spec.segments
-    )
+    results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     q_in = sum(r.Q for r in results if r.Q > 0.0)
     q_out = -sum(r.Q for r in results if r.Q < 0.0)
     w_net = -sum(r.W_on for r in results)

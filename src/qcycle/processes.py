@@ -13,11 +13,17 @@ as an independent cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_POLICY, NumericsPolicy, integrate_adaptive, integrate_gauss
+from .numerics import (
+    DEFAULT_POLICY,
+    NumericsPolicy,
+    integrate_adaptive_batch,
+    integrate_gauss,
+)
 from .substances import (
     GibbsState,
     SpectrumModel,
@@ -56,7 +62,7 @@ class ProcessSegment:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathSample:
     """State snapshot at path parameter t, with cumulative heat and work."""
 
@@ -245,38 +251,73 @@ def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
     )
 
 
+# the columns of a segment table, one row per segment: the kind's index in
+# SEGMENT_KINDS, the path's start and slope in L and in beta, and the held
+# value.  An isochore holds L and is the only kind linear in beta; an
+# adiabat's and an isobar's beta follow from L.
+_KIND, _L0, _L_SLOPE, _BETA0, _BETA_SLOPE, _HELD = range(6)
+_ISOTHERMAL, _ISOCHORIC, _ISOBARIC, _ADIABATIC = range(4)
+
+
+def _segment_table(segments: Sequence[ProcessSegment]) -> np.ndarray:
+    rows = []
+    for s in segments:
+        kind = SEGMENT_KINDS.index(s.kind)
+        isochoric = kind == _ISOCHORIC
+        L_slope = 0.0 if isochoric else s.L_end - s.L_start
+        beta_slope = s.beta_end - s.beta_start if isochoric else 0.0
+        rows.append((kind, s.L_start, L_slope, s.beta_start, beta_slope, s.held_value))
+    return np.array(rows).T
+
+
+def _path_points(model: SpectrumModel, columns, t, policy: NumericsPolicy):
+    """(beta, L) at path parameters t along the segments whose table columns
+    are given per element of t, linear in the free variable.  Every isobar
+    element takes its beta from one schedule solve."""
+    kind = columns[_KIND]
+    L0, beta0 = columns[_L0], columns[_BETA0]
+    L = L0 + t * columns[_L_SLOPE]
+    beta = np.where(
+        kind == _ADIABATIC,
+        beta0 * (L / L0) ** model.scaling_power,
+        beta0 + t * columns[_BETA_SLOPE],
+    )
+    isobaric = kind == _ISOBARIC
+    if isobaric.any():
+        beta[isobaric] = isobaric_schedule(
+            model, columns[_HELD][isobaric], L[isobaric], policy
+        )
+    return beta, L
+
+
 def segment_point(
     segment: ProcessSegment, t, policy: NumericsPolicy = DEFAULT_POLICY
 ):
     """(beta, L) at path parameter t, a float or an array; linear in the
     free variable.  For an array both come back with t's shape, an isobar's
     beta from one schedule solve over all of t."""
-    kind = segment.kind
-    # the held coordinate is taken as value + 0 t, so that it has t's shape
-    if kind == "isochoric":
-        beta = segment.beta_start + t * (segment.beta_end - segment.beta_start)
-        return beta, segment.L_start + 0.0 * t
-    L = segment.L_start + t * (segment.L_end - segment.L_start)
-    if kind == "isothermal":
-        return segment.beta_start + 0.0 * t, L
-    if kind == "adiabatic":
-        power = segment.model.scaling_power
-        return segment.beta_start * (L / segment.L_start) ** power, L
-    return isobaric_schedule(segment.model, segment.held_value, L, policy), L
+    t = np.asarray(t, dtype=float)
+    columns = np.repeat(_segment_table((segment,)), t.size, axis=1)
+    beta, L = _path_points(segment.model, columns, t.ravel(), policy)
+    if t.ndim == 0:
+        return beta.item(), L.item()
+    return beta.reshape(t.shape), L.reshape(t.shape)
 
 
-def segment_heat_work(
-    segment: ProcessSegment,
+def stacked_heat_work(
+    segments: Sequence[ProcessSegment],
     policy: NumericsPolicy = DEFAULT_POLICY,
     samples_per_segment: int = 64,
-) -> SegmentResult:
-    """Heat and work along a segment, exact at every sample.
+) -> tuple[SegmentResult, ...]:
+    """Heat and work along k segments of one model, exact at every sample,
+    as one batch.
 
-    The samples are array operations: one segment_point call and one
-    axis_states call give every sample's beta, L, per-axis ground energy
-    E_0 and kernel moments, and the PathSamples are built from the finished
-    columns.  With d axes and g = E - E_0, the cumulative work on the system
-    is A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
+    The samples of all segments are array operations: one path pass (every
+    isobar sample from one schedule solve) and one axis_states call give
+    every sample's beta, L, per-axis ground energy E_0 and kernel moments as
+    (k, n) arrays, and the PathSamples are built from the finished columns.
+    With d axes and g = E - E_0, the cumulative work on the system is
+    A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
     -F0 (L(t) - L0) on an isobar, zero on an isochore and U(t) - U(0) on an
     adiabat.  delta_U = d (Delta E_0 + Delta <g>), so a cold segment keeps
     its relative accuracy.  Q is T Delta S with S = d (ln z + beta <g>) on an
@@ -284,62 +325,96 @@ def segment_heat_work(
 
     Q_direct is the adaptive quadrature of the exact heat rate
     sum_n E_n dP_n/dt = -d kappa Var g, kappa = beta' - p beta L'/L, which on
-    an isobar (F = p U / L held) reduces to (p + 1) U L'/L; the rate takes
-    each refinement level's nodes as one array.
+    an isobar (F = p U / L held) reduces to (p + 1) U L'/L.  The rates of
+    every non-adiabatic segment are integrated together, each refinement
+    level's nodes of all of them as one array, and each to its own
+    tolerance, so a segment's results do not depend on the others in the
+    batch.  Segments of different models raise ValueError.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
-    model, kind = segment.model, segment.kind
+    if not segments:
+        return ()
+    model = segments[0].model
+    if any(seg.model != model for seg in segments[1:]):
+        raise ValueError("stacked segments must share one model")
     d, p = model.dimension, model.scaling_power
-    dL = segment.L_end - segment.L_start
-    dbeta = segment.beta_end - segment.beta_start
+    table = _segment_table(segments)
+    k, n = len(segments), samples_per_segment
 
-    def states_at(t: np.ndarray):
-        beta, L = segment_point(segment, t, policy)
-        return beta, L, axis_states(model, beta, L)
-
-    ts = np.linspace(0.0, 1.0, samples_per_segment)
-    beta, L, st = states_at(ts)
+    ts = np.linspace(0.0, 1.0, n)
+    columns = np.repeat(table, n, axis=1)
+    beta, L = _path_points(model, columns, np.tile(ts, k), policy)
+    beta, L = beta.reshape(k, n), L.reshape(k, n)
+    st = axis_states(model, beta, L)
+    kind, held = table[_KIND][:, None], table[_HELD][:, None]
     e0 = d * st.ground
     thermal = st.gap * st.mean  # <E - E_0> per axis
-    U_cum = (e0 - e0[0]) + d * (thermal - thermal[0])
+    ground_shift = e0 - e0[:, :1]
+    thermal_shift = d * (thermal - thermal[:, :1])
+    U_cum = ground_shift + thermal_shift
+    # on an isotherm at its bath's beta0: d Delta ln z / beta0, which is
+    # T Delta S less thermal_shift and ground_shift less W_cum
+    shift = d * (st.log_z - st.log_z[:, :1]) / table[_BETA0][:, None]
+    isothermal = kind == _ISOTHERMAL
+    # work on the system: A(t) - A(0) on an isotherm, -F0 (L - L0) on an
+    # isobar, all of dU on an adiabat (frozen probabilities), none on an
+    # isochore
+    W_cum = np.where(
+        isothermal,
+        ground_shift - shift,
+        np.where(
+            kind == _ISOBARIC,
+            -held * (L - L[:, :1]),
+            np.where(kind == _ADIABATIC, U_cum, 0.0),
+        ),
+    )
+    Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
 
-    if kind == "isothermal":
-        shift = d * (st.log_z - st.log_z[0]) / segment.beta_start
-        W_cum = (e0 - e0[0]) - shift
-        Q_cum = shift + d * (thermal - thermal[0])
-    else:
-        if kind == "isochoric":
-            W_cum = np.zeros_like(ts)
-        elif kind == "isobaric":
-            W_cum = -segment.held_value * (L - L[0])
-        else:  # adiabatic: frozen probabilities, dU is pure work
-            W_cum = U_cum
-        Q_cum = U_cum - W_cum
-    W_on, Q, delta_U = float(W_cum[-1]), float(Q_cum[-1]), float(U_cum[-1])
+    integrated = np.flatnonzero(table[_KIND] != _ADIABATIC)
 
-    def heat_rate(t: np.ndarray) -> np.ndarray:
-        beta, L, st = states_at(t)
-        if kind == "isobaric":
-            return (p + 1) * (d * st.energy) * dL / L
-        kappa = dbeta - p * beta * dL / L
-        return -d * kappa * (st.gap * st.gap * st.var)
+    def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
+        columns = table[:, integrated[owner]]
+        beta, L = _path_points(model, columns, t, policy)
+        st = axis_states(model, beta, L)
+        dL = columns[_L_SLOPE]
+        kappa = columns[_BETA_SLOPE] - p * beta * dL / L
+        return np.where(
+            columns[_KIND] == _ISOBARIC,
+            (p + 1) * (d * st.energy) * dL / L,
+            -d * kappa * (st.gap * st.gap * st.var),
+        )
 
-    Q_direct = 0.0
-    if kind != "adiabatic":
-        Q_direct = integrate_adaptive(heat_rate, 0.0, 1.0, policy)
+    Q_direct = [0.0] * k
+    if integrated.size:
+        quadratures = integrate_adaptive_batch(heat_rate, integrated.size, policy)
+        for row, value in zip(integrated.tolist(), quadratures):
+            Q_direct[row] = value
 
     U = d * st.energy
     S = d * (st.log_z + st.x * st.mean)
-    columns = (ts, L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
-    return SegmentResult(
-        segment=segment,
-        Q=Q,
-        W_on=W_on,
-        delta_U=delta_U,
-        Q_direct=Q_direct,
-        samples=tuple(map(PathSample, *(column.tolist() for column in columns))),
+    ts_list = ts.tolist()
+    columns = [c.tolist() for c in (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)]
+    return tuple(
+        SegmentResult(
+            segment=seg,
+            Q=Q_cum[i, -1].item(),
+            W_on=W_cum[i, -1].item(),
+            delta_U=U_cum[i, -1].item(),
+            Q_direct=Q_direct[i],
+            samples=tuple(map(PathSample, ts_list, *(c[i] for c in columns))),
+        )
+        for i, seg in enumerate(segments)
     )
+
+
+def segment_heat_work(
+    segment: ProcessSegment,
+    policy: NumericsPolicy = DEFAULT_POLICY,
+    samples_per_segment: int = 64,
+) -> SegmentResult:
+    """Heat and work along one segment: stacked_heat_work of it alone."""
+    return stacked_heat_work((segment,), policy, samples_per_segment)[0]
 
 
 def work_gauss_reference(

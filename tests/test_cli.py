@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from qcycle.cli import main
+from qcycle.cli import _parser, main
 from qcycle.config import parse_config
 from qcycle.cycles import run_cycle
 
@@ -35,6 +35,31 @@ def patch_outputs(document, tmp_path):
         "diagram_path": str(tmp_path / "diagram.csv"),
     }
     return out
+
+
+class TestParser:
+    def test_subcommands_in_turn_in_one_process(self, tmp_path, capsys):
+        # main reuses one parser; each call must see its own arguments and
+        # the defaults, never those of the call before
+        doc = patch_outputs(CAVITY_BRAYTON, tmp_path)
+        config = str(write_config(tmp_path, doc))
+        report = tmp_path / "again.json"
+        sweep = tmp_path / "sweep.csv"
+        assert main(["run", config, "--report", str(report)]) == 0
+        assert main(["check", "--scope", "substance"]) == 0
+        assert main(["sweep", config, "--param", "F0", "--from", "0.3",
+                     "--to", "0.6", "--steps", "2", "--out", str(sweep)]) == 0
+        assert main(["run", config]) == 0
+        assert report.is_file() and (tmp_path / "report.json").is_file()
+        assert len(sweep.read_text().splitlines()) == 3
+        assert "7/7 checks passed" in capsys.readouterr().out
+        assert _parser() is _parser()
+        assert vars(_parser().parse_args(["check"])) == {
+            "command": "check", "scope": "all", "tolerance_scale": 1.0
+        }
+        assert vars(_parser().parse_args(["run", config])) == {
+            "command": "run", "config": config, "report": None, "diagram": None
+        }
 
 
 class TestRun:

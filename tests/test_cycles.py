@@ -12,6 +12,7 @@ from qcycle.cycles import (
     closed_form_efficiency,
     run_cycle,
 )
+from qcycle.processes import segment_heat_work, stacked_heat_work
 from qcycle.substances import box, cavity_mode, force, gibbs_state, harmonic, spin_half
 
 
@@ -194,3 +195,54 @@ class TestLoopInvariants:
         for corner in report.corner_table:
             assert corner.T == pytest.approx(1.0 / corner.beta)
             assert math.isfinite(corner.F) and math.isfinite(corner.S)
+
+
+# every cycle kind on every substance it accepts among box1d, cavity,
+# spin_half and box2d (the isobaric cycles need a 1D substance with a
+# positive force)
+BATCH_CYCLES = {
+    "brayton-box1d": lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2),
+    "brayton-cavity": lambda: build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5),
+    "diesel-box1d": lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8),
+    "diesel-cavity": lambda: build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 0.8),
+    "otto-box1d": lambda: build_otto(box(1), 1.0, 2.0, 0.3, 2.0),
+    "otto-cavity": lambda: build_otto(cavity_mode(), 1.0, 2.0, 0.3, 1.5),
+    "otto-spin_half": lambda: build_otto(spin_half(), 1.0, 3.0, 0.4, 2.5),
+    "otto-box2d": lambda: build_otto(box(2), 10.0, 20.0, 0.1, 1.0),
+    "carnot-box1d": lambda: build_carnot(box(1), 2.0, 1.0, 1.0, 2.0),
+    "carnot-cavity": lambda: build_carnot(cavity_mode(), 2.0, 1.0, 1.0, 2.0),
+    "carnot-spin_half": lambda: build_carnot(spin_half(), 2.0, 1.0, 1.0, 3.0),
+    "carnot-box2d": lambda: build_carnot(box(2), 10.0, 5.0, 10.0, 20.0),
+}
+
+
+def assert_same_result(batched, alone):
+    assert batched.segment == alone.segment
+    assert (batched.Q, batched.W_on, batched.delta_U) == (alone.Q, alone.W_on, alone.delta_U)
+    assert batched.samples == alone.samples
+    assert abs(batched.Q_direct - alone.Q_direct) <= 1e-15 * abs(alone.Q_direct)
+
+
+class TestStackedSegments:
+    @pytest.mark.parametrize("name", BATCH_CYCLES)
+    def test_cycle_batch_matches_each_segment_alone(self, name):
+        spec = BATCH_CYCLES[name]()
+        report = run_cycle(spec, samples_per_segment=16)
+        assert len(report.segment_results) == 4
+        for result, segment in zip(report.segment_results, spec.segments):
+            assert_same_result(result, segment_heat_work(segment, samples_per_segment=16))
+
+    def test_segments_of_two_cycles_in_one_batch(self):
+        segments = BATCH_CYCLES["otto-box1d"]().segments + BATCH_CYCLES["carnot-box1d"]().segments
+        results = stacked_heat_work(segments, samples_per_segment=8)
+        assert len(results) == 8
+        for result, segment in zip(results, segments):
+            assert_same_result(result, segment_heat_work(segment, samples_per_segment=8))
+
+    def test_mixed_models_rejected(self):
+        segments = BATCH_CYCLES["otto-box1d"]().segments[:2] + BATCH_CYCLES["otto-box2d"]().segments[:2]
+        with pytest.raises(ValueError, match="one model"):
+            stacked_heat_work(segments)
+
+    def test_empty_batch(self):
+        assert stacked_heat_work(()) == ()

@@ -8,10 +8,13 @@ import pytest
 
 from qcycle.errors import ConvergenceError
 from qcycle.numerics import (
+    _NODES,
+    _WEIGHTS,
     DEFAULT_POLICY,
     NumericsPolicy,
     derivative_centered,
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_gauss,
 )
 
@@ -55,9 +58,10 @@ class TestIntegrateAdaptive:
 
         value = integrate_adaptive(f, 0.0, 1.0)
         assert abs(value + math.expm1(-39.3) / 39.3) <= 1e-9 * value
-        # the end points and midpoint, then two new nodes per open panel
-        assert sizes[0] == 3 and sizes[1] == 2 and len(sizes) > 3
-        assert all(0 < b <= 2 * a and b % 2 == 0 for a, b in zip(sizes[1:], sizes[2:]))
+        # the 15 nodes of the whole interval, then 15 per new panel: each
+        # open panel splits in two, so a level at most doubles the last one
+        assert sizes[0] == 15 and len(sizes) > 2
+        assert all(0 < b <= 2 * a and b % 15 == 0 for a, b in zip(sizes, sizes[1:]))
 
     def test_max_depth_error(self):
         policy = NumericsPolicy(quad_max_depth=2, quad_tol=1e-14)
@@ -68,6 +72,93 @@ class TestIntegrateAdaptive:
         adaptive = integrate_adaptive(np.exp, 0.0, 1.0)
         gauss = integrate_gauss(np.exp, 0.0, 1.0)
         assert gauss == pytest.approx(adaptive, rel=1e-12)
+
+
+# integrands on [0, 1] with their integrals; the last is the cold
+# isochore's heat rate, which needs the most refinement
+BATCH_CASES = (
+    (lambda t: math.pi * np.sin(math.pi * t), 2.0),
+    (lambda t: 1.0 / (1.0 + t * t), math.pi / 4.0),
+    (lambda t: 2.0 * (2.0 * t) ** 5, 64.0 / 6.0),
+    (lambda t: 4.0 * np.exp(-12.0 * t), (1.0 - math.exp(-12.0)) / 3.0),
+    (lambda t: -np.cos(7.0 * t), -math.sin(7.0) / 7.0),
+    (lambda t: np.exp(-39.3 * t), -math.expm1(-39.3) / 39.3),
+)
+
+
+def batched(functions):
+    def f(owner, t):
+        out = np.empty_like(t)
+        for i, g in enumerate(functions):
+            mine = owner == i
+            out[mine] = g(t[mine])
+        return out
+
+    return f
+
+
+class TestIntegrateAdaptiveBatch:
+    def test_each_integral_as_alone_and_within_tolerance(self):
+        functions = [g for g, _ in BATCH_CASES]
+        together = integrate_adaptive_batch(batched(functions), len(functions))
+        for (g, exact), value in zip(BATCH_CASES, together):
+            (alone,) = integrate_adaptive_batch(batched([g]), 1)
+            assert abs(value - alone) <= 1e-15 * abs(alone)
+            assert abs(value - exact) <= 10.0 * DEFAULT_POLICY.quad_tol * abs(exact)
+
+    def test_paired_with_the_hardest_integrand(self):
+        hard = BATCH_CASES[-1][0]
+        for g, _ in BATCH_CASES[:-1]:
+            (alone,) = integrate_adaptive_batch(batched([g]), 1)
+            value, _ = integrate_adaptive_batch(batched([g, hard]), 2)
+            assert abs(value - alone) <= 1e-15 * abs(alone)
+
+    def test_one_call_per_level(self):
+        calls = []
+
+        def f(owner, t):
+            calls.append(np.bincount(owner, minlength=2).tolist())
+            return np.where(owner == 0, np.exp(t), np.exp(-39.3 * t))
+
+        integrate_adaptive_batch(f, 2)
+        # exp(t) is done on the whole interval; only the other refines
+        assert calls[0] == [15, 15]
+        assert len(calls) > 2 and all(row[0] == 0 for row in calls[1:])
+
+    def test_node_bound_error(self):
+        # a nan never passes, so every panel splits until the node arrays
+        # would outgrow 2^17 elements, well before the default depth of 40
+        calls = []
+
+        def f(owner, t):
+            calls.append(t.size)
+            return np.full_like(t, np.nan)
+
+        with pytest.raises(ConvergenceError):
+            integrate_adaptive_batch(f, 3)
+        assert max(calls) <= 2**17 and len(calls) < DEFAULT_POLICY.quad_max_depth
+
+    # Legendre-centred monomials u^n, u = 2t - 1, whose integral over [0, 1]
+    # is 1/(n + 1) for even n and 0 for odd n
+    @staticmethod
+    def rule_errors(degree):
+        u = 2.0 * _NODES - 1.0
+        exact = (1.0 + (-1.0) ** degree) / (2.0 * (degree + 1))
+        kronrod = u**degree @ _WEIGHTS[:, 0]
+        gauss = u**degree @ (_WEIGHTS[:, 0] - _WEIGHTS[:, 1])
+        return abs(kronrod - exact), abs(gauss - exact)
+
+    @pytest.mark.parametrize("degree", range(23))
+    def test_kronrod_rule_exact_to_degree_22(self, degree):
+        assert self.rule_errors(degree)[0] <= 1e-15
+
+    @pytest.mark.parametrize("degree", range(14))
+    def test_gauss_rule_exact_to_degree_13(self, degree):
+        assert self.rule_errors(degree)[1] <= 1e-15
+
+    def test_rules_not_exact_beyond_their_degree(self):
+        assert self.rule_errors(24)[0] > 1e-10
+        assert self.rule_errors(14)[1] > 1e-6
 
 
 class TestDerivativeCentered:
