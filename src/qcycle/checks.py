@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reference
 from .cycles import build_brayton, build_carnot, build_diesel, build_otto, run_cycle
 from .numerics import DEFAULT_POLICY, NumericsPolicy, derivative_centered
 from .processes import (
@@ -32,7 +33,6 @@ from .substances import (
     entropy,
     equilibrium_force,
     force,
-    force_equilibrium_closed,
     free_energy,
     gibbs_state,
     harmonic,
@@ -83,10 +83,11 @@ def _check_force_gradient() -> float:
 
 
 def _check_normalization() -> float:
+    """ln z of one axis from its summed Boltzmann factors against the kernel's."""
     worst = 0.0
     for model, beta, L in _grid_states():
-        state = gibbs_state(model, beta, L)
-        worst = max(worst, abs(float(state.probabilities.sum()) - 1.0))
+        summed = reference.gibbs_sums(model, beta, L).log_z
+        worst = max(worst, abs(summed - gibbs_state(model, beta, L).moments[0]))
     return worst
 
 
@@ -125,19 +126,18 @@ def _check_cavity_exactness() -> float:
         for beta in (0.3, 0.9, 2.2):
             for L in (0.6, 1.4):
                 summed = equilibrium_force(model, beta, L)
-                closed = force_equilibrium_closed(model, beta, L)
+                closed = reference.force_equilibrium_closed(model, beta, L)
                 worst = max(worst, abs(summed - closed) / abs(closed))
     return worst
 
 
 def _check_entropy_identity() -> float:
-    """Shannon entropy of the level vector against ln Z + beta U from the
-    kernel: the truncated sum is the independent route."""
+    """Shannon entropy of the summed level vector against ln Z + beta U from
+    the kernel: the truncated sum is the independent route."""
     worst = 0.0
     for model, beta, L in _grid_states():
         state = gibbs_state(model, beta, L)
-        p = state.probabilities[state.probabilities > 0.0]
-        shannon = -state.axes * float(p @ np.log(p))
+        shannon = reference.gibbs_sums(model, beta, L).entropy
         identity = state.log_partition + beta * internal_energy(state, model)
         worst = max(worst, abs(shannon - identity) / max(abs(shannon), 1e-3))
     return worst
@@ -155,7 +155,7 @@ def _check_monotonicity() -> float:
         for T in temperatures:
             beta = 1.0 / float(T)
             state = gibbs_state(model, beta, 1.1)
-            z, u = state.partition_value, internal_energy(state, model)
+            z, u = math.exp(state.log_partition), internal_energy(state, model)
             if z <= z_prev or u < u_prev:
                 return 1.0
             z_prev, u_prev = z, u
@@ -165,7 +165,7 @@ def _check_monotonicity() -> float:
 def _substance_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     # no substance check solves an isobar or integrates, so policy goes unread
     return [
-        ("force_matches_free_energy_gradient", _check_force_gradient(), 1e-6),
+        ("force_matches_free_energy_gradient", _check_force_gradient(), 1e-11),
         ("gibbs_normalization", _check_normalization(), 1e-12),
         ("box1d_equation_of_state_limit", _check_eos_limit(), 1e-10),
         ("box1d_equation_of_state_monotone", _check_eos_monotone(), 0.5),
@@ -212,7 +212,7 @@ def _check_adiabat_entropy() -> float:
     ):
         start = gibbs_state(model, beta, L)
         moved = adiabatic_advance(model, start, L_to)
-        if not np.array_equal(start.probabilities, moved.probabilities):
+        if moved.x != start.x or moved.moments != start.moments:
             return math.inf
         fresh = gibbs_state(model, moved.beta, moved.length)
         worst = max(worst, abs(entropy(fresh) - entropy(start)))

@@ -351,8 +351,10 @@ def run_cycle(
     routes instead of the 0/0 ratio.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
-    q_in = sum(r.Q for r in results if r.Q > 0.0)
-    q_out = -sum(r.Q for r in results if r.Q < 0.0)
+    # float starts, so that a cycle with no heat of one sign writes 0.0, and
+    # 0.0 - sum rather than -sum, so that Q_out is never -0.0
+    q_in = sum((r.Q for r in results if r.Q > 0.0), 0.0)
+    q_out = 0.0 - sum((r.Q for r in results if r.Q < 0.0), 0.0)
     w_net = -sum(r.W_on for r in results)
     loop_entropy = sum(r.samples[-1].S - r.samples[0].S for r in results)
     closure = _closure_residual(spec.segments)

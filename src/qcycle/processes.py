@@ -123,24 +123,17 @@ def adiabatic_advance(
     All level spacings of the supported spectra scale by the common factor
     (L/L_to)^p, so the occupation probabilities stay frozen and beta
     rescales by (L_to/L)^p, keeping every beta * E_n invariant.  The
-    returned state keeps x = beta Delta and the kernel moments, rescales
-    E_0 and Delta, and shares the state's probability vector, built or not;
-    entropy and the partition value are exactly conserved.
+    returned state keeps x = beta Delta and the kernel moments, and
+    rescales E_0 and Delta; entropy and ln Z are exactly conserved.
     """
     if L_to <= 0.0:
         raise ValueError(f"coordinate must be positive, got L={L_to}")
     ratio = (L_to / state.length) ** model.scaling_power
-    return GibbsState(
+    return state._replace(
         beta=state.beta * ratio,
         length=L_to,
-        partition_value=state.partition_value,
-        log_partition=state.log_partition,
-        axes=state.axes,
         ground=state.ground / ratio,
         gap=state.gap / ratio,
-        x=state.x,
-        moments=state.moments,
-        occupations=state.occupations,
     )
 
 

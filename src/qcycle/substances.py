@@ -8,8 +8,10 @@ Delta proportional to L^-p, so each equilibrium quantity depends on
 copies of their 1D axis.  One exact kernel per 1D kind gives
 (ln z, <g>, Var g) at x with no truncated sum: closed forms for the linear
 and two-level spectra, and for box1d a short direct series above x = 1 and
-the Jacobi theta inversion below it.  A state's probability vector is built
-only when it is read.
+the Jacobi theta inversion below it.  A GibbsState is the record of one
+kernel evaluation; no level is summed and no occupation vector is built.
+The direct level sums that the kernel is tested against live in
+qcycle.reference.
 
 Natural units throughout: hbar = m = k = 1 (mass and the oscillator mode
 constant remain as explicit positive parameters).
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,81 +86,22 @@ class SpectrumModel:
         d, p, _ = _KIND_TABLE[self.kind]
         return 1.0 + p / d
 
-    @property
-    def finite_levels(self) -> int | None:
-        return 2 if self.kind == "spin_half" else None
-
-    @property
+    @cached_property
     def axis(self) -> SpectrumModel:
         """The one-dimensional kind of which this kind is `dimension` copies.
 
         box2d/3d are box1d axes of the same mass, harmonic2d/3d harmonic1d
         axes of the same mode constant; the 1D kinds are their own axis.
+        Built on the first read and kept.
         """
         kind = _KIND_TABLE[self.kind][2]
         return self if kind == self.kind else replace(self, kind=kind)
-
-    def level_energies(self, L: float, count: int) -> np.ndarray:
-        """First `count` level energies, flattened by non-decreasing energy.
-
-        Finite spectra return fewer values once exhausted.  For the
-        multi-dimensional kinds this enumerates the multi-index spectrum
-        directly, the brute-force route that the per-axis state functions
-        are tested against; the state functions sum over model.axis instead.
-        """
-        if L <= 0.0:
-            raise ValueError(f"coordinate must be positive, got L={L}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        kind = self.kind
-        if kind == "spin_half":
-            gap = 0.5 / L
-            return np.array([-gap, gap])[:count]
-        if kind in BOX_KINDS:
-            unit = math.pi**2 / (2.0 * self.mass * L * L)
-            if kind == "box1d":
-                n = np.arange(1, count + 1, dtype=float)
-                return unit * n * n
-            squares = _flattened_sums(
-                lambda k: np.arange(1, k + 1, dtype=float) ** 2, self.dimension, count
-            )
-            return unit * squares
-        # oscillator family, including the single cavity mode
-        omega = self.mode_constant / L
-        if kind in ("harmonic1d", "cavity"):
-            return omega * (np.arange(count, dtype=float) + 0.5)
-        halves = _flattened_sums(
-            lambda k: np.arange(k, dtype=float) + 0.5, self.dimension, count
-        )
-        return omega * halves
 
     def ground_energy(self, L: float) -> float:
         """Lowest level energy, d E_0 of the axis; no level is enumerated."""
         if L <= 0.0:
             raise ValueError(f"coordinate must be positive, got L={L}")
         return self.dimension * _axis_scale(self.axis, L)[0]
-
-
-def _flattened_sums(axis_values, dim: int, count: int) -> np.ndarray:
-    """The `count` smallest sums v_{n_1} + ... + v_{n_dim} over all multi-indices.
-
-    axis_values(k) returns the first k values of one axis, increasing.  The
-    grid of the first k values per axis is enumerated, and only sums
-    strictly below the smallest sum any point outside the grid can take are
-    kept, which guarantees a complete prefix.  Memory grows as k^dim.
-    """
-    if count == 0:
-        return np.zeros(0)
-    k = int(count ** (1.0 / dim)) + 2
-    while True:
-        v = axis_values(k + 1)
-        sums = v[:k]
-        for _ in range(dim - 1):
-            sums = (sums[:, None] + v[None, :k]).ravel()
-        sums = np.sort(sums[sums < v[k] + (dim - 1) * v[0]])
-        if sums.size >= count:
-            return sums[:count]
-        k *= 2
 
 
 def box(dim: int = 1, mass: float = 1.0) -> SpectrumModel:
@@ -189,30 +134,6 @@ def spin_half() -> SpectrumModel:
     the L = 1/B convention and is reported as-is.
     """
     return SpectrumModel(kind="spin_half")
-
-
-def energy_level(model: SpectrumModel, n: int, L: float) -> float:
-    """Energy of one level.
-
-    Index conventions follow the defining formulas: box1d counts from n = 1,
-    the oscillator kinds from n = 0, spin_half has n in {0, 1}.  The
-    multi-dimensional kinds use the 0-based index of the multi-index
-    enumeration flattened by non-decreasing energy.
-    """
-    if L <= 0.0:
-        raise ValueError(f"coordinate must be positive, got L={L}")
-    kind = model.kind
-    if kind == "box1d":
-        if n < 1:
-            raise ValueError(f"box1d level index must be >= 1, got {n}")
-        return math.pi**2 * n * n / (2.0 * model.mass * L * L)
-    if kind == "spin_half":
-        if n not in (0, 1):
-            raise ValueError(f"spin_half level index must be 0 or 1, got {n}")
-        return (-0.5 if n == 0 else 0.5) / L
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
-    return float(model.level_energies(L, n + 1)[n])
 
 
 # --------------------------------------------------------------------------
@@ -320,62 +241,6 @@ def _box1d_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + np.log(0.5 * (a - 1.0)), mean, var
 
 
-def _box1d_tail(c: float, n_levels: int) -> float:
-    """Bound on sum_{n > N} exp(-c (n^2 - 1)) via the Gaussian comparison
-    integral, evaluated in log space so large c cannot overflow."""
-    e = math.erfc(math.sqrt(c) * n_levels)
-    if e == 0.0:
-        return 0.0
-    return 0.5 * math.sqrt(math.pi / c) * math.exp(c + math.log(e))
-
-
-# A level vector is cut where the omitted weight falls below _VECTOR_CUT of z,
-# under double rounding, and may hold at most _LEVEL_CAP levels.
-_VECTOR_CUT = 1e-16
-_LEVEL_CAP = 10_000_000
-
-
-def _shifted_partition(kind: str, x: float, log_z: float) -> tuple[np.ndarray, float]:
-    """Occupation vector of one 1D kind at x, and its relative tail bound.
-
-    The level count N comes from a closed-form bound on the omitted weight
-    (the Gaussian comparison integral for box1d, q^N for g = n), measured
-    against the exact z = exp(log_z) and driven below _VECTOR_CUT.  N is
-    checked against _LEVEL_CAP before anything is allocated; the Boltzmann
-    factors are then evaluated once and divided by z.
-    """
-    z = math.exp(log_z)
-    if kind == "spin_half":
-        return np.array([1.0, math.exp(-x)]) / z, 0.0
-    if kind == "box1d":
-        count = int(math.sqrt((4.0 - math.log(_VECTOR_CUT)) / x)) + 2
-
-        def tail(n: int) -> float:
-            return _box1d_tail(x, n) / z
-
-    else:
-        count = max(2, math.ceil((4.0 - math.log(_VECTOR_CUT)) / x))
-
-        def tail(n: int) -> float:
-            return math.exp(-x * n)  # sum_{m >= n} q^m = q^n z
-
-    while True:
-        if count > _LEVEL_CAP:
-            raise ConvergenceError(
-                f"{count} levels needed to bound the tail below "
-                f"{_VECTOR_CUT:.0e} of z at x = {x:.3e}; "
-                f"level cap {_LEVEL_CAP} reached"
-            )
-        bound = tail(count)
-        if bound <= _VECTOR_CUT:
-            break
-        count *= 2
-    n = np.arange(count, dtype=float)
-    if kind == "box1d":
-        n = n * (n + 2.0)  # g = (n + 1)^2 - 1 for level n + 1
-    return np.exp(-x * n) / z, bound
-
-
 def _check_state_args(beta: float, L: float) -> None:
     if beta <= 0.0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
@@ -383,115 +248,32 @@ def _check_state_args(beta: float, L: float) -> None:
         raise ValueError(f"coordinate must be positive, got L={L}")
 
 
-def partition_function(
-    model: SpectrumModel, beta: float, L: float
-) -> tuple[float, int, float]:
-    """Exact partition sum, with the size and tail bound of its level vector.
+class GibbsState(NamedTuple):
+    """Thermal state at (beta, L) as one kernel evaluation: `axes` identical,
+    independent copies of one 1D axis (d for the separable 2D/3D kinds, 1
+    otherwise).
 
-    Returns (Z, levels_used, tail_bound): Z from the kernel, and the per-axis
-    level count and relative omitted weight of the state's probability
-    vector, which this builds.  Z itself can under- or overflow at extreme
-    beta * E_0; use gibbs_state().log_partition where that matters.
-    """
-    state = gibbs_state(model, beta, L)
-    return state.partition_value, state.levels_used, state.truncation_error_bound
-
-
-class _Occupations:
-    """A state's per-axis (probabilities, relative tail bound), built on the
-    first read and kept.  States that an adiabat maps onto each other share
-    one instance, so they share one vector."""
-
-    def __init__(self, build) -> None:
-        self._build = build
-        self._value = None
-
-    def get(self) -> tuple[np.ndarray, float]:
-        if self._value is None:
-            probabilities, bound = self._build()
-            probabilities.flags.writeable = False
-            self._value = (probabilities, bound)
-            self._build = None
-        return self._value
-
-
-class GibbsState:
-    """Thermal state at (beta, L): `axes` identical, independent copies of one
-    1D axis (axes = d for the separable 2D/3D kinds, 1 otherwise).
-
-    A state from gibbs_state carries per axis the ground energy `ground`
-    (E_0), the gap unit `gap` (Delta), x = beta Delta and the exact kernel
-    `moments` = (ln z, <g>, Var g); every state function reads these.
-    log_partition = d (ln z - beta E_0) is always finite; partition_value may
-    under/overflow at extreme beta * E_0.
-
-    probabilities is the per-axis occupation vector over the levels of
-    model.axis, ordered by non-decreasing energy; the flattened multi-index
-    state is its d-fold outer product.  It is built only when probabilities,
-    levels_used or truncation_error_bound is read, truncated where the
-    omitted weight falls below 1e-16 of z, and then kept.
-    truncation_error_bound bounds the omitted weight of the product state
-    relative to Z.
-
-    A state built from an explicit `probabilities` vector (any occupation,
-    equilibrium or not) has moments None, and the state functions sum over
-    its levels instead.
+    Per axis it holds the ground energy `ground` (E_0), the gap unit `gap`
+    (Delta), x = beta Delta and the exact kernel `moments` (ln z, <g>,
+    Var g), which every state function reads; log_partition = d (ln z -
+    beta E_0) is always finite.  No level is summed for a state, so
+    levels_used is 0; qcycle.reference sums the levels of a state.
     """
 
-    __slots__ = (
-        "beta", "length", "partition_value", "log_partition", "axes",
-        "ground", "gap", "x", "moments", "occupations",
-    )
+    beta: float
+    length: float
+    axes: int
+    ground: float
+    gap: float
+    x: float
+    moments: tuple[float, float, float]
+    log_partition: float
 
-    def __init__(
-        self,
-        beta: float,
-        length: float,
-        probabilities: np.ndarray | None = None,
-        partition_value: float = math.nan,
-        log_partition: float = math.nan,
-        truncation_error_bound: float = 0.0,
-        axes: int = 1,
-        *,
-        ground: float = math.nan,
-        gap: float = math.nan,
-        x: float = math.nan,
-        moments: tuple[float, float, float] | None = None,
-        occupations: _Occupations | None = None,
-    ) -> None:
-        _check_state_args(beta, length)
-        if occupations is None:
-            if probabilities is None:
-                raise ValueError("a state needs probabilities or occupations")
-            if truncation_error_bound < 0.0:
-                raise ValueError("truncation_error_bound must be non-negative")
-            probabilities.flags.writeable = False
-            occupations = _Occupations(lambda: (probabilities, truncation_error_bound))
-        values = (
-            beta, length, partition_value, log_partition, axes,
-            ground, gap, x, moments, occupations,
-        )
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"GibbsState is immutable; cannot set {name!r}")
+    levels_used = 0
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.occupations.get()[0]
-
-    @property
-    def truncation_error_bound(self) -> float:
-        return math.expm1(self.axes * math.log1p(self.occupations.get()[1]))
-
-    @property
-    def levels_used(self) -> int:
-        return self.probabilities.size
 
 
 # Per-axis equilibrium quantities at (beta, L), floats or arrays: E_0, Delta,
@@ -522,56 +304,28 @@ def gibbs_state(model: SpectrumModel, beta: float, L: float) -> GibbsState:
     """Equilibrium state at (beta, L), from one kernel evaluation.
 
     The multi-dimensional kinds are d copies of model.axis: ln Z =
-    d (ln z - beta E_0).  No level is summed here; the probability vector
-    is built only if it is read.
+    d (ln z - beta E_0).  No level is summed here.
     """
     _check_state_args(beta, L)
-    kind = model.axis.kind
     d = model.dimension
     st = axis_states(model, np.array([beta]), np.array([L]))
     ground, gap, x, *moments = (value.item() for value in st[:6])
     log_z = d * (moments[0] - beta * ground)
-    try:
-        value = math.exp(log_z)
-    except OverflowError:
-        value = math.inf
-    return GibbsState(
-        beta=beta,
-        length=L,
-        partition_value=value,
-        log_partition=log_z,
-        axes=d,
-        ground=ground,
-        gap=gap,
-        x=x,
-        moments=tuple(moments),
-        occupations=_Occupations(lambda: _shifted_partition(kind, x, moments[0])),
-    )
-
-
-def state_energies(model: SpectrumModel, state: GibbsState) -> np.ndarray:
-    """Level energies matching the state's probability vector: those of
-    model.axis, per axis, for the multi-dimensional kinds."""
-    return model.axis.level_energies(state.length, state.levels_used)
+    return GibbsState(beta, L, d, ground, gap, x, tuple(moments), log_z)
 
 
 def force(state: GibbsState, model: SpectrumModel) -> float:
     """Generalized force F = -sum_n P_n dE_n/dL.
 
-    Valid for any probability vector, equilibrium or not.  The level
-    derivatives are analytic: dE_n/dL = -p E_n / L with p the kind's
-    scaling power, so F = p U / L identically.  A product state's force is
-    the sum over its axes.
+    The level derivatives are analytic: dE_n/dL = -p E_n / L with p the
+    kind's scaling power, so F = p U / L identically.  A product state's
+    force is the sum over its axes.
     """
     return model.scaling_power * internal_energy(state, model) / state.length
 
 
 def internal_energy(state: GibbsState, model: SpectrumModel) -> float:
-    """U = d (E_0 + Delta <g>) by _axis_energy, or sum_n P_n E_n summed over
-    axes for a state built from an explicit vector."""
-    if state.moments is None:
-        energies = state_energies(model, state)
-        return state.axes * float((state.probabilities * energies).sum())
+    """U = d (E_0 + Delta <g>), by _axis_energy."""
     energy = _axis_energy(
         model.axis.kind, state.ground, state.gap, state.x, state.moments[1]
     )
@@ -581,13 +335,9 @@ def internal_energy(state: GibbsState, model: SpectrumModel) -> float:
 def entropy(state: GibbsState) -> float:
     """Gibbs-Shannon entropy -sum_n P_n ln P_n (k = 1), summed over axes.
 
-    For an equilibrium state this is d (ln z + x <g>) = ln Z + beta U, from
-    the kernel; a state built from an explicit vector sums over its levels.
+    For a Gibbs state this is d (ln z + x <g>) = ln Z + beta U, from the
+    kernel.
     """
-    if state.moments is None:
-        p = state.probabilities
-        p = p[p > 0.0]
-        return -state.axes * float((p * np.log(p)).sum())
     log_z, mean, _ = state.moments
     return state.axes * (log_z + state.x * mean)
 
@@ -608,66 +358,6 @@ def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
 def equilibrium_force(model: SpectrumModel, beta: float, L: float) -> float:
     """Force p U / L of the equilibrium state at (beta, L), from the kernel."""
     return force(gibbs_state(model, beta, L), model)
-
-
-# --------------------------------------------------------------------------
-# Closed-form references.  The box forms are classical-limit formulas; they
-# hold only for beta * E_1 << 1 and are cross-checked against the summed
-# ground truth in that regime.  The cavity/oscillator and spin forms are
-# exact at all temperatures.
-
-
-def force_equilibrium_closed(model: SpectrumModel, beta: float, L: float) -> float:
-    """Closed-form equilibrium force.
-
-    box1d: F = 1/(L beta), the classical-limit equation of state F L = kT.
-    cavity/harmonic1d: exact radiation force, vacuum term included.
-    spin_half: exact -tanh(beta/(2L)) / (2 L^2), negative at all beta.
-    """
-    _check_state_args(beta, L)
-    kind = model.kind
-    if kind == "box1d":
-        return 1.0 / (L * beta)
-    if kind in ("cavity", "harmonic1d"):
-        kappa = model.mode_constant
-        omega = kappa / L
-        return (omega / math.expm1(beta * omega) + 0.5 * omega) / L
-    if kind == "spin_half":
-        return -math.tanh(0.5 * beta / L) / (2.0 * L * L)
-    raise ValueError(
-        f"no closed-form force for kind {model.kind!r}; use the summed force"
-    )
-
-
-def internal_energy_closed(model: SpectrumModel, beta: float, L: float) -> float:
-    """Closed-form internal energy: box1d classical 1/(2 beta); cavity and
-    harmonic1d exact (<n> + 1/2) omega; spin_half exact."""
-    _check_state_args(beta, L)
-    kind = model.kind
-    if kind == "box1d":
-        return 0.5 / beta
-    if kind in ("cavity", "harmonic1d"):
-        omega = model.mode_constant / L
-        return (1.0 / math.expm1(beta * omega) + 0.5) * omega
-    if kind == "spin_half":
-        return -0.5 * math.tanh(0.5 * beta / L) / L
-    raise ValueError(f"no closed-form internal energy for kind {model.kind!r}")
-
-
-def entropy_closed(model: SpectrumModel, beta: float, L: float) -> float:
-    """Closed-form entropy: box1d classical-limit reference, cavity and
-    harmonic1d exact via the mean occupation."""
-    _check_state_args(beta, L)
-    kind = model.kind
-    if kind == "box1d":
-        return 0.5 + math.log(
-            0.5 * math.sqrt(2.0 * model.mass * L * L / (math.pi * beta))
-        )
-    if kind in ("cavity", "harmonic1d"):
-        omega = model.mode_constant / L
-        n_bar = 1.0 / math.expm1(beta * omega)
-        return n_bar * beta * omega + math.log1p(n_bar)
-    raise ValueError(f"no closed-form entropy for kind {model.kind!r}")
 
 
 def regime_parameter(model: SpectrumModel, beta: float, L: float) -> float:

@@ -13,7 +13,7 @@ from qcycle.cycles import (
     run_cycle,
 )
 from qcycle.processes import segment_heat_work, stacked_heat_work
-from qcycle.substances import box, cavity_mode, force, gibbs_state, harmonic, spin_half
+from qcycle.substances import box, cavity_mode, force, harmonic, spin_half
 
 
 class TestClosedFormEfficiency:
@@ -145,12 +145,10 @@ class TestOttoAndCarnot:
         "model, L_A", [(box(3), 10.0), (box(2), 100.0)], ids=["box3d", "box2d"]
     )
     def test_multidimensional_carnot_stays_small(self, model, L_A):
-        # the flattened multi-index sums took 4 GB of states here
+        # the flattened multi-index sums took 4 GB of states here; that no
+        # level is summed on a run is tests/test_reference.py's guard
         report = run_cycle(build_carnot(model, 10.0, 5.0, L_A, 2.0 * L_A))
         assert abs(report.eta_numeric - 0.5) <= 1e-8
-        for result in report.segment_results:
-            for s in result.samples:
-                assert gibbs_state(model, s.beta, s.L).levels_used <= 20_000
 
     def test_otto_not_an_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +193,17 @@ class TestLoopInvariants:
         for corner in report.corner_table:
             assert corner.T == pytest.approx(1.0 / corner.beta)
             assert math.isfinite(corner.F) and math.isfinite(corner.S)
+
+    def test_heat_totals_are_floats(self):
+        # at T_H = 1e-3 every segment's heat underflows to 0, so neither sum
+        # has a term; both totals are still the float +0.0
+        report = run_cycle(build_carnot(box(1), 1e-3, 5e-4, 1.0, 2.0), samples_per_segment=8)
+        for total in (report.Q_in, report.Q_out):
+            assert type(total) is float
+            assert total == 0.0 and math.copysign(1.0, total) == 1.0
+        report = run_cycle(build_carnot(cavity_mode(), 2.0, 1.0, 1.0, 2.0), samples_per_segment=8)
+        assert type(report.Q_in) is float and type(report.Q_out) is float
+        assert report.Q_in > report.Q_out > 0.0
 
 
 # every cycle kind on every substance it accepts among box1d, cavity,

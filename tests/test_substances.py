@@ -6,49 +6,38 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcycle import substances
-from qcycle.cycles import build_brayton, build_carnot, build_otto, run_cycle
+from qcycle import reference, substances
 from qcycle.errors import ConvergenceError, DomainError
 from qcycle.numerics import NumericsPolicy, derivative_centered
+from qcycle.reference import (
+    energy_level,
+    entropy_closed,
+    force_equilibrium_closed,
+    gibbs_sums,
+    internal_energy_closed,
+    level_energies,
+    partition_function,
+)
 from qcycle.substances import (
-    GibbsState,
     SpectrumModel,
     box,
     beta_for_force,
     cavity_mode,
-    energy_level,
     entropy,
-    entropy_closed,
     equilibrium_force,
     force,
-    force_equilibrium_closed,
     free_energy,
     gibbs_state,
     harmonic,
     heat_capacity,
     internal_energy,
-    internal_energy_closed,
     mean_occupation,
-    partition_function,
     regime_parameter,
     spin_half,
-    state_energies,
     vacuum_force,
 )
 
 ALL_1D = (box(1), cavity_mode(), harmonic(1), spin_half())
-
-
-def box_direct(beta, L, n_terms, mass=1.0):
-    """Brute-force canonical sums for the 1D box: (Z, U, S)."""
-    n = np.arange(1, n_terms + 1, dtype=float)
-    e = np.pi**2 * n * n / (2.0 * mass * L * L)
-    w = np.exp(-beta * (e - e[0]))
-    z_shift = float(w.sum())
-    p = w / z_shift
-    u = float((p * e).sum())
-    s = math.log(z_shift) - beta * e[0] + beta * u
-    return z_shift * math.exp(-beta * e[0]), u, s
 
 
 def flattened_direct(model, beta, L):
@@ -56,7 +45,7 @@ def flattened_direct(model, beta, L):
     multi-index spectrum, summed until beta (E_n - E_0) exceeds 40."""
     count = 64
     while True:
-        e = model.level_energies(L, count)
+        e = level_energies(model, L, count)
         if beta * (e[-1] - e[0]) > 40.0:
             break
         count *= 2
@@ -96,7 +85,7 @@ class TestSpectrum:
     def test_box2d_flattened_enumeration(self):
         # sums of two squares over n_i >= 1, sorted with multiplicity
         unit = math.pi**2 / 2.0
-        values = box(2).level_energies(1.0, 11) / unit
+        values = level_energies(box(2), 1.0, 11) / unit
         assert values == pytest.approx([2, 5, 5, 8, 10, 10, 13, 13, 17, 17, 18])
 
     def test_box3d_ground(self):
@@ -106,13 +95,13 @@ class TestSpectrum:
     def test_ground_energy_is_lowest_enumerated_level(self, kind):
         model = SpectrumModel(kind=kind, mass=0.7, mode_constant=1.4)
         for L in (0.3, 1.0, 7.5):
-            assert model.ground_energy(L) == model.level_energies(L, 1)[0]
+            assert model.ground_energy(L) == level_energies(model, L, 1)[0]
 
     def test_harmonic_shell_degeneracy(self):
         # 2D shells have degeneracy N+1, 3D shells (N+1)(N+2)/2
-        two = harmonic(2).level_energies(1.0, 6)
+        two = level_energies(harmonic(2), 1.0, 6)
         assert two == pytest.approx([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
-        three = harmonic(3).level_energies(1.0, 10)
+        three = level_energies(harmonic(3), 1.0, 10)
         assert three == pytest.approx([1.5] + [2.5] * 3 + [3.5] * 6)
 
     def test_gamma_table(self):
@@ -226,37 +215,20 @@ class TestKernel:
     @pytest.mark.parametrize("model", ALL_1D, ids=lambda m: m.kind)
     @pytest.mark.parametrize("x", (1e-3, 0.1, 0.7, 1.0, 2.0, 10.0))
     def test_lazy_vector_matches_kernel(self, model, x):
-        # the level vector, cut where the omitted weight is below 1e-16 of z,
-        # against the state functions that read only the kernel
+        # the summed level vector, cut where the omitted weight is below
+        # 1e-16 of z, against the state functions that read only the kernel
         L = 1.3
         beta = x / regime_parameter(model, 1.0, L)
         state = gibbs_state(model, beta, L)
-        p = state.probabilities
+        sums = gibbs_sums(model, beta, L)
+        p = sums.probabilities
         # the vector's own sum of Boltzmann factors is z
-        assert abs(math.log(math.fsum(p))) <= 1e-13
-        energies = state_energies(model, state)
+        assert abs(sums.log_z - state.moments[0]) <= 1e-13
+        energies = sums.energies
         scale = abs(state.ground) + state.gap * state.moments[1]
         assert abs(float(p @ energies) - internal_energy(state, model)) <= 1e-13 * scale
         shannon = -float(p[p > 0.0] @ np.log(p[p > 0.0]))
         assert shannon == pytest.approx(entropy(state), rel=1e-13, abs=1e-13)
-
-    def test_no_run_path_builds_a_vector(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a probability vector was built")
-
-        monkeypatch.setattr(substances, "_shifted_partition", refuse)
-        report = run_cycle(build_brayton(box(1), 10.0, 1.25, 100.0, 200.0))
-        assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
-
-    def test_no_run_path_enumerates_multi_indices(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the flattened multi-index spectrum was enumerated")
-
-        monkeypatch.setattr(substances, "_flattened_sums", refuse)
-        carnot = run_cycle(build_carnot(box(2), 10.0, 5.0, 100.0, 200.0), samples_per_segment=8)
-        otto = run_cycle(build_otto(box(3), 1.0, 2.0, 0.3, 2.0), samples_per_segment=8)
-        assert abs(carnot.eta_numeric - 0.5) <= 1e-8
-        assert abs(otto.eta_numeric - otto.eta_closed) <= 1e-8
 
 
 class TestPartitionFunction:
@@ -271,27 +243,27 @@ class TestPartitionFunction:
         assert used == 2
 
     def test_box_against_direct_sum_oracle(self):
-        z, _, _ = partition_function(box(1), 1.0, 1.0)
-        oracle, _, _ = box_direct(1.0, 1.0, 10_000)
+        z = math.exp(gibbs_state(box(1), 1.0, 1.0).log_partition)
+        oracle, _, _ = partition_function(box(1), 1.0, 1.0)
         assert abs(z - oracle) <= 1e-12 * oracle
 
     def test_box_theta_duality_identity(self):
         # Z = (1/2) sqrt(pi/c) theta_dual - 1/2 with the dual-series factor
         # theta_dual = 1 + 2 sum_k exp(-pi^2 k^2 / c); the bare classical
         # form (theta_dual -> 1) holds only as c -> 0.
-        z, _, _ = partition_function(box(1), 1.0, 1.0)
+        z = math.exp(gibbs_state(box(1), 1.0, 1.0).log_partition)
         c = math.pi**2 / 2.0
         dual = 1.0 + 2.0 * sum(math.exp(-math.pi**2 * k * k / c) for k in range(1, 6))
         closed = 0.5 * math.sqrt(math.pi / c) * dual - 0.5
         assert abs(z - closed) <= 1e-12
 
     def test_separable_product_box2d(self):
-        z2, _, _ = partition_function(box(2), 0.7, 1.3)
+        z2 = math.exp(gibbs_state(box(2), 0.7, 1.3).log_partition)
         z1, _, _ = partition_function(box(1), 0.7, 1.3)
         assert z2 == pytest.approx(z1 * z1, rel=1e-11)
 
     def test_separable_product_harmonic3d(self):
-        z3, _, _ = partition_function(harmonic(3), 0.9, 1.1)
+        z3 = math.exp(gibbs_state(harmonic(3), 0.9, 1.1).log_partition)
         z1, _, _ = partition_function(harmonic(1), 0.9, 1.1)
         assert z3 == pytest.approx(z1**3, rel=1e-11)
 
@@ -348,7 +320,7 @@ class TestMultidimensionalOracle:
         L = 1.0
         beta = x / regime_parameter(model, 1.0, L)
         state = gibbs_state(model, beta, L)
-        assert state.truncation_error_bound <= 1e-11  # (1 + r)^d - 1, r <= 1e-12
+        assert gibbs_sums(model, beta, L).tail_bound <= 1e-11  # (1 + r)^d - 1, r <= 1e-12
         identity = state.log_partition + beta * internal_energy(state, model)
         assert entropy(state) == pytest.approx(identity, rel=1e-10)
         if model.kind.startswith("harmonic"):
@@ -360,37 +332,39 @@ class TestMultidimensionalOracle:
 
 class TestGibbsState:
     def test_cavity_geometric_probabilities(self):
-        state = gibbs_state(cavity_mode(), math.log(2.0), 1.0)
+        sums = gibbs_sums(cavity_mode(), math.log(2.0), 1.0)
         expected = 0.5 ** (np.arange(8) + 1)
-        assert state.probabilities[:8] == pytest.approx(expected, rel=1e-13)
+        assert sums.probabilities[:8] == pytest.approx(expected, rel=1e-13)
 
     def test_spin_ground_state_projection(self):
-        state = gibbs_state(spin_half(), 200.0, 1.0)
-        assert state.probabilities[0] == pytest.approx(1.0, abs=1e-80)
-        assert state.probabilities[1] < 1e-80
+        sums = gibbs_sums(spin_half(), 200.0, 1.0)
+        assert sums.probabilities[0] == pytest.approx(1.0, abs=1e-80)
+        assert sums.probabilities[1] < 1e-80
 
     def test_normalization_contract(self):
+        # the summed Z over the kernel's Z: the omitted tail, at most
         for model in ALL_1D + (box(2), harmonic(3)):
             state = gibbs_state(model, 0.9, 1.2)
-            total = float(state.probabilities.sum())
+            sums = gibbs_sums(model, 0.9, 1.2)
+            total = math.exp(sums.axes * (sums.log_z - state.moments[0]))
             slack = 1e-14  # float rounding of the normalized sum
-            assert 1.0 - state.truncation_error_bound - slack <= total <= 1.0 + slack
+            assert 1.0 - sums.tail_bound - slack <= total <= 1.0 + slack
 
     def test_boltzmann_ordering(self):
         for model in ALL_1D + (box(2), harmonic(2)):
-            state = gibbs_state(model, 1.1, 0.9)
-            p = state.probabilities
+            p = gibbs_sums(model, 1.1, 0.9).probabilities
             assert np.all(np.diff(p) <= 1e-18)
 
     def test_probabilities_read_only(self):
-        state = gibbs_state(cavity_mode(), 1.0, 1.0)
+        sums = gibbs_sums(cavity_mode(), 1.0, 1.0)
         with pytest.raises(ValueError):
-            state.probabilities[0] = 0.3
+            sums.probabilities[0] = 0.3
 
     def test_log_partition_stable_at_extreme_beta(self):
         state = gibbs_state(spin_half(), 4000.0, 1.0)
         assert state.log_partition == pytest.approx(2000.0, rel=1e-12)
-        assert math.isinf(state.partition_value)  # documented overflow
+        z, _, _ = partition_function(spin_half(), 4000.0, 1.0)
+        assert math.isinf(z)  # documented overflow
 
 
 class TestForce:
@@ -408,11 +382,8 @@ class TestForce:
         model = box(1)
         e1 = model.ground_energy(1.0)
         beta = 1e-6 / e1  # beta E_1 = 1e-6
-        # independent oracle: heavily truncated direct sum
-        n = np.arange(1.0, 100_001.0)
-        w = np.exp(-1e-6 * (n * n - 1.0))
-        u_oracle = e1 * float((w * n * n).sum() / w.sum())
-        f_oracle = 2.0 * u_oracle / 1.0
+        # independent oracle: the direct level sum
+        f_oracle = reference.gibbs_sums(model, beta, 1.0).force
         got = equilibrium_force(model, beta, 1.0)
         assert got == pytest.approx(f_oracle, rel=1e-10)
         assert abs(got * 1.0 * beta - 1.0) <= 2e-3
@@ -420,16 +391,9 @@ class TestForce:
     def test_non_equilibrium_vector(self):
         # inverted two-level population: force follows the occupation, not beta
         model = spin_half()
-        state = GibbsState(
-            beta=1.0,
-            length=2.0,
-            probabilities=np.array([0.25, 0.75]),
-            partition_value=1.0,
-            log_partition=0.0,
-            truncation_error_bound=0.0,
-        )
+        p = np.array([0.25, 0.75])
         # E = (-1/4, +1/4), dE/dL = (1/8, -1/8); F = -(0.25/8 - 0.75/8)
-        assert force(state, model) == pytest.approx(0.0625, rel=1e-15)
+        assert reference.force(model, p, 2.0) == pytest.approx(0.0625, rel=1e-15)
 
     def test_closed_forms(self):
         assert force_equilibrium_closed(box(1), 0.5, 2.0) == pytest.approx(1.0)
@@ -660,15 +624,16 @@ class TestMonotonicity:
             z_prev, u_prev = -math.inf, -math.inf
             for T in np.linspace(0.5, 3.0, 6):
                 beta = 1.0 / float(T)
-                z, _, _ = partition_function(model, beta, 1.2)
-                u = internal_energy(gibbs_state(model, beta, 1.2), model)
+                state = gibbs_state(model, beta, 1.2)
+                z = math.exp(state.log_partition)
+                u = internal_energy(state, model)
                 assert z > z_prev
                 assert u >= u_prev
                 z_prev, u_prev = z, u
 
     def test_spin_z_decreases_with_temperature(self):
-        z_cold, _, _ = partition_function(spin_half(), 4.0, 1.0)
-        z_hot, _, _ = partition_function(spin_half(), 1.0, 1.0)
+        z_cold = math.exp(gibbs_state(spin_half(), 4.0, 1.0).log_partition)
+        z_hot = math.exp(gibbs_state(spin_half(), 1.0, 1.0).log_partition)
         assert z_hot < z_cold
 
 
