@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qcycle import reference, substances
+from qcycle.cycles import build_brayton, build_carnot, build_otto, run_cycle
 from qcycle.errors import ConvergenceError, DomainError
 from qcycle.numerics import NumericsPolicy, derivative_centered
 from qcycle.reference import (
@@ -229,6 +230,24 @@ class TestKernel:
         assert abs(float(p @ energies) - internal_energy(state, model)) <= 1e-13 * scale
         shannon = -float(p[p > 0.0] @ np.log(p[p > 0.0]))
         assert shannon == pytest.approx(entropy(state), rel=1e-13, abs=1e-13)
+
+    def test_no_run_path_builds_a_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a probability vector was built")
+
+        monkeypatch.setattr(reference, "_axis_weights", refuse)
+        report = run_cycle(build_brayton(box(1), 10.0, 1.25, 100.0, 200.0))
+        assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
+
+    def test_no_run_path_enumerates_multi_indices(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the flattened multi-index spectrum was enumerated")
+
+        monkeypatch.setattr(reference, "_flattened_sums", refuse)
+        carnot = run_cycle(build_carnot(box(2), 10.0, 5.0, 100.0, 200.0), samples_per_segment=8)
+        otto = run_cycle(build_otto(box(3), 1.0, 2.0, 0.3, 2.0), samples_per_segment=8)
+        assert abs(carnot.eta_numeric - 0.5) <= 1e-8
+        assert abs(otto.eta_numeric - otto.eta_closed) <= 1e-8
 
 
 class TestPartitionFunction:
