@@ -183,7 +183,9 @@ def derivative_centered(f: Callable[[float], float], x: float) -> float:
     D(h) = (f(x + h) - f(x - h)) / (2 h) and h = 1e-3 * max(|x|, 1).
 
     The h^2 error terms cancel, leaving O(h^4) truncation; a constant gives
-    exactly 0.
+    exactly 0.  The step does not shrink below 1e-3 for |x| < 1, so f must be
+    defined on [x - h, x + h]: near a domain edge (say L -> 0 of a free
+    energy) difference by hand with a step that stays inside it.
     """
     h = _FD_STEP_REL * max(abs(x), 1.0)
     values = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]

@@ -237,18 +237,6 @@ def gibbs_sums(model, beta: float, L: float) -> LevelSums:
     )
 
 
-def partition_function(model, beta: float, L: float) -> tuple[float, int, float]:
-    """(Z, levels_used, tail_bound) by direct sums: Z may under- or overflow at
-    extreme beta E_0, levels_used counts one axis's levels, and tail_bound
-    is relative to Z."""
-    sums = gibbs_sums(model, beta, L)
-    try:
-        z = math.exp(sums.log_partition)
-    except OverflowError:
-        z = math.inf
-    return z, sums.probabilities.size, sums.tail_bound
-
-
 # --------------------------------------------------------------------------
 # Closed forms.  The box forms are classical-limit formulas; they hold only
 # for beta * E_1 << 1.  The cavity/oscillator and spin forms are exact at all

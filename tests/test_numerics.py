@@ -172,6 +172,21 @@ class TestDerivativeCentered:
     def test_constant(self):
         assert derivative_centered(lambda _x: 4.2, 1.7) == 0.0
 
+    def test_small_argument_steps_one_thousandth(self):
+        # below |x| = 1 the step stays 1e-3: f is read on [x - 1e-3, x + 1e-3],
+        # here on both sides of 0, and the O(h^4) error of sin is about 1e-14
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.sin(x)
+
+        x = 5e-4
+        got = derivative_centered(f, x)
+        assert abs(got - math.cos(x)) <= 1e-13
+        assert min(seen) == pytest.approx(x - 1e-3, rel=1e-12)
+        assert max(seen) == pytest.approx(x + 1e-3, rel=1e-12)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             derivative_centered(lambda x: math.inf, 1.0)

@@ -17,7 +17,6 @@ from qcycle.reference import (
     gibbs_sums,
     internal_energy_closed,
     level_energies,
-    partition_function,
 )
 from qcycle.substances import (
     SpectrumModel,
@@ -252,18 +251,22 @@ class TestKernel:
 
 class TestPartitionFunction:
     def test_cavity_closed_geometric(self):
-        z, _, bound = partition_function(cavity_mode(), math.log(2.0), 1.0)
+        z = math.exp(gibbs_state(cavity_mode(), math.log(2.0), 1.0).log_partition)
         assert z == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert bound <= 1e-16
+        sums = gibbs_sums(cavity_mode(), math.log(2.0), 1.0)
+        assert math.exp(sums.log_partition) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert sums.tail_bound <= 1e-16
 
     def test_spin_high_temperature_limit(self):
-        z, used, _ = partition_function(spin_half(), 1e-9, 1.0)
+        z = math.exp(gibbs_state(spin_half(), 1e-9, 1.0).log_partition)
         assert z == pytest.approx(2.0, rel=1e-9)
-        assert used == 2
+        sums = gibbs_sums(spin_half(), 1e-9, 1.0)
+        assert math.exp(sums.log_partition) == pytest.approx(2.0, rel=1e-9)
+        assert sums.probabilities.size == 2
 
     def test_box_against_direct_sum_oracle(self):
         z = math.exp(gibbs_state(box(1), 1.0, 1.0).log_partition)
-        oracle, _, _ = partition_function(box(1), 1.0, 1.0)
+        oracle = math.exp(gibbs_sums(box(1), 1.0, 1.0).log_partition)
         assert abs(z - oracle) <= 1e-12 * oracle
 
     def test_box_theta_duality_identity(self):
@@ -278,25 +281,26 @@ class TestPartitionFunction:
 
     def test_separable_product_box2d(self):
         z2 = math.exp(gibbs_state(box(2), 0.7, 1.3).log_partition)
-        z1, _, _ = partition_function(box(1), 0.7, 1.3)
+        z1 = math.exp(gibbs_sums(box(1), 0.7, 1.3).log_partition)
         assert z2 == pytest.approx(z1 * z1, rel=1e-11)
 
     def test_separable_product_harmonic3d(self):
         z3 = math.exp(gibbs_state(harmonic(3), 0.9, 1.1).log_partition)
-        z1, _, _ = partition_function(harmonic(1), 0.9, 1.1)
+        z1 = math.exp(gibbs_sums(harmonic(1), 0.9, 1.1).log_partition)
         assert z3 == pytest.approx(z1**3, rel=1e-11)
 
     def test_level_cap_error(self):
         # at x = 1e-7 the cavity vector needs about 4e8 levels to cut its
         # tail below 1e-16 of z, past the 1e7 cap; nothing is allocated
         with pytest.raises(ConvergenceError, match="level cap"):
-            partition_function(cavity_mode(), 1e-7, 1.0)
+            gibbs_sums(cavity_mode(), 1e-7, 1.0)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            partition_function(box(1), -1.0, 1.0)
-        with pytest.raises(ValueError):
-            partition_function(box(1), 1.0, 0.0)
+        for route in (gibbs_state, gibbs_sums):
+            with pytest.raises(ValueError):
+                route(box(1), -1.0, 1.0)
+            with pytest.raises(ValueError):
+                route(box(1), 1.0, 0.0)
 
 
 MULTID = (box(2, mass=0.7), box(3, mass=0.7), harmonic(2, 1.4), harmonic(3, 1.4))
@@ -382,8 +386,10 @@ class TestGibbsState:
     def test_log_partition_stable_at_extreme_beta(self):
         state = gibbs_state(spin_half(), 4000.0, 1.0)
         assert state.log_partition == pytest.approx(2000.0, rel=1e-12)
-        z, _, _ = partition_function(spin_half(), 4000.0, 1.0)
-        assert math.isinf(z)  # documented overflow
+        sums = gibbs_sums(spin_half(), 4000.0, 1.0)
+        assert sums.log_partition == pytest.approx(2000.0, rel=1e-12)
+        with pytest.raises(OverflowError):  # Z itself overflows
+            math.exp(sums.log_partition)
 
 
 class TestForce:
