@@ -16,33 +16,35 @@ closed_form_efficiency with ratios taken in their volume coordinate L^d.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_POLICY, NumericsPolicy
 from .processes import (
     ProcessSegment,
     SegmentResult,
     adiabatic_segment,
+    isobaric_schedule,
     isobaric_segment,
     isochoric_segment,
     isothermal_segment,
     stacked_heat_work,
 )
-from .substances import (
-    GibbsState,
-    SpectrumModel,
-    entropy,
-    force,
-    gibbs_state,
-    internal_energy,
-    regime_parameter,
-)
+from .substances import SpectrumModel, regime_parameter
 
 CYCLE_KINDS = ("carnot", "otto", "brayton", "diesel")
 CORNER_LABELS = ("A", "B", "C", "D")
 
 # relative tolerance on corner coincidence of consecutive segments
 CLOSURE_TOL = 1e-10
+# largest relative rounding error of W_net, eps sum |W_on| / |W_net|, that a
+# run reports
+CANCELLATION_TOL = 1e-9
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class CycleSpec:
     model: SpectrumModel
     kind: str
     segments: tuple[ProcessSegment, ...]
-    corner_states: tuple[GibbsState, ...]
     parameters: dict[str, float]
     degenerate: bool
 
@@ -147,10 +148,6 @@ def _require_1d(model: SpectrumModel, kind: str) -> None:
         )
 
 
-def _corner_states(model, segments) -> tuple[GibbsState, ...]:
-    return tuple(gibbs_state(model, s.beta_start, s.L_start) for s in segments)
-
-
 def build_brayton(
     model: SpectrumModel,
     F1: float,
@@ -163,7 +160,8 @@ def build_brayton(
 
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
-    F1 = F0 (or L_A = L_B) builds a degenerate zero-area loop.
+    F1 = F0 (or L_A = L_B) builds a degenerate zero-area loop.  The four
+    corners' temperatures come from one isobaric schedule solve.
     """
     _require_1d(model, "brayton")
     if not 0.0 < F0 <= F1:
@@ -172,15 +170,17 @@ def build_brayton(
         raise ValueError(f"need L_B >= L_A > 0, got L_A={L_A}, L_B={L_B}")
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
-    seg_ab = isobaric_segment(model, F1, L_A, L_B, policy)
-    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L_C)
-    seg_cd = isobaric_segment(model, F0, L_C, L_D, policy)
-    seg_da = adiabatic_segment(model, seg_cd.beta_end, L_D, L_A)
+    beta_a, beta_b, beta_c, beta_d = isobaric_schedule(
+        model, np.array([F1, F1, F0, F0]), np.array([L_A, L_B, L_C, L_D]), policy
+    ).tolist()
+    seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
+    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
+    seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", F0)
+    seg_da = adiabatic_segment(model, beta_d, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="brayton",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "F1": F1,
             "F0": F0,
@@ -225,7 +225,6 @@ def build_diesel(
         model=model,
         kind="diesel",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
         degenerate=(r_C == r_E),
     )
@@ -274,7 +273,6 @@ def build_otto(
         model=model,
         kind="otto",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "L0": L0,
             "L1": L1,
@@ -314,7 +312,6 @@ def build_carnot(
         model=model,
         kind="carnot",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
-        corner_states=_corner_states(model, (seg_ab, seg_bc, seg_cd, seg_da)),
         parameters={
             "T_H": T_H,
             "T_C": T_C,
@@ -348,7 +345,10 @@ def run_cycle(
 
     Segments are classified into Q_in and Q_out by the sign of their heat.
     A cycle flagged degenerate at build time reports eta = 0 for both
-    routes instead of the 0/0 ratio.
+    routes instead of the 0/0 ratio.  Any other cycle whose Q_in underflows
+    to 0 raises DomainError, and one whose W_net cancels, with eps
+    sum |W_on| / |W_net| above CANCELLATION_TOL, raises ConvergenceError.
+    The corners are the segments' first samples.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
@@ -359,27 +359,35 @@ def run_cycle(
     loop_entropy = sum(r.samples[-1].S - r.samples[0].S for r in results)
     closure = _closure_residual(spec.segments)
     first_law = abs(w_net - (q_in - q_out))
-    if spec.degenerate or q_in == 0.0:
+    corner_table = tuple(
+        CornerRecord(
+            label, c.L, c.beta, c.T, c.F, c.U, c.S,
+            regime_parameter(spec.model, c.beta, c.L),
+        )
+        for label, c in zip(CORNER_LABELS, (r.samples[0] for r in results))
+    )
+    if spec.degenerate:
         eta_numeric = 0.0
         eta_closed = 0.0
     else:
+        if q_in == 0.0:
+            x = max(c.regime for c in corner_table)
+            raise DomainError(
+                f"Q_in of the {spec.kind} cycle underflows to 0; its largest "
+                f"corner regime parameter is x = {x:.6g}"
+            )
+        work = sum(abs(r.W_on) for r in results)
+        if _EPS * work > CANCELLATION_TOL * abs(w_net):
+            factor = work / abs(w_net) if w_net else math.inf
+            raise ConvergenceError(
+                f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: "
+                f"sum |W_on| / |W_net| = {factor:.6g}, so eps times it "
+                f"exceeds {CANCELLATION_TOL:g}"
+            )
         eta_numeric = w_net / q_in
         eta_closed = closed_form_efficiency(
             spec.kind, spec.model.gamma, spec.parameters
         )
-    corner_table = tuple(
-        CornerRecord(
-            label=CORNER_LABELS[i],
-            L=st.length,
-            beta=st.beta,
-            T=st.temperature,
-            F=force(st, spec.model),
-            U=internal_energy(st, spec.model),
-            S=entropy(st),
-            regime=regime_parameter(spec.model, st.beta, st.length),
-        )
-        for i, st in enumerate(spec.corner_states)
-    )
     return CycleReport(
         kind=spec.kind,
         Q_in=q_in,

@@ -32,6 +32,7 @@ from .substances import (
     entropy,
     equilibrium_force,
     gibbs_state,
+    isobar_states,
 )
 
 SEGMENT_KINDS = ("isothermal", "isochoric", "isobaric", "adiabatic")
@@ -317,12 +318,16 @@ def stacked_heat_work(
     isotherm and delta_U - W_on on the other kinds (zero on an adiabat).
 
     Q_direct is the adaptive quadrature of the exact heat rate
-    sum_n E_n dP_n/dt = -d kappa Var g, kappa = beta' - p beta L'/L, which on
-    an isobar (F = p U / L held) reduces to (p + 1) U L'/L.  The rates of
-    every non-adiabatic segment are integrated together, each refinement
-    level's nodes of all of them as one array, and each to its own
-    tolerance, so a segment's results do not depend on the others in the
-    batch.  Segments of different models raise ValueError.
+    sum_n E_n dP_n = T dS.  With S = d (ln z + x <g>), dS = -d x Var(g) dx,
+    so the rate is -d kappa Var E, kappa = beta' - p beta L'/L, on an
+    isotherm or an isochore in t.  An isobar is integrated in s = ln x
+    instead, between the x of its samples at t = 0 and t = 1, at the rate
+    dQ/ds = -d Delta Var(g) x; there L is explicit in x (isobar_states), so
+    no quadrature node solves the schedule.  The rates of every
+    non-adiabatic segment are integrated together, each refinement level's
+    nodes of all of them as one array, and each to its own tolerance, so a
+    segment's results do not depend on the others in the batch.  Segments
+    of different models raise ValueError.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
@@ -365,18 +370,25 @@ def stacked_heat_work(
     Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
 
     integrated = np.flatnonzero(table[_KIND] != _ADIABATIC)
+    s0 = np.log(st.x[:, 0])
+    ds = np.log(st.x[:, -1]) - s0
 
     def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
-        columns = table[:, integrated[owner]]
-        beta, L = _path_points(model, columns, t, policy)
-        st = axis_states(model, beta, L)
-        dL = columns[_L_SLOPE]
-        kappa = columns[_BETA_SLOPE] - p * beta * dL / L
-        return np.where(
-            columns[_KIND] == _ISOBARIC,
-            (p + 1) * (d * st.energy) * dL / L,
-            -d * kappa * (st.gap * st.gap * st.var),
-        )
+        rows = integrated[owner]
+        isobaric = table[_KIND][rows] == _ISOBARIC
+        rate = np.empty_like(t)
+        if isobaric.any():
+            on = rows[isobaric]
+            x = np.exp(s0[on] + t[isobaric] * ds[on])
+            st = isobar_states(model, table[_HELD][on], x)
+            rate[isobaric] = -d * st.gap * st.var * x * ds[on]
+        if not isobaric.all():
+            columns = table[:, rows[~isobaric]]
+            beta, L = _path_points(model, columns, t[~isobaric], policy)
+            st = axis_states(model, beta, L)
+            kappa = columns[_BETA_SLOPE] - p * beta * columns[_L_SLOPE] / L
+            rate[~isobaric] = -d * kappa * (st.gap * st.gap * st.var)
+        return rate
 
     Q_direct = [0.0] * k
     if integrated.size:

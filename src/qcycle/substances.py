@@ -300,6 +300,26 @@ def axis_states(model: SpectrumModel, beta, L) -> AxisStates:
     return AxisStates(ground, gap, x, log_z, mean, var, energy)
 
 
+def isobar_states(model: SpectrumModel, force_held, x) -> AxisStates:
+    """AxisStates of one axis of model on the isobar of total force
+    force_held at x = beta Delta, floats or arrays of one shape, from one
+    kernel call.
+
+    L is explicit in x there: E_0 and Delta are e_0 / L^p and delta / L^p,
+    so F = p d U_axis / L reads F L^(p+1) = p d e(x) with e = e_0 + delta <g>
+    (the spin's in its tanh form), and beta = x / Delta(L).  No root is
+    solved.  The arguments are not validated.
+    """
+    axis = model.axis
+    p = model.scaling_power
+    log_z, mean, var = _kernel(axis.kind, x)
+    e = _axis_energy(axis.kind, *_axis_scale(axis, 1.0), x, mean)
+    L = (p * model.dimension * e / force_held) ** (1.0 / (p + 1))
+    ground, gap = _axis_scale(axis, L)
+    energy = _axis_energy(axis.kind, ground, gap, x, mean)
+    return AxisStates(ground, gap, x, log_z, mean, var, energy)
+
+
 def gibbs_state(model: SpectrumModel, beta: float, L: float) -> GibbsState:
     """Equilibrium state at (beta, L), from one kernel evaluation.
 

@@ -171,6 +171,27 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path, doc))]) == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "T_H, code, message",
+        [
+            # x = 4935 at corner A: every segment's heat underflows to 0
+            (1e-3, 4, "x = 4934.8"),
+            # x = 49 at corner A: W_net cancels to -4.4e-16
+            (0.1, 3, "sum |W_on| / |W_net|"),
+        ],
+        ids=["underflow", "cancellation"],
+    )
+    def test_cold_box_carnot_fails_with_its_exit_code(self, tmp_path, capsys, T_H, code, message):
+        doc = {
+            "substance": {"kind": "box1d"},
+            "cycle": {"kind": "carnot", "T_H": T_H, "T_C": 0.5 * T_H, "L_A": 1.0, "L_B": 2.0},
+            "output": {"samples_per_segment": 8},
+        }
+        doc = patch_outputs(doc, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_level_cap_does_not_bind_on_a_run(self, tmp_path):
         # level_cap is a retired numerics field: accepted, validated and
         # ignored, so a cap far below any truncation point changes nothing

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qcycle import processes, substances
 from qcycle.cycles import (
     build_brayton,
     build_carnot,
@@ -12,8 +13,18 @@ from qcycle.cycles import (
     closed_form_efficiency,
     run_cycle,
 )
+from qcycle.errors import DomainError
 from qcycle.processes import segment_heat_work, stacked_heat_work
-from qcycle.substances import box, cavity_mode, force, harmonic, spin_half
+from qcycle.substances import (
+    box,
+    cavity_mode,
+    entropy,
+    force,
+    gibbs_state,
+    harmonic,
+    internal_energy,
+    spin_half,
+)
 
 
 class TestClosedFormEfficiency:
@@ -96,13 +107,38 @@ class TestBrayton:
         report = run_cycle(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5), samples_per_segment=8)
         assert abs(report.W_net - (report.Q_in - report.Q_out)) <= 1e-8 * report.Q_in
 
+    def test_box_isobars_solved_once_in_the_builder_and_once_for_the_samples(self, monkeypatch):
+        calls = []
+        quadrature = []
+        solve = substances._box1d_x_for_mean
+        integrate = processes.integrate_adaptive_batch
+
+        def counted_solve(*args):
+            calls.append(bool(quadrature))
+            return solve(*args)
+
+        def flagged_integrate(*args):
+            quadrature.append(True)
+            try:
+                return integrate(*args)
+            finally:
+                quadrature.pop()
+
+        monkeypatch.setattr(substances, "_box1d_x_for_mean", counted_solve)
+        monkeypatch.setattr(processes, "integrate_adaptive_batch", flagged_integrate)
+        spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+        assert calls == [False]
+        report = run_cycle(spec, samples_per_segment=16)
+        assert calls == [False, False]
+        assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
+
 
 class TestDiesel:
     def test_corner_forces_follow_adiabats(self):
-        model = box(1)
-        spec = build_diesel(model, 200.0, 2.0, 0.5, 0.8)
-        f_c = force(spec.corner_states[2], model)
-        f_d = force(spec.corner_states[3], model)
+        spec = build_diesel(box(1), 200.0, 2.0, 0.5, 0.8)
+        corners = run_cycle(spec).corner_table
+        f_c = corners[2].F
+        f_d = corners[3].F
         assert f_c / 200.0 == pytest.approx(0.8**3, rel=1e-10)
         assert f_d / 200.0 == pytest.approx(0.5**3, rel=1e-10)
 
@@ -195,12 +231,17 @@ class TestLoopInvariants:
             assert math.isfinite(corner.F) and math.isfinite(corner.S)
 
     def test_heat_totals_are_floats(self):
-        # at T_H = 1e-3 every segment's heat underflows to 0, so neither sum
-        # has a term; both totals are still the float +0.0
-        report = run_cycle(build_carnot(box(1), 1e-3, 5e-4, 1.0, 2.0), samples_per_segment=8)
+        # on a zero-area loop every segment's heat is 0, so neither sum has a
+        # term; both totals are still the float +0.0
+        report = run_cycle(build_carnot(cavity_mode(), 2.0, 1.0, 1.0, 1.0), samples_per_segment=8)
+        assert report.degenerate
         for total in (report.Q_in, report.Q_out):
             assert type(total) is float
             assert total == 0.0 and math.copysign(1.0, total) == 1.0
+        # at T_H = 1e-3 every segment's heat underflows to 0 on a loop that
+        # is not degenerate, which is an error rather than eta = 0
+        with pytest.raises(DomainError, match="x = 4934.8"):
+            run_cycle(build_carnot(box(1), 1e-3, 5e-4, 1.0, 2.0), samples_per_segment=8)
         report = run_cycle(build_carnot(cavity_mode(), 2.0, 1.0, 1.0, 2.0), samples_per_segment=8)
         assert type(report.Q_in) is float and type(report.Q_out) is float
         assert report.Q_in > report.Q_out > 0.0
@@ -255,3 +296,14 @@ class TestStackedSegments:
 
     def test_empty_batch(self):
         assert stacked_heat_work(()) == ()
+
+    @pytest.mark.parametrize("name", BATCH_CYCLES)
+    def test_corners_are_the_gibbs_states_of_the_segment_starts(self, name):
+        spec = BATCH_CYCLES[name]()
+        report = run_cycle(spec, samples_per_segment=16)
+        for corner, segment in zip(report.corner_table, spec.segments):
+            state = gibbs_state(spec.model, segment.beta_start, segment.L_start)
+            assert (corner.L, corner.beta) == (segment.L_start, segment.beta_start)
+            assert corner.F == force(state, spec.model)
+            assert corner.U == internal_energy(state, spec.model)
+            assert corner.S == entropy(state)

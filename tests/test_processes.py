@@ -380,3 +380,20 @@ def test_random_segments_close():
         assert abs(r.Q - r.Q_direct) <= 1e-10 * abs(r.Q), seg
         closed += 1
     assert closed >= 120
+
+
+@pytest.mark.parametrize(
+    "model, x",
+    [(box(1), 1e-6), (box(1), 0.3), (box(1), 5.0), (cavity_mode(), 1.0),
+     (harmonic(1), 0.4), (spin_half(), 1.0)],
+    ids=["box1d-classical", "box1d-0.3", "box1d-cold", "cavity", "harmonic1d", "spin"],
+)
+def test_isobar_direct_heat_matches_closed_form(model, x):
+    # Q_direct integrates T dS in ln x, with L explicit in x; Q is dU - W_on
+    # from the samples, each solved for beta at its L
+    L0 = 1.0
+    beta = x / regime_parameter(model, 1.0, L0)
+    seg = isobaric_segment(model, equilibrium_force(model, beta, L0), L0, 1.2 * L0)
+    r = segment_heat_work(seg, samples_per_segment=8)
+    assert r.Q != 0.0
+    assert abs(r.Q_direct - r.Q) <= 1e-12 * abs(r.Q)
