@@ -41,8 +41,8 @@ CORNER_LABELS = ("A", "B", "C", "D")
 
 # relative tolerance on corner coincidence of consecutive segments
 CLOSURE_TOL = 1e-10
-# largest relative rounding error of W_net, eps sum |W_on| / |W_net|, that a
-# run reports
+# largest relative rounding error of W_net, eps times its cancellation
+# factor, that a run reports
 CANCELLATION_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 
@@ -344,18 +344,24 @@ def run_cycle(
     the cycle report.
 
     Segments are classified into Q_in and Q_out by the sign of their heat.
-    A cycle flagged degenerate at build time reports eta = 0 for both
-    routes instead of the 0/0 ratio.  Any other cycle whose Q_in underflows
-    to 0 raises DomainError, and one whose W_net cancels, with eps
-    sum |W_on| / |W_net| above CANCELLATION_TOL, raises ConvergenceError.
-    The corners are the segments' first samples.
+    W_net is minus the sum of the segments' W_thermal: the ground-energy
+    parts d Delta E_0 of their W_on sum to exactly zero around the loop, so
+    they are dropped rather than summed, and a cold loop, whose work is far
+    below E_0, keeps its relative accuracy.  A cycle flagged degenerate at
+    build time reports eta = 0 for both routes instead of the 0/0 ratio.
+    Any other cycle whose Q_in underflows to 0 raises DomainError, and one
+    whose W_net cancels raises ConvergenceError: that is when eps times the
+    cancellation factor, the sum of the thermal parts' rounding scales over
+    |W_net|, exceeds CANCELLATION_TOL.  A part's scale is its magnitude, and
+    on an isobar |F0 dL| + |d Delta E_0|, the two terms it subtracts.  The
+    corners are the segments' first samples.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
     # 0.0 - sum rather than -sum, so that Q_out is never -0.0
     q_in = sum((r.Q for r in results if r.Q > 0.0), 0.0)
     q_out = 0.0 - sum((r.Q for r in results if r.Q < 0.0), 0.0)
-    w_net = -sum(r.W_on for r in results)
+    w_net = -sum(r.W_thermal for r in results)
     loop_entropy = sum(r.samples[-1].S - r.samples[0].S for r in results)
     closure = _closure_residual(spec.segments)
     first_law = abs(w_net - (q_in - q_out))
@@ -376,12 +382,18 @@ def run_cycle(
                 f"Q_in of the {spec.kind} cycle underflows to 0; its largest "
                 f"corner regime parameter is x = {x:.6g}"
             )
-        work = sum(abs(r.W_on) for r in results)
-        if _EPS * work > CANCELLATION_TOL * abs(w_net):
-            factor = work / abs(w_net) if w_net else math.inf
+        # on an isobar W_on = -F0 dL and W_on - W_thermal = d Delta E_0
+        scale = sum(
+            abs(r.W_on) + abs(r.W_on - r.W_thermal)
+            if r.segment.kind == "isobaric"
+            else abs(r.W_thermal)
+            for r in results
+        )
+        if _EPS * scale > CANCELLATION_TOL * abs(w_net):
+            factor = scale / abs(w_net) if w_net else math.inf
             raise ConvergenceError(
-                f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: "
-                f"sum |W_on| / |W_net| = {factor:.6g}, so eps times it "
+                f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: its "
+                f"cancellation factor is {factor:.6g}, so eps times it "
                 f"exceeds {CANCELLATION_TOL:g}"
             )
         eta_numeric = w_net / q_in

@@ -25,7 +25,11 @@ class NumericsPolicy:
     quad_tol       relative tolerance of adaptive quadrature (the heat-rate
                    cross-check of every segment)
     quad_max_depth maximum interval-halving depth
-    root_max_iter  iteration cap of the box isobar's Newton solve
+    root_max_iter  cap on the kernel evaluations of the box isobar's Newton
+                   solve; its closed-form seed is within about
+                   2 e^(-pi^2/x) of the root where x <= 1, so a warm
+                   isobar (x < 0.1) takes one evaluation and none more than
+                   four
     """
 
     quad_tol: float = 1e-10

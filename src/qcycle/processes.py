@@ -86,12 +86,16 @@ class SegmentResult:
     Q = delta_U - W_on up to rounding; Q_direct is the adaptive quadrature
     of the exact heat rate sum_n E_n dP_n/dt and agrees with Q within the
     quadrature tolerance.  W_on is work done ON the system (positive
-    compressing a positive-force substance); W_by = -W_on.
+    compressing a positive-force substance); W_by = -W_on.  W_thermal is
+    W_on less its ground part d Delta E_0, formed without that subtraction
+    except on an isobar; the ground parts sum to exactly zero around a
+    closed loop, so a cycle's net work is the sum of the thermal parts.
     """
 
     segment: ProcessSegment
     Q: float
     W_on: float
+    W_thermal: float
     delta_U: float
     Q_direct: float
     samples: tuple[PathSample, ...]
@@ -316,6 +320,9 @@ def stacked_heat_work(
     adiabat.  delta_U = d (Delta E_0 + Delta <g>), so a cold segment keeps
     its relative accuracy.  Q is T Delta S with S = d (ln z + beta <g>) on an
     isotherm and delta_U - W_on on the other kinds (zero on an adiabat).
+    W_thermal, the end value of W_on less d Delta E_0, is -d Delta ln z / beta0
+    on an isotherm, d Delta(Delta <g>) on an adiabat, zero on an isochore and
+    -F0 dL - d Delta E_0 on an isobar.
 
     Q_direct is the adaptive quadrature of the exact heat rate
     sum_n E_n dP_n = T dS.  With S = d (ln z + x <g>), dS = -d x Var(g) dx,
@@ -368,6 +375,12 @@ def stacked_heat_work(
         ),
     )
     Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
+    kinds = table[_KIND]
+    W_thermal = np.select(
+        [kinds == _ISOTHERMAL, kinds == _ISOBARIC, kinds == _ADIABATIC],
+        [-shift[:, -1], W_cum[:, -1] - ground_shift[:, -1], thermal_shift[:, -1]],
+        0.0,
+    )
 
     integrated = np.flatnonzero(table[_KIND] != _ADIABATIC)
     s0 = np.log(st.x[:, 0])
@@ -405,6 +418,7 @@ def stacked_heat_work(
             segment=seg,
             Q=Q_cum[i, -1].item(),
             W_on=W_cum[i, -1].item(),
+            W_thermal=W_thermal[i].item(),
             delta_U=U_cum[i, -1].item(),
             Q_direct=Q_direct[i],
             samples=tuple(map(PathSample, ts_list, *(c[i] for c in columns))),

@@ -464,19 +464,44 @@ def beta_for_force(
     return beta.item() if shape == () else beta.reshape(shape)
 
 
+# <g> at x = 1, where the kernel changes form: the Newton seed is warm for
+# larger targets (x <= 1) and cold for smaller ones
+_SEED_SWITCH = _box1d_series(np.array(1.0))[1].item()
+
+
+def _box1d_x_seed(target: np.ndarray) -> np.ndarray:
+    """Starting s = ln x of _box1d_x_for_mean, per element of target > 0.
+
+    Warm (target >= _SEED_SWITCH): theta = 1, dropping its e^(-pi^2/x) terms,
+    turns <g> + 1 into u^3 / (2 pi (u - 1)) with u = sqrt(pi/x).  That cubic
+    in u is taken at its largest root, in trigonometric form, and x = pi/u^2;
+    the seed's relative error in <g> + 1 is about 2 e^(-pi^2/x), below 1e-17
+    for x < 0.25.  Cold: the two lowest levels, <g> ~ 3w/(1 + w) with
+    w = e^(-3x), so x = ln((3 - <g>)/<g>)/3.  Each form reads its target
+    clipped to its own side, so neither warns on the other's elements.
+    """
+    c = 2.0 * np.pi * (np.maximum(target, _SEED_SWITCH) + 1.0)
+    u = 2.0 * np.sqrt(c / 3.0) * np.cos(np.arccos(-1.5 * np.sqrt(3.0 / c)) / 3.0)
+    g = np.minimum(target, _SEED_SWITCH)
+    cold = np.log((np.log(3.0 - g) - np.log(g)) / 3.0)
+    return np.where(target >= _SEED_SWITCH, np.log(np.pi / (u * u)), cold)
+
+
 def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
     """The x > 0 at which box1d's <g>(x) equals target > 0, per element.
 
     Safeguarded Newton on phi(s) = ln(<g>/target) in s = ln x, slope
     dphi/ds = -x Var(g)/<g> < 0, on all elements at once, seeded by
-    <g> ~ 1/(2x) when warm (target >= 1) and <g> ~ 3 exp(-3x) when cold.
-    Every evaluated s narrows its element's bracket, and a step that leaves
-    the bracket is replaced by bisection.  Newton converges quadratically,
-    so an element whose step falls below 1e-9 takes it and is done.
-    policy.root_max_iter caps the kernel evaluations.
+    _box1d_x_seed: the warm limit of the theta inversion solved in closed
+    form where x <= 1, the two lowest levels where x > 1.  Every evaluated s
+    narrows its element's bracket, and a step that leaves the bracket is
+    replaced by bisection.  Newton converges quadratically, so an element
+    whose step falls below 1e-9 takes it and is done: one kernel evaluation
+    for x < 0.1, at most two below x = 0.5.  The last step is taken as
+    x e^step, since e^(s + step) would round x to the spacing of ln x, 2e-15
+    relative at x = 1e-12.  policy.root_max_iter caps the kernel evaluations.
     """
-    cold = np.log(np.log(3.0 / np.minimum(target, 1.0)) / 3.0)
-    s = np.where(target >= 1.0, -np.log(2.0 * target), cold)
+    s = _box1d_x_seed(target)
     lo, hi = np.full_like(s, -np.inf), np.full_like(s, np.inf)
     result = np.empty_like(s)
     todo = np.arange(s.size)  # the elements still iterating
@@ -491,7 +516,7 @@ def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
         rising = phi > 0.0
         lo, hi = np.where(rising, s, lo), np.where(rising, hi, s)
         done = np.abs(step) <= 1e-9
-        result[todo[done]] = np.exp(s[done] + step[done])
+        result[todo[done]] = x[done] * np.exp(step[done])
         if done.all():
             return result
         trial = s + step

@@ -10,6 +10,7 @@ import pytest
 from qcycle.cli import _parser, main
 from qcycle.config import parse_config
 from qcycle.cycles import run_cycle
+from qcycle.substances import box, equilibrium_force
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "table2.csv"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -160,31 +161,44 @@ class TestRun:
         assert "vacuum force" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
-        # one Newton iteration cannot solve a box1d isobar's schedule
+        # corner A sits at x = beta E_1 = 1, where the Newton seed of a box1d
+        # isobar's schedule is off by 0.6 %: one iteration cannot solve it
+        F1 = equilibrium_force(box(1), 2.0 / math.pi**2, 1.0)
         doc = {
             "substance": {"kind": "box1d"},
-            "cycle": {"kind": "brayton", "F1": 20.0, "F0": 10.0, "L_A": 1.0, "L_B": 1.2},
-            "numerics": {"root_max_iter": 1},
+            "cycle": {"kind": "brayton", "F1": F1, "F0": 0.8 * F1, "L_A": 1.0, "L_B": 1.2},
             "output": {"samples_per_segment": 8},
         }
         doc = patch_outputs(doc, tmp_path)
-        assert main(["run", str(write_config(tmp_path, doc))]) == 3
+        config = write_config(tmp_path, dict(doc, numerics={"root_max_iter": 1}))
+        assert main(["run", str(config)]) == 3
         assert "numeric error" in capsys.readouterr().err
+        # the same cycle solves at the default cap
+        assert main(["run", str(write_config(tmp_path, doc))]) == 0
 
     @pytest.mark.parametrize(
-        "T_H, code, message",
+        "cycle, code, message",
         [
             # x = 4935 at corner A: every segment's heat underflows to 0
-            (1e-3, 4, "x = 4934.8"),
-            # x = 49 at corner A: W_net cancels to -4.4e-16
-            (0.1, 3, "sum |W_on| / |W_net|"),
+            (
+                {"kind": "carnot", "T_H": 1e-3, "T_C": 5e-4, "L_A": 1.0, "L_B": 2.0},
+                4,
+                "x = 4934.8",
+            ),
+            # F0 = F1 (1 - 1e-7): W_net = 4e-7 is the difference of isobar
+            # works of about 4, a cancellation factor of 2.8e7
+            (
+                {"kind": "brayton", "F1": 20.0, "F0": 20.0 * (1.0 - 1e-7), "L_A": 1.0, "L_B": 1.2},
+                3,
+                "cancellation factor",
+            ),
         ],
         ids=["underflow", "cancellation"],
     )
-    def test_cold_box_carnot_fails_with_its_exit_code(self, tmp_path, capsys, T_H, code, message):
+    def test_cold_box_carnot_fails_with_its_exit_code(self, tmp_path, capsys, cycle, code, message):
         doc = {
             "substance": {"kind": "box1d"},
-            "cycle": {"kind": "carnot", "T_H": T_H, "T_C": 0.5 * T_H, "L_A": 1.0, "L_B": 2.0},
+            "cycle": cycle,
             "output": {"samples_per_segment": 8},
         }
         doc = patch_outputs(doc, tmp_path)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from qcycle import processes, substances
@@ -207,6 +208,64 @@ class TestOttoAndCarnot:
         assert report.eta_numeric == 0.0
 
 
+def _mp_axis_entropy(model, beta, L):
+    """Entropy of one axis of model's Gibbs state at (beta, L), by mpmath
+    level sums over the gaps g = E - E_0, up to beta g = 300."""
+    beta, L = mp.mpf(beta), mp.mpf(L)
+    kind = model.axis.kind
+    if kind == "spin_half":
+        gaps = [1 / L]
+    elif kind == "box1d":
+        unit = mp.pi**2 / (2 * model.mass * L * L)
+        top = int(mp.sqrt(300 / (beta * unit))) + 2
+        gaps = [unit * (n * n - 1) for n in range(2, top + 1)]
+    else:
+        unit = model.mode_constant / L
+        gaps = [unit * n for n in range(1, int(300 / (beta * unit)) + 2)]
+    weights = [mp.exp(-beta * g) for g in gaps]
+    excited = mp.fsum(weights)
+    mean = mp.fsum(g * w for g, w in zip(gaps, weights)) / (1 + excited)
+    return mp.log1p(excited) + beta * mean
+
+
+class TestColdCarnot:
+    """Carnot loops whose corners reach x = beta Delta of about 50, where the
+    work is far below the ground energy, against mpmath level sums."""
+
+    @pytest.mark.parametrize(
+        "model, T_H, x",
+        [
+            (box(1), 0.2, 24.67),
+            (box(1), 0.1, 49.3),
+            (box(2), 0.2, 49.3),
+            (cavity_mode(), 0.04, 25.0),
+            (cavity_mode(), 0.02, 50.0),
+            (spin_half(), 0.02, 50.0),
+            (harmonic(3), 0.02, 50.0),
+        ],
+        ids=["box1d-25", "box1d-49", "box2d-49", "cavity-25", "cavity-50",
+             "spin-50", "harmonic3d-50"],
+    )
+    def test_efficiency_and_totals_against_mpmath(self, model, T_H, x):
+        spec = build_carnot(model, T_H, 0.5 * T_H, 1.0, 2.0)
+        report = run_cycle(spec, samples_per_segment=8)
+        hot, cold = spec.segments[0], spec.segments[2]
+        with mp.workdps(50):
+            heats = [
+                model.dimension
+                * (_mp_axis_entropy(model, seg.beta_end, seg.L_end)
+                   - _mp_axis_entropy(model, seg.beta_start, seg.L_start))
+                / seg.beta_start
+                for seg in (hot, cold)
+            ]
+            q_in, w_net = float(heats[0]), float(mp.fsum(heats))
+        assert max(c.regime for c in report.corner_table) == pytest.approx(x, rel=1e-3)
+        assert abs(report.Q_in - q_in) <= 1e-12 * q_in
+        assert abs(report.W_net - w_net) <= 1e-12 * w_net
+        assert abs(report.eta_numeric - 0.5) <= 1e-12
+        assert report.eta_closed == 0.5
+
+
 class TestLoopInvariants:
     @pytest.mark.parametrize(
         "spec_factory",
@@ -268,7 +327,9 @@ BATCH_CYCLES = {
 
 def assert_same_result(batched, alone):
     assert batched.segment == alone.segment
-    assert (batched.Q, batched.W_on, batched.delta_U) == (alone.Q, alone.W_on, alone.delta_U)
+    assert (batched.Q, batched.W_on, batched.W_thermal, batched.delta_U) == (
+        alone.Q, alone.W_on, alone.W_thermal, alone.delta_U
+    )
     assert batched.samples == alone.samples
     assert abs(batched.Q_direct - alone.Q_direct) <= 1e-15 * abs(alone.Q_direct)
 
@@ -307,3 +368,15 @@ class TestStackedSegments:
             assert corner.F == force(state, spec.model)
             assert corner.U == internal_energy(state, spec.model)
             assert corner.S == entropy(state)
+
+    @pytest.mark.parametrize("name", BATCH_CYCLES)
+    def test_thermal_parts_drop_only_the_ground_energy(self, name):
+        spec = BATCH_CYCLES[name]()
+        report = run_cycle(spec, samples_per_segment=16)
+        model = spec.model
+        for r, seg in zip(report.segment_results, spec.segments):
+            ground = model.ground_energy(seg.L_end) - model.ground_energy(seg.L_start)
+            scale = abs(r.W_on) + abs(model.ground_energy(min(seg.L_start, seg.L_end)))
+            assert abs(r.W_on - r.W_thermal - ground) <= 1e-14 * scale
+        work = sum(abs(r.W_on) for r in report.segment_results)
+        assert abs(report.W_net + sum(r.W_on for r in report.segment_results)) <= 1e-14 * work

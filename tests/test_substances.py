@@ -1,6 +1,7 @@
 """Substance state functions against closed forms and direct-sum oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -733,11 +734,89 @@ class TestBetaForForce:
         L = np.array([1.0, 1.2, 1.5])
         with pytest.raises(DomainError):
             beta_for_force(model, math.pi**2, L)  # the vacuum force at L = 1
+        # x = 1 at L = 1, where the Newton seed is off by 0.6 %: one
+        # iteration cannot solve it, and the default cap does
+        target = equilibrium_force(model, 2.0 / math.pi**2, 1.0)
         with pytest.raises(ConvergenceError):
-            beta_for_force(model, 30.0, L, NumericsPolicy(root_max_iter=1))
+            beta_for_force(model, target, L, NumericsPolicy(root_max_iter=1))
+        beta = beta_for_force(model, target, L)
+        assert beta[0] == pytest.approx(2.0 / math.pi**2, rel=1e-14)
 
     def test_box2d_generic_root_solve(self):
         model = box(2)
         target = vacuum_force(model, 1.0) * 3.0
         beta = beta_for_force(model, target, 1.0)
         assert abs(equilibrium_force(model, beta, 1.0) - target) <= 1e-10 * target
+
+
+class TestBox1dNewtonSeed:
+    """The closed-form seed of box1d's Newton solve for x at a given <g>."""
+
+    @staticmethod
+    def mean_at(x):
+        return substances._kernel("box1d", np.asarray(x, dtype=float))[1]
+
+    def test_kernel_evaluations_per_solve(self, monkeypatch):
+        calls = []
+        kernel = substances._kernel
+
+        def counted(kind, x):
+            calls.append(kind)
+            return kernel(kind, x)
+
+        xs = np.geomspace(1e-9, 230.0, 241)
+        targets = self.mean_at(xs)
+        counts = []
+        monkeypatch.setattr(substances, "_kernel", counted)
+        for target in targets:
+            calls.clear()
+            substances._box1d_x_for_mean(np.array([target]), NumericsPolicy())
+            counts.append(len(calls))
+        counts = np.array(counts)
+        assert (counts[xs < 0.1] == 1).all()
+        assert (counts[(xs >= 0.1) & (xs < 0.5)] <= 2).all()
+        assert counts.max() <= 4
+
+    def test_round_trip_through_the_kernel(self):
+        xs = np.geomspace(1e-12, 230.0, 2000)
+        solved = substances._box1d_x_for_mean(self.mean_at(xs), NumericsPolicy())
+        error = np.abs(solved / xs - 1.0)
+        # on [0.5, 1) the theta form's <g> = -1 - f b/x loses about three
+        # bits to the -1, and x inherits that rounding of the forward kernel
+        near_one = (xs >= 0.5) & (xs < 1.0)
+        assert error[~near_one].max() <= 1e-15
+        assert error[near_one].max() <= 2e-15
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            1e12,
+            1e-300,
+            substances._SEED_SWITCH,
+            np.nextafter(substances._SEED_SWITCH, 0.0),
+            np.nextafter(substances._SEED_SWITCH, 1.0),
+        ],
+        ids=["hot", "cold", "switch", "below-switch", "above-switch"],
+    )
+    def test_seed_is_finite_and_brackets_the_root(self, target):
+        target = np.array([target])
+        seed = substances._box1d_x_seed(target)
+        root = substances._box1d_x_for_mean(target, NumericsPolicy())
+        assert np.isfinite(seed).all()
+        # the root lies between x = 0.99 and 1.01 times the seed's: the
+        # switch, at x = 1, is where either seed is worst (0.6 %)
+        below, above = self.mean_at(0.99 * np.exp(seed)), self.mean_at(1.01 * np.exp(seed))
+        assert below > target > above
+        assert abs(np.log(root) - seed) <= 0.01
+
+    def test_mixed_array_across_the_switch_does_not_warn(self):
+        switch = substances._SEED_SWITCH
+        targets = np.array([1e12, 5.0, 3.0, 1.0, np.nextafter(switch, 1.0), switch,
+                            np.nextafter(switch, 0.0), 0.01, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed = substances._box1d_x_seed(targets)
+            solved = substances._box1d_x_for_mean(targets, NumericsPolicy())
+        assert np.isfinite(seed).all()
+        alone = [substances._box1d_x_for_mean(t, NumericsPolicy()) for t in targets[:, None]]
+        assert np.abs(solved / np.concatenate(alone) - 1.0).max() <= 1e-15
