@@ -106,7 +106,6 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
         "Q_in": report.Q_in,
         "Q_out": report.Q_out,
         "W_net": report.W_net,
-        "degenerate": report.degenerate,
         "closure_ok": report.closure_ok,
         "closure_residual": report.closure_residual,
         "loop_entropy": report.loop_entropy,

@@ -2,9 +2,12 @@
 
 A run config names one substance, one cycle with its parameters, optional
 numerics overrides and optional output settings.  Unknown fields anywhere
-are rejected with the offending field path; ordering rules (F1 > F0,
-r_C < r_E, ...) are enforced here so the CLI can fail fast with exit
-code 2.
+are rejected with the offending field path, and every cycle parameter must
+be a positive finite number.  How the parameters relate to one another
+(F1 > F0, r_C < r_E, ...) is for the cycle builders alone to judge:
+RunConfig.build_cycle turns their ValueError into a ConfigError, so run,
+sweep and the library refuse the same cycles, a zero-area loop such as
+F1 = F0 among them.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ class RunConfig:
             "otto": build_otto,
             "carnot": build_carnot,
         }[self.cycle_kind]
-        # a builder rejects what validation cannot see, such as an Otto
-        # ordering that is no engine or a Brayton on a 2D substance
+        # the builder is the one judge of how the parameters relate: it
+        # refuses a wrong ordering, a zero-area loop, an Otto that is no
+        # engine or a Brayton on a 2D substance
         try:
             return builder(self.model(), policy=self.policy, **self.cycle_params)
         except ValueError as err:
@@ -134,30 +138,6 @@ def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
         if name not in node:
             raise ConfigError(f"cycle.{name}: required for {kind}")
         params[name] = _positive_number(node[name], f"cycle.{name}")
-
-    if kind == "brayton":
-        if params["F1"] <= params["F0"]:
-            raise ConfigError("cycle.F0: must satisfy F1 > F0 > 0")
-        if params["L_B"] <= params["L_A"]:
-            raise ConfigError("cycle.L_B: must satisfy L_B > L_A > 0")
-    elif kind == "diesel":
-        if not params["r_C"] < params["r_E"] < 1.0:
-            raise ConfigError(
-                "cycle.r_C: must satisfy 0 < r_C < r_E < 1 "
-                "(ratios relative to the largest coordinate L1)"
-            )
-    elif kind == "otto":
-        if params["L1"] <= params["L0"]:
-            raise ConfigError("cycle.L1: must satisfy L1 > L0 > 0")
-        if params["beta_cold"] <= params["beta_hot"]:
-            raise ConfigError(
-                "cycle.beta_cold: must exceed beta_hot (T_hot > T_cold)"
-            )
-    elif kind == "carnot":
-        if params["T_H"] <= params["T_C"]:
-            raise ConfigError("cycle.T_H: must satisfy T_H > T_C > 0")
-        if params["L_B"] <= params["L_A"]:
-            raise ConfigError("cycle.L_B: must satisfy L_B > L_A > 0")
     return kind, params
 
 

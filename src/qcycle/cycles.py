@@ -55,7 +55,6 @@ class CycleSpec:
     kind: str
     segments: tuple[ProcessSegment, ...]
     parameters: dict[str, float]
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,9 @@ class CycleReport:
 
     Q_in sums the heat of every heat-absorbing segment, Q_out the magnitude
     rejected; W_net is net work done BY the system.  eta_numeric is
-    W_net/Q_in; eta_closed the substance's closed form.  Degenerate
-    (zero-area) cycles report both efficiencies as 0.
+    W_net/Q_in; eta_closed the substance's closed form.  The builders
+    refuse a zero-area loop, so both are always the ratio of a cycle with
+    area.
     """
 
     kind: str
@@ -93,7 +93,6 @@ class CycleReport:
     closure_residual: float
     closure_ok: bool
     first_law_residual: float
-    degenerate: bool
 
 
 def closed_form_efficiency(kind: str, gamma: float, parameters: dict) -> float:
@@ -160,14 +159,14 @@ def build_brayton(
 
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
-    F1 = F0 (or L_A = L_B) builds a degenerate zero-area loop.  The four
+    F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  The four
     corners' temperatures come from one isobaric schedule solve.
     """
     _require_1d(model, "brayton")
-    if not 0.0 < F0 <= F1:
-        raise ValueError(f"need F1 >= F0 > 0, got F1={F1}, F0={F0}")
-    if not 0.0 < L_A <= L_B:
-        raise ValueError(f"need L_B >= L_A > 0, got L_A={L_A}, L_B={L_B}")
+    if not 0.0 < F0 < F1:
+        raise ValueError(f"need F1 > F0 > 0, got F1={F1}, F0={F0}")
+    if not 0.0 < L_A < L_B:
+        raise ValueError(f"need L_B > L_A > 0, got L_A={L_A}, L_B={L_B}")
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
     beta_a, beta_b, beta_c, beta_d = isobaric_schedule(
@@ -188,7 +187,6 @@ def build_brayton(
             "L_B": L_B,
             "force_ratio": F0 / F1,
         },
-        degenerate=(F1 == F0 or L_A == L_B),
     )
 
 
@@ -203,15 +201,16 @@ def build_diesel(
     """Isobar at F1, adiabat, isochore at L1, adiabat.
 
     L1 is the largest coordinate; the isobar runs from L_A = r_C L1 to
-    L_B = r_E L1 with 0 < r_C <= r_E < 1 (equality degenerate).  The corner
-    forces then satisfy F_C = F1 r_E^gamma and F_D = F1 r_C^gamma.
+    L_B = r_E L1 with 0 < r_C < r_E < 1; r_C = r_E, a zero-area loop,
+    raises ValueError.  The corner forces then satisfy F_C = F1 r_E^gamma
+    and F_D = F1 r_C^gamma.
     """
     _require_1d(model, "diesel")
     if L1 <= 0.0 or F1 <= 0.0:
         raise ValueError(f"need F1 > 0 and L1 > 0, got F1={F1}, L1={L1}")
-    if not 0.0 < r_C <= r_E < 1.0:
+    if not 0.0 < r_C < r_E < 1.0:
         raise ValueError(
-            f"need 0 < r_C <= r_E < 1 (both ratios relative to the largest "
+            f"need 0 < r_C < r_E < 1 (both ratios relative to the largest "
             f"coordinate L1), got r_C={r_C}, r_E={r_E}"
         )
     L_A, L_B = r_C * L1, r_E * L1
@@ -226,7 +225,6 @@ def build_diesel(
         kind="diesel",
         segments=(seg_ab, seg_bc, seg_cd, seg_da),
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
-        degenerate=(r_C == r_E),
     )
 
 
@@ -242,28 +240,24 @@ def build_otto(
 
     B = (L0, beta_hot) is the hottest corner, D = (L1, beta_cold) the
     coldest; A and C follow from the adiabats.  Engine operation needs the
-    A->B isochore to actually heat, i.e. beta_cold (L0/L1)^p > beta_hot.
+    A->B isochore to actually heat, i.e. beta_cold (L0/L1)^p > beta_hot;
+    equality, like L0 = L1, is a zero-area loop and raises ValueError.
     Valid for any substance kind; the closed form uses the volume ratio
     (L0/L1)^d.  No isobar is solved, so policy goes unread; it keeps the
     four builders' signatures alike.
     """
-    if not 0.0 < L0 <= L1:
-        raise ValueError(f"need L1 >= L0 > 0, got L0={L0}, L1={L1}")
+    if not 0.0 < L0 < L1:
+        raise ValueError(f"need L1 > L0 > 0, got L0={L0}, L1={L1}")
     if beta_hot <= 0.0 or beta_cold <= 0.0:
         raise ValueError("need positive beta_hot and beta_cold")
-    if beta_hot > beta_cold:
-        raise ValueError(
-            f"need T_hot >= T_cold, got beta_hot={beta_hot} > beta_cold={beta_cold}"
-        )
     power = model.scaling_power
     beta_a = beta_cold * (L0 / L1) ** power
     beta_c = beta_hot * (L1 / L0) ** power
-    degenerate = L0 == L1 or beta_a == beta_hot
-    if beta_a < beta_hot and not degenerate:
+    if beta_a <= beta_hot:
         raise ValueError(
             "not an engine: compression must leave the substance colder than "
             f"the hot corner, need beta_cold (L0/L1)^p > beta_hot, got "
-            f"{beta_a} < {beta_hot}"
+            f"{beta_a} <= {beta_hot}"
         )
     seg_ab = isochoric_segment(model, L0, beta_a, beta_hot)
     seg_bc = adiabatic_segment(model, beta_hot, L0, L1)
@@ -280,7 +274,6 @@ def build_otto(
             "beta_cold": beta_cold,
             "volume_ratio": (L0 / L1) ** model.dimension,
         },
-        degenerate=degenerate,
     )
 
 
@@ -294,13 +287,14 @@ def build_carnot(
 ) -> CycleSpec:
     """Two isotherms at T_H > T_C joined by adiabats; any substance kind.
 
-    No isobar is solved, so policy goes unread; it keeps the four builders'
+    T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError.  No
+    isobar is solved, so policy goes unread; it keeps the four builders'
     signatures alike.
     """
-    if T_C <= 0.0 or T_H < T_C:
-        raise ValueError(f"need T_H >= T_C > 0, got T_H={T_H}, T_C={T_C}")
-    if not 0.0 < L_A <= L_B:
-        raise ValueError(f"need L_B >= L_A > 0, got L_A={L_A}, L_B={L_B}")
+    if not 0.0 < T_C < T_H:
+        raise ValueError(f"need T_H > T_C > 0, got T_H={T_H}, T_C={T_C}")
+    if not 0.0 < L_A < L_B:
+        raise ValueError(f"need L_B > L_A > 0, got L_A={L_A}, L_B={L_B}")
     beta_h, beta_c = 1.0 / T_H, 1.0 / T_C
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
@@ -319,7 +313,6 @@ def build_carnot(
             "L_B": L_B,
             "temperature_ratio": T_C / T_H,
         },
-        degenerate=(T_H == T_C or L_A == L_B),
     )
 
 
@@ -347,14 +340,11 @@ def run_cycle(
     W_net is minus the sum of the segments' W_thermal: the ground-energy
     parts d Delta E_0 of their W_on sum to exactly zero around the loop, so
     they are dropped rather than summed, and a cold loop, whose work is far
-    below E_0, keeps its relative accuracy.  A cycle flagged degenerate at
-    build time reports eta = 0 for both routes instead of the 0/0 ratio.
-    Any other cycle whose Q_in underflows to 0 raises DomainError, and one
-    whose W_net cancels raises ConvergenceError: that is when eps times the
-    cancellation factor, the sum of the thermal parts' rounding scales over
-    |W_net|, exceeds CANCELLATION_TOL.  A part's scale is its magnitude, and
-    on an isobar |F0 dL| + |d Delta E_0|, the two terms it subtracts.  The
-    corners are the segments' first samples.
+    below E_0, keeps its relative accuracy.  A cycle whose Q_in underflows
+    to 0 raises DomainError, and one whose W_net cancels raises
+    ConvergenceError: that is when eps times the cancellation factor, the
+    sum of the segments' W_scale over |W_net|, exceeds CANCELLATION_TOL.
+    The corners are the segments' first samples.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
@@ -372,41 +362,29 @@ def run_cycle(
         )
         for label, c in zip(CORNER_LABELS, (r.samples[0] for r in results))
     )
-    if spec.degenerate:
-        eta_numeric = 0.0
-        eta_closed = 0.0
-    else:
-        if q_in == 0.0:
-            x = max(c.regime for c in corner_table)
-            raise DomainError(
-                f"Q_in of the {spec.kind} cycle underflows to 0; its largest "
-                f"corner regime parameter is x = {x:.6g}"
-            )
-        # on an isobar W_on = -F0 dL and W_on - W_thermal = d Delta E_0
-        scale = sum(
-            abs(r.W_on) + abs(r.W_on - r.W_thermal)
-            if r.segment.kind == "isobaric"
-            else abs(r.W_thermal)
-            for r in results
+    if q_in == 0.0:
+        x = max(c.regime for c in corner_table)
+        raise DomainError(
+            f"Q_in of the {spec.kind} cycle underflows to 0; its largest "
+            f"corner regime parameter is x = {x:.6g}"
         )
-        if _EPS * scale > CANCELLATION_TOL * abs(w_net):
-            factor = scale / abs(w_net) if w_net else math.inf
-            raise ConvergenceError(
-                f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: its "
-                f"cancellation factor is {factor:.6g}, so eps times it "
-                f"exceeds {CANCELLATION_TOL:g}"
-            )
-        eta_numeric = w_net / q_in
-        eta_closed = closed_form_efficiency(
-            spec.kind, spec.model.gamma, spec.parameters
+    scale = sum(r.W_scale for r in results)
+    if _EPS * scale > CANCELLATION_TOL * abs(w_net):
+        factor = scale / abs(w_net) if w_net else math.inf
+        raise ConvergenceError(
+            f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: its "
+            f"cancellation factor is {factor:.6g}, so eps times it "
+            f"exceeds {CANCELLATION_TOL:g}"
         )
     return CycleReport(
         kind=spec.kind,
         Q_in=q_in,
         Q_out=q_out,
         W_net=w_net,
-        eta_numeric=eta_numeric,
-        eta_closed=eta_closed,
+        eta_numeric=w_net / q_in,
+        eta_closed=closed_form_efficiency(
+            spec.kind, spec.model.gamma, spec.parameters
+        ),
         gamma_used=spec.model.gamma,
         corner_table=corner_table,
         segment_results=results,
@@ -414,5 +392,4 @@ def run_cycle(
         closure_residual=closure,
         closure_ok=closure <= CLOSURE_TOL,
         first_law_residual=first_law,
-        degenerate=spec.degenerate,
     )

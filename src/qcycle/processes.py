@@ -90,12 +90,19 @@ class SegmentResult:
     W_on less its ground part d Delta E_0, formed without that subtraction
     except on an isobar; the ground parts sum to exactly zero around a
     closed loop, so a cycle's net work is the sum of the thermal parts.
+    W_scale is the rounding scale of W_thermal, the size of the terms it
+    subtracts: its magnitude on an isotherm, |F0 dL| + |d Delta E_0| on an
+    isobar, and on an adiabat d Delta (<g> + x Var(g)), Delta the gap,
+    summed over both ends: each end's thermal energy widened by its slope
+    in ln x.  The two ends share x only up to rounding, and on a cold
+    adiabat a one-ulp move of x moves the thermal energy by x ulps.
     """
 
     segment: ProcessSegment
     Q: float
     W_on: float
     W_thermal: float
+    W_scale: float
     delta_U: float
     Q_direct: float
     samples: tuple[PathSample, ...]
@@ -381,6 +388,17 @@ def stacked_heat_work(
         [-shift[:, -1], W_cum[:, -1] - ground_shift[:, -1], thermal_shift[:, -1]],
         0.0,
     )
+    # thermal energy per axis widened by its slope in ln x
+    widened = st.gap * (st.mean + st.x * st.var)
+    W_scale = np.where(
+        kinds == _ADIABATIC,
+        d * (widened[:, 0] + widened[:, -1]),
+        np.where(
+            kinds == _ISOBARIC,
+            np.abs(W_cum[:, -1]) + np.abs(ground_shift[:, -1]),
+            np.abs(W_thermal),
+        ),
+    )
 
     integrated = np.flatnonzero(table[_KIND] != _ADIABATIC)
     s0 = np.log(st.x[:, 0])
@@ -419,6 +437,7 @@ def stacked_heat_work(
             Q=Q_cum[i, -1].item(),
             W_on=W_cum[i, -1].item(),
             W_thermal=W_thermal[i].item(),
+            W_scale=W_scale[i].item(),
             delta_U=U_cum[i, -1].item(),
             Q_direct=Q_direct[i],
             samples=tuple(map(PathSample, ts_list, *(c[i] for c in columns))),

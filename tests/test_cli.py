@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: exit codes, files, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcycle.cli import _parser, main
 from qcycle.config import parse_config
@@ -276,6 +281,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_cycle_scope_runs_the_cold_carnot(self, capsys):
+        assert main(["check", "--scope", "cycle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cold = [line for line in lines if "carnot_universality_cold" in line]
+        assert len(cold) == 1 and cold[0].endswith("PASS")
+        assert lines[-1] == "7/7 checks passed"
+
     def test_corrupted_tolerances_fail(self, capsys):
         assert main(["check", "--scope", "substance", "--tolerance-scale", "1e-9"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -355,9 +367,116 @@ class TestSweep:
     def test_ordering_violations_marked_config_error(self, tmp_path):
         config = write_config(tmp_path, CAVITY_BRAYTON)
         out = tmp_path / "sweep.csv"
-        # sweeping F0 past F1 = 2.0 makes those points invalid orderings
+        # sweeping F0 to F1 = 2.0 and past it makes those points a zero-area
+        # loop and an invalid ordering
         assert main(["sweep", str(config), "--param", "F0",
                      "--from", "1.5", "--to", "2.5", "--steps", "3",
                      "--out", str(out)]) == 0
         codes = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
-        assert codes == ["0", "0", "2"]
+        assert codes == ["0", "2", "2"]
+
+    @pytest.mark.parametrize(
+        "doc, param, start, stop",
+        [
+            (CAVITY_BRAYTON, "F0", 1.0, 2.0),
+            (
+                {
+                    "substance": {"kind": "cavity"},
+                    "cycle": {"kind": "diesel", "F1": 1.0, "L1": 4.0, "r_C": 0.5, "r_E": 0.8},
+                    "output": {"samples_per_segment": 8},
+                },
+                "r_C", 0.7, 0.8,
+            ),
+        ],
+        ids=["brayton-F0-to-F1", "diesel-r_C-to-r_E"],
+    )
+    def test_rows_exit_as_run_does(self, tmp_path, doc, param, start, stop):
+        # the last point is the zero-area loop F0 = F1 or r_C = r_E exactly
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(config), "--param", param, "--from", str(start),
+                     "--to", str(stop), "--steps", "5", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert float(rows[-1][1]) == doc["cycle"]["F1" if param == "F0" else "r_E"]
+        for _name, value, _eta_n, _eta_c, code in rows:
+            point = dict(doc, cycle={**doc["cycle"], param: float(value)})
+            point = write_config(tmp_path, patch_outputs(point, tmp_path), "point.json")
+            assert main(["run", str(point)]) == int(code)
+        assert [row[4] for row in rows] == ["0", "0", "0", "0", "2"]
+
+
+# scaling power p of E_n = c_n / L^p for the fuzzed substances
+_POWER = {"box1d": 2, "box2d": 2, "cavity": 1, "spin_half": 1, "harmonic3d": 1}
+# zero-temperature force at L of the 1D substances, below which no isobar
+# exists (the spin's force is negative: its isobars all exit 4)
+_FORCE_FLOOR = {
+    "box1d": lambda L: math.pi**2 / L**3,
+    "cavity": lambda L: 0.5 / L**2,
+    "spin_half": lambda L: 0.0,
+}
+# relative gaps of a near-degenerate pair; 0 is the zero-area loop itself
+_DELTAS = (0.0, 1e-16, 1e-13, 1e-10, 1e-7, 1e-5)
+
+
+@st.composite
+def fuzzed_cycles(draw):
+    """A run config with log-uniform parameters, one pair of which may be
+    near-degenerate: (substance, cycle, delta), delta None for a wide pair."""
+
+    def log_uniform(lo, hi):
+        return math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+
+    substance = draw(st.sampled_from(sorted(_POWER)))
+    kinds = ("carnot", "otto") + (("brayton", "diesel") if substance in _FORCE_FLOOR else ())
+    kind = draw(st.sampled_from(kinds))
+    delta = draw(st.sampled_from(_DELTAS)) if draw(st.booleans()) else None
+    ratio = log_uniform(0.05, 0.9) if delta is None else 1.0 - delta
+    L_A = log_uniform(0.5, 3.0)
+    L_B = L_A * log_uniform(1.1, 3.0)
+    if kind == "brayton":
+        F1 = _FORCE_FLOOR[substance](L_A) + log_uniform(0.5, 50.0)
+        cycle = {"F1": F1, "F0": F1 * ratio, "L_A": L_A, "L_B": L_B}
+    elif kind == "diesel":
+        r_E = log_uniform(0.3, 0.95)
+        L1 = log_uniform(1.0, 5.0)
+        F1 = _FORCE_FLOOR[substance](r_E * ratio * L1) + log_uniform(0.5, 50.0)
+        cycle = {"F1": F1, "L1": L1, "r_C": r_E * ratio, "r_E": r_E}
+    elif kind == "carnot":
+        T_H = log_uniform(0.05, 20.0)
+        cycle = {"T_H": T_H, "T_C": T_H * ratio, "L_A": L_A, "L_B": L_B}
+    else:
+        # the near-degenerate pair is L1/L0, or beta_hot against
+        # beta_cold (L0/L1)^p, which the builder computes as written here
+        beta_cold = log_uniform(0.5, 50.0)
+        if draw(st.booleans()):
+            L0 = L_B * ratio
+            beta_hot = beta_cold * (L0 / L_B) ** _POWER[substance] * log_uniform(0.05, 0.9)
+        else:
+            L0 = L_A
+            beta_hot = beta_cold * (L0 / L_B) ** _POWER[substance] * ratio
+        cycle = {"L0": L0, "L1": L_B, "beta_hot": beta_hot, "beta_cold": beta_cold}
+    return substance, {"kind": kind, **cycle}, delta
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(draw=fuzzed_cycles())
+    def test_every_run_exits_with_a_documented_code(self, draw):
+        substance, cycle, delta = draw
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            doc = {"substance": {"kind": substance}, "cycle": cycle,
+                   "output": {"samples_per_segment": 8}}
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", str(write_config(tmp, patch_outputs(doc, tmp)))])
+            assert code in (0, 2, 3, 4)
+            if delta == 0.0:
+                assert code == 2 and err.getvalue().startswith("config error:")
+            if code != 0:
+                assert not (tmp / "report.json").exists()
+                return
+            report = json.loads((tmp / "report.json").read_text())
+        assert abs(report["eta_numeric"] - report["eta_closed"]) <= 1e-9
+        first_law = report["W_net"] - (report["Q_in"] - report["Q_out"])
+        assert abs(first_law) <= 1e-9 * report["Q_in"]

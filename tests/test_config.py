@@ -38,10 +38,10 @@ def test_diesel_ordering_rule():
         "cycle": {"kind": "diesel", "F1": 1.0, "L1": 4.0, "r_C": 0.8, "r_E": 0.5},
     }
     with pytest.raises(ConfigError, match="r_C < r_E"):
-        validate_config(doc)
+        validate_config(doc).build_cycle()
     doc["cycle"]["r_C"] = doc["cycle"]["r_E"] = 0.6
     with pytest.raises(ConfigError, match="r_C < r_E"):
-        validate_config(doc)
+        validate_config(doc).build_cycle()
 
 
 def test_substance_parameter_scoping():
@@ -165,7 +165,7 @@ def test_otto_and_carnot_orderings():
                 "cycle": {"kind": "otto", "L0": 1.0, "L1": 2.0,
                           "beta_hot": 2.0, "beta_cold": 1.0},
             }
-        )
+        ).build_cycle()
     with pytest.raises(ConfigError, match="T_H"):
         validate_config(
             {
@@ -173,7 +173,7 @@ def test_otto_and_carnot_orderings():
                 "cycle": {"kind": "carnot", "T_H": 1.0, "T_C": 2.0,
                           "L_A": 1.0, "L_B": 2.0},
             }
-        )
+        ).build_cycle()
 
 
 def test_config_builds_runnable_cycle():
