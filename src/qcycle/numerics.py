@@ -20,11 +20,12 @@ from .errors import ConvergenceError
 
 @dataclass(frozen=True)
 class NumericsPolicy:
-    """The tolerances and caps a run reads.
+    """The tolerances and caps of the numerical kernels.
 
-    quad_tol       relative tolerance of adaptive quadrature (the heat-rate
-                   cross-check of every segment)
-    quad_max_depth maximum interval-halving depth
+    quad_tol       relative tolerance of adaptive quadrature; in a cycle it
+                   binds only when a segment's Q_direct cross-check is read,
+                   never in the run itself
+    quad_max_depth maximum interval-halving depth, likewise
     root_max_iter  cap on the kernel evaluations of the box isobar's Newton
                    solve; its closed-form seed is within about
                    2 e^(-pi^2/x) of the root where x <= 1, so a warm
@@ -158,7 +159,29 @@ def integrate_adaptive(
 
 # Fixed composite Gauss-Legendre rule.  Used as a second, independently
 # discretized route to path integrals when cross-checking the adaptive rule.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point nodes and weights on [-1, 1], left to right: the values of
+# numpy.polynomial.legendre.leggauss(8), written out so that no process
+# imports numpy.polynomial for them.
+_GL_NODES = np.array([
+    -0.9602898564975362,
+    -0.7966664774136267,
+    -0.525532409916329,
+    -0.18343464249564978,
+    0.18343464249564978,
+    0.525532409916329,
+    0.7966664774136267,
+    0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706,
+    0.22238103445337443,
+    0.3137066458778869,
+    0.36268378337836166,
+    0.36268378337836166,
+    0.3137066458778869,
+    0.22238103445337443,
+    0.10122853629037706,
+])
 
 
 def integrate_gauss(

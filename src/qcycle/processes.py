@@ -7,14 +7,15 @@ the conserved quantity of each kind is recorded and can be checked at any
 sample.  Every state along a path is a Gibbs state of a spectrum
 E_n = c_n / L^p, so the work sum_n P_n dE_n and the heat sum_n E_n dP_n
 have closed forms on every segment kind: the cumulative heat and work are
-exact at each sample, and the quadrature of the exact heat rate is carried
-as an independent cross-check.
+exact at each sample.  The quadrature of the exact heat rate, an
+independent cross-check of the heat, is integrated only when it is read
+(SegmentResult.Q_direct), never on a run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .numerics import (
 from .substances import (
     GibbsState,
     SpectrumModel,
+    _kernel,
     axis_states,
     beta_for_force,
     entropy,
@@ -83,13 +85,18 @@ class SegmentResult:
     """Integrated heat and work of one segment.
 
     Q, W_on and delta_U are the closed forms of segment_heat_work, so
-    Q = delta_U - W_on up to rounding; Q_direct is the adaptive quadrature
-    of the exact heat rate sum_n E_n dP_n/dt and agrees with Q within the
-    quadrature tolerance.  W_on is work done ON the system (positive
-    compressing a positive-force substance); W_by = -W_on.  W_thermal is
-    W_on less its ground part d Delta E_0, formed without that subtraction
-    except on an isobar; the ground parts sum to exactly zero around a
-    closed loop, so a cycle's net work is the sum of the thermal parts.
+    Q = delta_U - W_on up to rounding.  The property Q_direct, an
+    independent cross-check of Q, is the adaptive quadrature of the exact
+    heat rate sum_n E_n dP_n = T dS and agrees with Q within the quadrature
+    tolerance.  No run computes it: its first read integrates every segment
+    of the result's batch at once and keeps the values, so a quadrature
+    that cannot converge raises ConvergenceError at that read.
+
+    W_on is work done ON the system (positive compressing a positive-force
+    substance); W_by = -W_on.  W_thermal is W_on less its ground part
+    d Delta E_0, formed without that subtraction except on an isobar; the
+    ground parts sum to exactly zero around a closed loop, so a cycle's net
+    work is the sum of the thermal parts.
     W_scale is the rounding scale of W_thermal, the size of the terms it
     subtracts: its magnitude on an isotherm, |F0 dL| + |d Delta E_0| on an
     isobar, and on an adiabat d Delta (<g> + x Var(g)), Delta the gap,
@@ -104,12 +111,17 @@ class SegmentResult:
     W_thermal: float
     W_scale: float
     delta_U: float
-    Q_direct: float
     samples: tuple[PathSample, ...]
+    _cross_check: _HeatCrossCheck = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
 
     @property
     def W_by(self) -> float:
         return -self.W_on
+
+    @property
+    def Q_direct(self) -> float:
+        return self._cross_check.value(self._row)
 
 
 def isobaric_schedule(
@@ -309,6 +321,69 @@ def segment_point(
     return beta.reshape(t.shape), L.reshape(t.shape)
 
 
+@dataclass(eq=False, slots=True)
+class _HeatCrossCheck:
+    """Q_direct of every segment of one stacked_heat_work batch, integrated
+    on the first read of any of them and kept.
+
+    It holds (k,) arrays, no sample: each segment's kind, held value and
+    beta0 (table columns), its gap Delta and x = beta Delta at t = 0, and
+    x at t = 1.  Every non-adiabatic segment is integrated in s = ln x,
+    between those two x, at the exact rate sum_n E_n dP_n/ds = T dS/ds.
+    With S = d (ln z + x <g>), dS/dx = -d x Var(g), so
+    dQ/ds = -d Delta x Var(g), with Delta = x / beta0 on an isotherm, the
+    held Delta(L) on an isochore, and on an isobar the Delta at which L is
+    explicit in x (isobar_states), so no node solves the schedule.  All of
+    them are one integrate_adaptive_batch call, each refinement level's
+    nodes of every segment as one array and each segment to its own
+    tolerance, so a segment's value does not depend on the others in the
+    batch.  An adiabat's Q_direct is zero.  Two threads reading at once may
+    both integrate; they store the same values.
+    """
+
+    model: SpectrumModel
+    kind: np.ndarray
+    held: np.ndarray
+    beta0: np.ndarray
+    gap0: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    policy: NumericsPolicy
+    values: list[float] | None = None
+
+    def value(self, row: int) -> float:
+        if self.values is None:
+            self.values = self._integrate()
+        return self.values[row]
+
+    def _integrate(self) -> list[float]:
+        model, kind = self.model, self.kind
+        d = model.dimension
+        integrated = np.flatnonzero(kind != _ADIABATIC)
+        s0 = np.log(self.x0)
+        ds = np.log(self.x1) - s0
+
+        def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
+            rows = integrated[owner]
+            x = np.exp(s0[rows] + t * ds[rows])
+            gap = np.where(kind[rows] == _ISOTHERMAL, x / self.beta0[rows], self.gap0[rows])
+            var = np.empty_like(x)
+            isobaric = kind[rows] == _ISOBARIC
+            if isobaric.any():
+                st = isobar_states(model, self.held[rows[isobaric]], x[isobaric])
+                gap[isobaric], var[isobaric] = st.gap, st.var
+            if not isobaric.all():
+                var[~isobaric] = _kernel(model.axis.kind, x[~isobaric])[2]
+            return -d * gap * var * x * ds[rows]
+
+        values = [0.0] * kind.size
+        if integrated.size:
+            quadratures = integrate_adaptive_batch(heat_rate, integrated.size, self.policy)
+            for row, value in zip(integrated.tolist(), quadratures):
+                values[row] = value
+        return values
+
+
 def stacked_heat_work(
     segments: Sequence[ProcessSegment],
     policy: NumericsPolicy = DEFAULT_POLICY,
@@ -331,17 +406,10 @@ def stacked_heat_work(
     on an isotherm, d Delta(Delta <g>) on an adiabat, zero on an isochore and
     -F0 dL - d Delta E_0 on an isobar.
 
-    Q_direct is the adaptive quadrature of the exact heat rate
-    sum_n E_n dP_n = T dS.  With S = d (ln z + x <g>), dS = -d x Var(g) dx,
-    so the rate is -d kappa Var E, kappa = beta' - p beta L'/L, on an
-    isotherm or an isochore in t.  An isobar is integrated in s = ln x
-    instead, between the x of its samples at t = 0 and t = 1, at the rate
-    dQ/ds = -d Delta Var(g) x; there L is explicit in x (isobar_states), so
-    no quadrature node solves the schedule.  The rates of every
-    non-adiabatic segment are integrated together, each refinement level's
-    nodes of all of them as one array, and each to its own tolerance, so a
-    segment's results do not depend on the others in the batch.  Segments
-    of different models raise ValueError.
+    No quadrature runs here: the results share one lazy cross-check of the
+    batch (_HeatCrossCheck), which integrates every segment's Q_direct on
+    the first read of any of them.  Segments of different models raise
+    ValueError.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
@@ -400,33 +468,11 @@ def stacked_heat_work(
         ),
     )
 
-    integrated = np.flatnonzero(table[_KIND] != _ADIABATIC)
-    s0 = np.log(st.x[:, 0])
-    ds = np.log(st.x[:, -1]) - s0
-
-    def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
-        rows = integrated[owner]
-        isobaric = table[_KIND][rows] == _ISOBARIC
-        rate = np.empty_like(t)
-        if isobaric.any():
-            on = rows[isobaric]
-            x = np.exp(s0[on] + t[isobaric] * ds[on])
-            st = isobar_states(model, table[_HELD][on], x)
-            rate[isobaric] = -d * st.gap * st.var * x * ds[on]
-        if not isobaric.all():
-            columns = table[:, rows[~isobaric]]
-            beta, L = _path_points(model, columns, t[~isobaric], policy)
-            st = axis_states(model, beta, L)
-            kappa = columns[_BETA_SLOPE] - p * beta * columns[_L_SLOPE] / L
-            rate[~isobaric] = -d * kappa * (st.gap * st.gap * st.var)
-        return rate
-
-    Q_direct = [0.0] * k
-    if integrated.size:
-        quadratures = integrate_adaptive_batch(heat_rate, integrated.size, policy)
-        for row, value in zip(integrated.tolist(), quadratures):
-            Q_direct[row] = value
-
+    # copies, so that the cross-check keeps no (k, n) array alive
+    cross_check = _HeatCrossCheck(
+        model, table[_KIND], table[_HELD], table[_BETA0], st.gap[:, 0].copy(),
+        st.x[:, 0].copy(), st.x[:, -1].copy(), policy,
+    )
     U = d * st.energy
     S = d * (st.log_z + st.x * st.mean)
     ts_list = ts.tolist()
@@ -439,8 +485,9 @@ def stacked_heat_work(
             W_thermal=W_thermal[i].item(),
             W_scale=W_scale[i].item(),
             delta_U=U_cum[i, -1].item(),
-            Q_direct=Q_direct[i],
             samples=tuple(map(PathSample, ts_list, *(c[i] for c in columns))),
+            _cross_check=cross_check,
+            _row=i,
         )
         for i, seg in enumerate(segments)
     )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcycle import processes
 from qcycle.cli import _parser, main
 from qcycle.config import parse_config
 from qcycle.cycles import run_cycle
@@ -248,6 +249,55 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["eta_numeric"] == pytest.approx(report["eta_closed"], abs=1e-12)
         assert (tmp_path / "diagram.csv").exists()
+
+
+# one cycle per integrated segment kind: isobars, isochores, isotherms
+CROSS_CHECKED = {
+    "brayton-box1d": {
+        "substance": {"kind": "box1d"},
+        "cycle": {"kind": "brayton", "F1": 20.0, "F0": 8.0, "L_A": 1.0, "L_B": 1.2},
+        "output": {"samples_per_segment": 8},
+    },
+    "otto-cavity": {
+        "substance": {"kind": "cavity"},
+        "cycle": {"kind": "otto", "L0": 1.0, "L1": 2.0, "beta_hot": 0.3, "beta_cold": 1.5},
+        "output": {"samples_per_segment": 8},
+    },
+    "carnot-spin_half": {
+        "substance": {"kind": "spin_half"},
+        "cycle": {"kind": "carnot", "T_H": 2.0, "T_C": 1.0, "L_A": 1.0, "L_B": 3.0},
+        "output": {"samples_per_segment": 8},
+    },
+}
+
+
+class TestCrossCheckOffTheRunPath:
+    @staticmethod
+    def outputs(tmp_path):
+        """The bytes of a run of every CROSS_CHECKED cycle and of a sweep."""
+        tmp_path.mkdir()
+        files = {}
+        for cycle, doc in CROSS_CHECKED.items():
+            config = write_config(tmp_path, doc, f"{cycle}.json")
+            report, diagram = tmp_path / f"{cycle}.report.json", tmp_path / f"{cycle}.csv"
+            assert main(["run", str(config), "--report", str(report),
+                         "--diagram", str(diagram)]) == 0
+            files[cycle] = (report.read_bytes(), diagram.read_bytes())
+        out = tmp_path / "sweep.csv"
+        config = tmp_path / "brayton-box1d.json"
+        assert main(["sweep", str(config), "--param", "F0", "--from", "4", "--to", "12",
+                     "--steps", "3", "--out", str(out)]) == 0
+        files["sweep"] = out.read_bytes()
+        return files
+
+    def test_run_and_sweep_integrate_no_cross_check(self, tmp_path, monkeypatch):
+        expected = self.outputs(tmp_path / "plain")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the heat cross-check was integrated")
+
+        monkeypatch.setattr(processes, "integrate_adaptive_batch", refuse)
+        assert self.outputs(tmp_path / "refused") == expected
 
 
 class TestTable:

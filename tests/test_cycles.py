@@ -15,6 +15,7 @@ from qcycle.cycles import (
     run_cycle,
 )
 from qcycle.errors import ConvergenceError, DomainError
+from qcycle.numerics import NumericsPolicy
 from qcycle.processes import segment_heat_work, stacked_heat_work
 from qcycle.substances import (
     box,
@@ -407,3 +408,49 @@ class TestStackedSegments:
             assert r.W_scale >= abs(r.W_thermal)
         work = sum(abs(r.W_on) for r in report.segment_results)
         assert abs(report.W_net + sum(r.W_on for r in report.segment_results)) <= 1e-14 * work
+
+
+def _refuse_quadrature(*_args, **_kwargs):
+    raise AssertionError("the heat cross-check was integrated")
+
+
+class TestCrossCheckOnRead:
+    def test_run_integrates_no_cross_check(self, monkeypatch):
+        expected = {name: run_cycle(make(), samples_per_segment=16) for name, make in BATCH_CYCLES.items()}
+        monkeypatch.setattr(processes, "integrate_adaptive_batch", _refuse_quadrature)
+        for name, make in BATCH_CYCLES.items():
+            assert run_cycle(make(), samples_per_segment=16) == expected[name], name
+
+    @pytest.mark.parametrize("name", BATCH_CYCLES)
+    def test_first_read_integrates_the_batch_once(self, name, monkeypatch):
+        calls = []
+        integrate = processes.integrate_adaptive_batch
+
+        def counted(f, k, policy):
+            calls.append(k)
+            return integrate(f, k, policy)
+
+        monkeypatch.setattr(processes, "integrate_adaptive_batch", counted)
+        spec = BATCH_CYCLES[name]()
+        report = run_cycle(spec, samples_per_segment=16)
+        assert calls == []
+        results = report.segment_results
+        first = results[-1].Q_direct
+        heat_exchanging = sum(s.kind != "adiabatic" for s in spec.segments)
+        assert calls == [heat_exchanging]
+        direct = [r.Q_direct for r in results] + [r.Q_direct for r in results]
+        assert calls == [heat_exchanging]
+        assert direct[-1] == first
+        for r, value in zip(results, direct):
+            if r.segment.kind == "adiabatic":
+                assert value == 0.0
+            else:
+                assert abs(value - r.Q) <= 1e-12 * abs(r.Q)
+
+    def test_cross_check_that_cannot_converge_raises_on_read(self):
+        policy = NumericsPolicy(quad_tol=1e-16, quad_max_depth=1)
+        report = run_cycle(build_diesel(box(1), 20.0, 2.0, 0.5, 0.8, policy), policy, 16)
+        assert 0.0 < report.eta_numeric < 1.0
+        for r in report.segment_results:
+            with pytest.raises(ConvergenceError, match="max depth"):
+                r.Q_direct

@@ -8,6 +8,8 @@ import pytest
 
 from qcycle.errors import ConvergenceError
 from qcycle.numerics import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _NODES,
     _WEIGHTS,
     DEFAULT_POLICY,
@@ -72,6 +74,11 @@ class TestIntegrateAdaptive:
         adaptive = integrate_adaptive(np.exp, 0.0, 1.0)
         gauss = integrate_gauss(np.exp, 0.0, 1.0)
         assert gauss == pytest.approx(adaptive, rel=1e-12)
+
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 # integrands on [0, 1] with their integrals; the last is the cold
