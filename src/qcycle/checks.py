@@ -18,6 +18,7 @@ from . import reference
 from .cycles import build_brayton, build_carnot, build_diesel, build_otto, run_cycle
 from .numerics import DEFAULT_POLICY, NumericsPolicy, derivative_centered
 from .processes import (
+    SAMPLE_FIELDS,
     adiabatic_advance,
     adiabatic_segment,
     isobaric_schedule,
@@ -221,17 +222,10 @@ def _check_adiabat_entropy() -> float:
 
 
 def _held_drift(result) -> float:
+    # held is "T", "L", "F" or "S", each a row of the result's columns
     seg = result.segment
-    held = seg.held_value
-    if seg.held == "T":
-        values = [s.T for s in result.samples]
-    elif seg.held == "L":
-        values = [s.L for s in result.samples]
-    elif seg.held == "F":
-        values = [s.F for s in result.samples]
-    else:
-        values = [s.S for s in result.samples]
-    return max(abs(v - held) / max(abs(held), _TINY) for v in values)
+    values = result.columns[SAMPLE_FIELDS.index(seg.held)]
+    return float(np.abs(values - seg.held_value).max()) / max(abs(seg.held_value), _TINY)
 
 
 def _check_reversal(results, policy: NumericsPolicy) -> float:

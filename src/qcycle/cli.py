@@ -115,13 +115,13 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
 
 
 def _diagram_csv(report: CycleReport) -> str:
-    row = "%d," + ",".join(["%.17g"] * 9)  # "%.17g" writes what _fmt writes
+    # one row per sample, read from the segment's columns (PathSample's
+    # fields in order); "%.17g" writes what _fmt writes
+    row = ",".join(["%.17g"] * 9)
     lines = ["segment_index,t,L,beta,T,F,U,S,Q_cum,W_cum"]
     for index, result in enumerate(report.segment_results):
-        for s in result.samples:
-            lines.append(
-                row % (index, s.t, s.L, s.beta, s.T, s.F, s.U, s.S, s.Q_cum, s.W_cum)
-            )
+        indexed = f"{index}," + row
+        lines.extend(indexed % tuple(values) for values in result.columns.T.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -25,9 +25,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_POLICY, NumericsPolicy
 from .processes import (
+    SAMPLE_FIELDS,
     ProcessSegment,
     SegmentResult,
-    adiabatic_segment,
+    _adiabatic_pair,
     isobaric_schedule,
     isobaric_segment,
     isochoric_segment,
@@ -45,6 +46,11 @@ CLOSURE_TOL = 1e-10
 # factor, that a run reports
 CANCELLATION_TOL = 1e-9
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+# rows of a SegmentResult's columns: the entropy, and a corner's L, beta, T,
+# F, U and S in CornerRecord's order
+_S = SAMPLE_FIELDS.index("S")
+_CORNER = slice(SAMPLE_FIELDS.index("L"), _S + 1)
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,8 @@ def build_brayton(
         model, np.array([F1, F1, F0, F0]), np.array([L_A, L_B, L_C, L_D]), policy
     ).tolist()
     seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
-    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
+    seg_bc, seg_da = _adiabatic_pair(model, (beta_b, beta_d), (L_B, L_D), (L_C, L_A))
     seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", F0)
-    seg_da = adiabatic_segment(model, beta_d, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="brayton",
@@ -216,10 +221,11 @@ def build_diesel(
     L_A, L_B = r_C * L1, r_E * L1
     power = model.scaling_power
     seg_ab = isobaric_segment(model, F1, L_A, L_B, policy)
-    seg_bc = adiabatic_segment(model, seg_ab.beta_end, L_B, L1)
     beta_d = seg_ab.beta_start * (L1 / L_A) ** power
+    seg_bc, seg_da = _adiabatic_pair(
+        model, (seg_ab.beta_end, beta_d), (L_B, L1), (L1, L_A)
+    )
     seg_cd = isochoric_segment(model, L1, seg_bc.beta_end, beta_d)
-    seg_da = adiabatic_segment(model, beta_d, L1, L_A)
     return CycleSpec(
         model=model,
         kind="diesel",
@@ -260,9 +266,8 @@ def build_otto(
             f"{beta_a} <= {beta_hot}"
         )
     seg_ab = isochoric_segment(model, L0, beta_a, beta_hot)
-    seg_bc = adiabatic_segment(model, beta_hot, L0, L1)
+    seg_bc, seg_da = _adiabatic_pair(model, (beta_hot, beta_cold), (L0, L1), (L1, L0))
     seg_cd = isochoric_segment(model, L1, beta_c, beta_cold)
-    seg_da = adiabatic_segment(model, beta_cold, L1, L0)
     return CycleSpec(
         model=model,
         kind="otto",
@@ -299,9 +304,8 @@ def build_carnot(
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
     seg_ab = isothermal_segment(model, beta_h, L_A, L_B)
-    seg_bc = adiabatic_segment(model, beta_h, L_B, L_C)
+    seg_bc, seg_da = _adiabatic_pair(model, (beta_h, beta_c), (L_B, L_D), (L_C, L_A))
     seg_cd = isothermal_segment(model, beta_c, L_C, L_D)
-    seg_da = adiabatic_segment(model, beta_c, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="carnot",
@@ -340,11 +344,15 @@ def run_cycle(
     W_net is minus the sum of the segments' W_thermal: the ground-energy
     parts d Delta E_0 of their W_on sum to exactly zero around the loop, so
     they are dropped rather than summed, and a cold loop, whose work is far
-    below E_0, keeps its relative accuracy.  A cycle whose Q_in underflows
-    to 0 raises DomainError, and one whose W_net cancels raises
+    below E_0, keeps its relative accuracy.  A cycle whose Q_in or |W_net|
+    lies below the smallest normal float (0 included) raises DomainError:
+    a subnormal keeps only an absolute accuracy of 2^-1074, so its ratio
+    would be no efficiency.  One whose W_net cancels raises
     ConvergenceError: that is when eps times the cancellation factor, the
     sum of the segments' W_scale over |W_net|, exceeds CANCELLATION_TOL.
-    The corners are the segments' first samples.
+    The corners are the segments' first samples and loop_entropy sums each
+    segment's S change, both read from the batch's columns, so a run builds
+    no PathSample.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
@@ -352,21 +360,20 @@ def run_cycle(
     q_in = sum((r.Q for r in results if r.Q > 0.0), 0.0)
     q_out = 0.0 - sum((r.Q for r in results if r.Q < 0.0), 0.0)
     w_net = -sum(r.W_thermal for r in results)
-    loop_entropy = sum(r.samples[-1].S - r.samples[0].S for r in results)
+    loop_entropy = sum((r.columns[_S, -1] - r.columns[_S, 0]).item() for r in results)
     closure = _closure_residual(spec.segments)
     first_law = abs(w_net - (q_in - q_out))
     corner_table = tuple(
-        CornerRecord(
-            label, c.L, c.beta, c.T, c.F, c.U, c.S,
-            regime_parameter(spec.model, c.beta, c.L),
-        )
-        for label, c in zip(CORNER_LABELS, (r.samples[0] for r in results))
+        CornerRecord(label, *c, regime_parameter(spec.model, c[1], c[0]))
+        for label, c in zip(CORNER_LABELS, (r.columns[_CORNER, 0].tolist() for r in results))
     )
-    if q_in == 0.0:
+    if q_in < _TINY or abs(w_net) < _TINY:
         x = max(c.regime for c in corner_table)
+        part = f"Q_in = {q_in:.6g}" if q_in < _TINY else f"W_net = {w_net:.6g}"
         raise DomainError(
-            f"Q_in of the {spec.kind} cycle underflows to 0; its largest "
-            f"corner regime parameter is x = {x:.6g}"
+            f"{part} of the {spec.kind} cycle underflows below the smallest "
+            f"normal float {_TINY:.6g}; its largest corner regime parameter "
+            f"is x = {x:.6g}"
         )
     scale = sum(r.W_scale for r in results)
     if _EPS * scale > CANCELLATION_TOL * abs(w_net):

@@ -15,7 +15,7 @@ independent cross-check of the heat, is integrated only when it is read
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,7 +80,11 @@ class PathSample:
     W_cum: float
 
 
-@dataclass(frozen=True)
+# PathSample's fields in order: the rows of SegmentResult.columns
+SAMPLE_FIELDS = tuple(f.name for f in fields(PathSample))
+
+
+@dataclass(frozen=True, eq=False)
 class SegmentResult:
     """Integrated heat and work of one segment.
 
@@ -91,6 +95,13 @@ class SegmentResult:
     tolerance.  No run computes it: its first read integrates every segment
     of the result's batch at once and keeps the values, so a quadrature
     that cannot converge raises ConvergenceError at that read.
+
+    The samples stay columns of the batch: columns is the segment's
+    read-only (9, n) float array, one row per PathSample field in
+    SAMPLE_FIELDS order, and samples builds the tuple of n PathSamples from
+    it on its first read and keeps it.  Two results are equal when their
+    segments, totals and every sample value are; neither builds a
+    PathSample to compare.
 
     W_on is work done ON the system (positive compressing a positive-force
     substance); W_by = -W_on.  W_thermal is W_on less its ground part
@@ -111,17 +122,34 @@ class SegmentResult:
     W_thermal: float
     W_scale: float
     delta_U: float
-    samples: tuple[PathSample, ...]
-    _cross_check: _HeatCrossCheck = field(repr=False, compare=False)
-    _row: int = field(repr=False, compare=False)
+    _batch: _SegmentBatch = field(repr=False)
+    _row: int = field(repr=False)
 
     @property
     def W_by(self) -> float:
         return -self.W_on
 
     @property
+    def columns(self) -> np.ndarray:
+        return self._batch.columns[:, self._row]
+
+    @property
+    def samples(self) -> tuple[PathSample, ...]:
+        return self._batch.samples(self._row)
+
+    @property
     def Q_direct(self) -> float:
-        return self._cross_check.value(self._row)
+        return self._batch.q_direct(self._row)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.segment == other.segment
+            and (self.Q, self.W_on, self.W_thermal, self.W_scale, self.delta_U)
+            == (other.Q, other.W_on, other.W_thermal, other.W_scale, other.delta_U)
+            and np.array_equal(self.columns, other.columns)
+        )
 
 
 def isobaric_schedule(
@@ -230,6 +258,29 @@ def adiabatic_segment(
     )
 
 
+def _adiabatic_pair(
+    model: SpectrumModel,
+    beta_start: tuple[float, float],
+    L_start: tuple[float, float],
+    L_end: tuple[float, float],
+) -> tuple[ProcessSegment, ProcessSegment]:
+    """The adiabatic_segments of two starts, each argument a pair, from one
+    axis_states call on 2-element arrays instead of two gibbs_state calls.
+
+    The kernel is elementwise and the held entropy d (ln z + x <g>) is
+    formed in entropy's order, so each held value is bitwise the one
+    adiabatic_segment gives.  The arguments are validated by
+    ProcessSegment only.
+    """
+    st = axis_states(model, np.array(beta_start), np.array(L_start))
+    held = (model.dimension * (st.log_z + st.x * st.mean)).tolist()
+    p = model.scaling_power
+    return tuple(
+        ProcessSegment("adiabatic", model, beta, L0, beta * (L1 / L0) ** p, L1, "S", S)
+        for beta, L0, L1, S in zip(beta_start, L_start, L_end, held)
+    )
+
+
 def build_segment(
     kind: str,
     model: SpectrumModel,
@@ -322,13 +373,17 @@ def segment_point(
 
 
 @dataclass(eq=False, slots=True)
-class _HeatCrossCheck:
-    """Q_direct of every segment of one stacked_heat_work batch, integrated
-    on the first read of any of them and kept.
+class _SegmentBatch:
+    """The samples of one stacked_heat_work batch as columns, and the
+    Q_direct of every segment in it, integrated on the first read of any of
+    them and kept.
 
-    It holds (k,) arrays, no sample: each segment's kind, held value and
-    beta0 (table columns), its gap Delta and x = beta Delta at t = 0, and
-    x at t = 1.  Every non-adiabatic segment is integrated in s = ln x,
+    columns is the read-only (9, k, n) array of every sample's PathSample
+    fields, in SAMPLE_FIELDS order; a segment's PathSample tuple is built
+    from its row on the first read of its samples and kept.  For the
+    cross-check the batch holds (k,) arrays: each segment's kind, held value
+    and beta0 (table columns), its gap Delta and x = beta Delta at t = 0,
+    and x at t = 1.  Every non-adiabatic segment is integrated in s = ln x,
     between those two x, at the exact rate sum_n E_n dP_n/ds = T dS/ds.
     With S = d (ln z + x <g>), dS/dx = -d x Var(g), so
     dQ/ds = -d Delta x Var(g), with Delta = x / beta0 on an isotherm, the
@@ -338,9 +393,12 @@ class _HeatCrossCheck:
     nodes of every segment as one array and each segment to its own
     tolerance, so a segment's value does not depend on the others in the
     batch.  An adiabat's Q_direct is zero.  Two threads reading at once may
-    both integrate; they store the same values.
+    both integrate, or both build a row's samples; they store the same
+    values, and every read of a row's samples returns the tuple stored
+    first.
     """
 
+    columns: np.ndarray
     model: SpectrumModel
     kind: np.ndarray
     held: np.ndarray
@@ -349,12 +407,20 @@ class _HeatCrossCheck:
     x0: np.ndarray
     x1: np.ndarray
     policy: NumericsPolicy
-    values: list[float] | None = None
+    heats: list[float] | None = None
+    built: dict[int, tuple[PathSample, ...]] = field(default_factory=dict)
 
-    def value(self, row: int) -> float:
-        if self.values is None:
-            self.values = self._integrate()
-        return self.values[row]
+    def samples(self, row: int) -> tuple[PathSample, ...]:
+        built = self.built.get(row)
+        if built is None:
+            built = tuple(map(PathSample, *self.columns[:, row].tolist()))
+            built = self.built.setdefault(row, built)
+        return built
+
+    def q_direct(self, row: int) -> float:
+        if self.heats is None:
+            self.heats = self._integrate()
+        return self.heats[row]
 
     def _integrate(self) -> list[float]:
         model, kind = self.model, self.kind
@@ -395,7 +461,9 @@ def stacked_heat_work(
     The samples of all segments are array operations: one path pass (every
     isobar sample from one schedule solve) and one axis_states call give
     every sample's beta, L, per-axis ground energy E_0 and kernel moments as
-    (k, n) arrays, and the PathSamples are built from the finished columns.
+    (k, n) arrays.  The results keep the finished columns, one (9, k, n)
+    array that no run converts: a segment's PathSamples are built only when
+    its samples are read.
     With d axes and g = E - E_0, the cumulative work on the system is
     A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
     -F0 (L(t) - L0) on an isobar, zero on an isochore and U(t) - U(0) on an
@@ -406,9 +474,9 @@ def stacked_heat_work(
     on an isotherm, d Delta(Delta <g>) on an adiabat, zero on an isochore and
     -F0 dL - d Delta E_0 on an isobar.
 
-    No quadrature runs here: the results share one lazy cross-check of the
-    batch (_HeatCrossCheck), which integrates every segment's Q_direct on
-    the first read of any of them.  Segments of different models raise
+    No quadrature runs here: the results share one _SegmentBatch, which
+    holds the columns and integrates every segment's Q_direct on the first
+    read of any of them.  Segments of different models raise
     ValueError.
     """
     if samples_per_segment < 2:
@@ -423,8 +491,7 @@ def stacked_heat_work(
     k, n = len(segments), samples_per_segment
 
     ts = np.linspace(0.0, 1.0, n)
-    columns = np.repeat(table, n, axis=1)
-    beta, L = _path_points(model, columns, np.tile(ts, k), policy)
+    beta, L = _path_points(model, np.repeat(table, n, axis=1), np.tile(ts, k), policy)
     beta, L = beta.reshape(k, n), L.reshape(k, n)
     st = axis_states(model, beta, L)
     kind, held = table[_KIND][:, None], table[_HELD][:, None]
@@ -451,10 +518,14 @@ def stacked_heat_work(
     )
     Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
     kinds = table[_KIND]
-    W_thermal = np.select(
-        [kinds == _ISOTHERMAL, kinds == _ISOBARIC, kinds == _ADIABATIC],
-        [-shift[:, -1], W_cum[:, -1] - ground_shift[:, -1], thermal_shift[:, -1]],
-        0.0,
+    W_thermal = np.where(
+        kinds == _ISOTHERMAL,
+        -shift[:, -1],
+        np.where(
+            kinds == _ISOBARIC,
+            W_cum[:, -1] - ground_shift[:, -1],
+            np.where(kinds == _ADIABATIC, thermal_shift[:, -1], 0.0),
+        ),
     )
     # thermal energy per axis widened by its slope in ln x
     widened = st.gap * (st.mean + st.x * st.var)
@@ -468,28 +539,24 @@ def stacked_heat_work(
         ),
     )
 
-    # copies, so that the cross-check keeps no (k, n) array alive
-    cross_check = _HeatCrossCheck(
-        model, table[_KIND], table[_HELD], table[_BETA0], st.gap[:, 0].copy(),
-        st.x[:, 0].copy(), st.x[:, -1].copy(), policy,
-    )
     U = d * st.energy
     S = d * (st.log_z + st.x * st.mean)
-    ts_list = ts.tolist()
-    columns = [c.tolist() for c in (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)]
+    columns = np.empty((len(SAMPLE_FIELDS), k, n))
+    columns[0] = ts
+    columns[1:] = (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
+    columns.flags.writeable = False
+    # copies, so that the batch keeps no (k, n) array but its columns
+    batch = _SegmentBatch(
+        columns, model, table[_KIND], table[_HELD], table[_BETA0],
+        st.gap[:, 0].copy(), st.x[:, 0].copy(), st.x[:, -1].copy(), policy,
+    )
+    totals = zip(
+        Q_cum[:, -1].tolist(), W_cum[:, -1].tolist(), W_thermal.tolist(),
+        W_scale.tolist(), U_cum[:, -1].tolist(),
+    )
     return tuple(
-        SegmentResult(
-            segment=seg,
-            Q=Q_cum[i, -1].item(),
-            W_on=W_cum[i, -1].item(),
-            W_thermal=W_thermal[i].item(),
-            W_scale=W_scale[i].item(),
-            delta_U=U_cum[i, -1].item(),
-            samples=tuple(map(PathSample, ts_list, *(c[i] for c in columns))),
-            _cross_check=cross_check,
-            _row=i,
-        )
-        for i, seg in enumerate(segments)
+        SegmentResult(seg, *total, batch, i)
+        for i, (seg, total) in enumerate(zip(segments, totals))
     )
 
 

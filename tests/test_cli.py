@@ -8,6 +8,7 @@ import math
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +301,63 @@ class TestCrossCheckOffTheRunPath:
         assert self.outputs(tmp_path / "refused") == expected
 
 
+def _refuse_path_sample(*_args, **_kwargs):
+    raise AssertionError("a PathSample was built")
+
+
+class TestSamplesOffTheRunPath:
+    def test_run_and_sweep_build_no_path_sample(self, tmp_path, monkeypatch):
+        expected = TestCrossCheckOffTheRunPath.outputs(tmp_path / "plain")
+        monkeypatch.setattr(processes, "PathSample", _refuse_path_sample)
+        assert TestCrossCheckOffTheRunPath.outputs(tmp_path / "refused") == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.1, -1.0 / 3.0, 2.0**-1074, 2.2250738585072014e-308, 1e300, -0.0, 0.0,
+         6.02214076e23, math.pi],
+    )
+    def test_17_digit_text_of_numpy_and_python_floats_agree(self, value):
+        # the diagram formats the floats of tolist(); a numpy float64 of the
+        # same value writes the same text
+        element = np.array([value])[0]
+        assert type(element) is np.float64
+        assert "%.17g" % element == "%.17g" % np.array([value]).tolist()[0] == "%.17g" % value
+
+    def test_17_digit_text_of_a_run_agrees(self):
+        config = parse_config(json.dumps(CROSS_CHECKED["brayton-box1d"]))
+        report = run_cycle(config.build_cycle(), config.policy, 8)
+        for result in report.segment_results:
+            columns = result.columns
+            for element, value in zip(columns.ravel(), columns.ravel().tolist()):
+                assert "%.17g" % element == "%.17g" % value
+
+
+# Carnot loops whose heat is subnormal: they exited 0 with a wrong eta
+# (eta_numeric = 1.0 against 0.5 for the first) before DomainError refused
+# them
+SUBNORMAL_CARNOTS = {
+    "cavity-1488": ("cavity", 1.0 / 1488.0),
+    "cavity-1460": ("cavity", 1.0 / 1460.0),
+    "box1d-0.004976": ("box1d", 0.004976),
+}
+
+
+class TestSubnormalHeat:
+    @pytest.mark.parametrize("name", SUBNORMAL_CARNOTS)
+    def test_run_exits_4_and_writes_no_report(self, tmp_path, capsys, name):
+        kind, T_H = SUBNORMAL_CARNOTS[name]
+        doc = patch_outputs({
+            "substance": {"kind": kind},
+            "cycle": {"kind": "carnot", "T_H": T_H, "T_C": T_H / 2.0, "L_A": 1.0, "L_B": 2.0},
+        }, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: Q_in = ")
+        assert "smallest normal float" in err and "x = " in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "diagram.csv").exists()
+
+
 class TestTable:
     def test_golden_file_byte_identical(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -492,12 +550,14 @@ def fuzzed_cycles(draw):
         F1 = _FORCE_FLOOR[substance](r_E * ratio * L1) + log_uniform(0.5, 50.0)
         cycle = {"F1": F1, "L1": L1, "r_C": r_E * ratio, "r_E": r_E}
     elif kind == "carnot":
-        T_H = log_uniform(0.05, 20.0)
+        # down to corners at x = beta Delta of about 2,000 (cavity) and
+        # 20,000 (box1d), where Q_in is subnormal or 0: those exit 4
+        T_H = log_uniform(1e-3, 20.0)
         cycle = {"T_H": T_H, "T_C": T_H * ratio, "L_A": L_A, "L_B": L_B}
     else:
         # the near-degenerate pair is L1/L0, or beta_hot against
         # beta_cold (L0/L1)^p, which the builder computes as written here
-        beta_cold = log_uniform(0.5, 50.0)
+        beta_cold = log_uniform(0.5, 1500.0)
         if draw(st.booleans()):
             L0 = L_B * ratio
             beta_hot = beta_cold * (L0 / L_B) ** _POWER[substance] * log_uniform(0.05, 0.9)

@@ -10,6 +10,7 @@ import pytest
 from qcycle.errors import DomainError
 from qcycle.numerics import DEFAULT_POLICY
 from qcycle.processes import (
+    _adiabatic_pair,
     adiabatic_advance,
     adiabatic_segment,
     build_segment,
@@ -24,6 +25,8 @@ from qcycle.processes import (
 )
 from qcycle.reference import gibbs_sums
 from qcycle.substances import (
+    KINDS,
+    SpectrumModel,
     box,
     cavity_mode,
     entropy,
@@ -402,3 +405,41 @@ def test_isobar_direct_heat_matches_closed_form(model, x):
     r = segment_heat_work(seg, samples_per_segment=8)
     assert r.Q != 0.0
     assert abs(r.Q_direct - r.Q) <= 1e-12 * abs(r.Q)
+
+
+def _beta_at(model, L, x):
+    """A beta at which the kernel's x = beta Delta(L) is exactly x."""
+    gap = gibbs_state(model, 1.0, L).gap
+    beta = x / gap
+    for _ in range(8):
+        if beta * gap == x:
+            return beta
+        beta = np.nextafter(beta, np.inf if beta * gap < x else 0.0).item()
+    raise AssertionError(f"no beta gives x = {x!r} at L = {L!r}")
+
+
+class TestAdiabatPair:
+    """The builders' one-call pair of adiabats against adiabatic_segment,
+    which evaluates each start alone: equal segments, so bitwise equal held
+    entropies."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pair_equals_two_adiabatic_segments(self, kind):
+        model = SpectrumModel(kind)
+        starts = ((0.3, 1.0, 1.7), (2.5, 1.9, 0.8))
+        expected = tuple(adiabatic_segment(model, *start) for start in starts)
+        assert _adiabatic_pair(model, *zip(*starts)) == expected
+
+    # box1d kernel arguments on both sides of its switch at x = 1
+    BOX1D_X = (1e-12, 0.5, np.nextafter(1.0, 0.0).item(), np.nextafter(1.0, 2.0).item(), 700.0)
+
+    @pytest.mark.parametrize("x_a, x_b", itertools.combinations_with_replacement(BOX1D_X, 2))
+    def test_box1d_pair_across_regimes(self, x_a, x_b):
+        model = box(1)
+        L_start, L_end = (1.0, 1.3), (1.5, 0.9)
+        beta = tuple(_beta_at(model, L, x) for L, x in zip(L_start, (x_a, x_b)))
+        assert tuple(gibbs_state(model, b, L).x for b, L in zip(beta, L_start)) == (x_a, x_b)
+        pair = _adiabatic_pair(model, beta, L_start, L_end)
+        assert pair == tuple(
+            adiabatic_segment(model, b, L0, L1) for b, L0, L1 in zip(beta, L_start, L_end)
+        )
