@@ -344,12 +344,13 @@ def run_cycle(
     W_net is minus the sum of the segments' W_thermal: the ground-energy
     parts d Delta E_0 of their W_on sum to exactly zero around the loop, so
     they are dropped rather than summed, and a cold loop, whose work is far
-    below E_0, keeps its relative accuracy.  A cycle whose Q_in or |W_net|
-    lies below the smallest normal float (0 included) raises DomainError:
-    a subnormal keeps only an absolute accuracy of 2^-1074, so its ratio
-    would be no efficiency.  One whose W_net cancels raises
+    below E_0, keeps its relative accuracy.  A cycle whose Q_in is 0
+    raises DomainError.  Otherwise one whose W_net cancels raises
     ConvergenceError: that is when eps times the cancellation factor, the
     sum of the segments' W_scale over |W_net|, exceeds CANCELLATION_TOL.
+    A cycle that does not cancel but whose Q_in or |W_net| lies below the
+    smallest normal float raises DomainError: a subnormal keeps only an
+    absolute accuracy of 2^-1074, so its ratio would be no efficiency.
     The corners are the segments' first samples and loop_entropy sums each
     segment's S change, both read from the batch's columns, so a run builds
     no PathSample.
@@ -367,7 +368,11 @@ def run_cycle(
         CornerRecord(label, *c, regime_parameter(spec.model, c[1], c[0]))
         for label, c in zip(CORNER_LABELS, (r.columns[_CORNER, 0].tolist() for r in results))
     )
-    if q_in < _TINY or abs(w_net) < _TINY:
+    scale = sum(r.W_scale for r in results)
+    cancels = _EPS * scale > CANCELLATION_TOL * abs(w_net)
+    # only a Q_in of 0 is refused before the cancellation test, so a W_net
+    # that cancels to 0 or to a subnormal raises ConvergenceError
+    if q_in == 0.0 or not cancels and (q_in < _TINY or abs(w_net) < _TINY):
         x = max(c.regime for c in corner_table)
         part = f"Q_in = {q_in:.6g}" if q_in < _TINY else f"W_net = {w_net:.6g}"
         raise DomainError(
@@ -375,8 +380,7 @@ def run_cycle(
             f"normal float {_TINY:.6g}; its largest corner regime parameter "
             f"is x = {x:.6g}"
         )
-    scale = sum(r.W_scale for r in results)
-    if _EPS * scale > CANCELLATION_TOL * abs(w_net):
+    if cancels:
         factor = scale / abs(w_net) if w_net else math.inf
         raise ConvergenceError(
             f"W_net = {w_net:.6g} of the {spec.kind} cycle cancels: its "

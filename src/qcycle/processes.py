@@ -28,6 +28,7 @@ from .numerics import (
 from .substances import (
     GibbsState,
     SpectrumModel,
+    _gibbs_entropy,
     _kernel,
     axis_states,
     beta_for_force,
@@ -245,17 +246,7 @@ def adiabatic_segment(
     model: SpectrumModel, beta_start: float, L_start: float, L_end: float
 ) -> ProcessSegment:
     start = gibbs_state(model, beta_start, L_start)
-    beta_end = beta_start * (L_end / L_start) ** model.scaling_power
-    return ProcessSegment(
-        kind="adiabatic",
-        model=model,
-        beta_start=beta_start,
-        L_start=L_start,
-        beta_end=beta_end,
-        L_end=L_end,
-        held="S",
-        held_value=entropy(start),
-    )
+    return _adiabat(model, beta_start, L_start, L_end, entropy(start))
 
 
 def _adiabatic_pair(
@@ -267,17 +258,31 @@ def _adiabatic_pair(
     """The adiabatic_segments of two starts, each argument a pair, from one
     axis_states call on 2-element arrays instead of two gibbs_state calls.
 
-    The kernel is elementwise and the held entropy d (ln z + x <g>) is
-    formed in entropy's order, so each held value is bitwise the one
-    adiabatic_segment gives.  The arguments are validated by
-    ProcessSegment only.
+    The kernel is elementwise and the held entropy is _gibbs_entropy, as in
+    entropy, so each held value is bitwise the one adiabatic_segment gives.
+    The arguments are validated by ProcessSegment only.
     """
     st = axis_states(model, np.array(beta_start), np.array(L_start))
-    held = (model.dimension * (st.log_z + st.x * st.mean)).tolist()
-    p = model.scaling_power
+    held = _gibbs_entropy(model.dimension, st.log_z, st.x, st.mean).tolist()
     return tuple(
-        ProcessSegment("adiabatic", model, beta, L0, beta * (L1 / L0) ** p, L1, "S", S)
-        for beta, L0, L1, S in zip(beta_start, L_start, L_end, held)
+        _adiabat(model, *start) for start in zip(beta_start, L_start, L_end, held)
+    )
+
+
+def _adiabat(
+    model: SpectrumModel, beta_start: float, L_start: float, L_end: float, S: float
+) -> ProcessSegment:
+    """The adiabat from (beta_start, L_start) to L_end that holds entropy S:
+    beta L^p is constant along it."""
+    return ProcessSegment(
+        kind="adiabatic",
+        model=model,
+        beta_start=beta_start,
+        L_start=L_start,
+        beta_end=beta_start * (L_end / L_start) ** model.scaling_power,
+        L_end=L_end,
+        held="S",
+        held_value=S,
     )
 
 
@@ -540,7 +545,7 @@ def stacked_heat_work(
     )
 
     U = d * st.energy
-    S = d * (st.log_z + st.x * st.mean)
+    S = _gibbs_entropy(d, st.log_z, st.x, st.mean)
     columns = np.empty((len(SAMPLE_FIELDS), k, n))
     columns[0] = ts
     columns[1:] = (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)

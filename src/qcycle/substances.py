@@ -289,6 +289,11 @@ def _axis_energy(kind: str, ground, gap, x, mean):
     return ground + gap * mean
 
 
+def _gibbs_entropy(axes: int, log_z, x, mean):
+    """S = d (ln z + x <g>) = ln Z + beta U of d axes, floats or arrays."""
+    return axes * (log_z + x * mean)
+
+
 def axis_states(model: SpectrumModel, beta, L) -> AxisStates:
     """AxisStates of one axis of model at beta and L, floats or arrays of
     one shape, from one kernel call.  The arguments are not validated."""
@@ -359,7 +364,7 @@ def entropy(state: GibbsState) -> float:
     kernel.
     """
     log_z, mean, _ = state.moments
-    return state.axes * (log_z + state.x * mean)
+    return _gibbs_entropy(state.axes, log_z, state.x, mean)
 
 
 def free_energy(model: SpectrumModel, beta: float, L: float) -> float:

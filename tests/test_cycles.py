@@ -10,6 +10,7 @@ import pytest
 
 from qcycle import processes, substances
 from qcycle.cycles import (
+    CycleSpec,
     build_brayton,
     build_carnot,
     build_diesel,
@@ -23,6 +24,7 @@ from qcycle.processes import (
     SAMPLE_FIELDS,
     isobaric_schedule,
     isobaric_segment,
+    isothermal_segment,
     segment_heat_work,
     stacked_heat_work,
 )
@@ -518,8 +520,8 @@ class TestSubnormalHeat:
         ids=["cavity", "box1d"],
     )
     def test_cold_carnot_scan_reports_right_or_refuses(self, model, T_H_range):
-        # the scan crosses Q_in = 2.2e-308: at the parent of this test some
-        # of these points reported with eta off by up to 0.07
+        # the scan crosses Q_in = 2.2e-308: without the subnormal guard some
+        # of these points report eta off by up to 0.07
         outcomes = []
         for T_H in np.geomspace(*T_H_range, 40).tolist():
             try:
@@ -539,6 +541,17 @@ class TestSubnormalHeat:
         T_H = 0.005232395895840544
         spec = build_carnot(box(1), T_H, 0.99 * T_H, 1.0, 2.0)
         with pytest.raises(DomainError, match=r"^W_net = 2\.36\d*e-309 .* x = 943\.1"):
+            run_cycle(spec, samples_per_segment=8)
+
+    def test_net_work_that_cancels_to_zero_is_a_cancellation(self):
+        # an isotherm out and back: Q_in is normal and the two W_thermal are
+        # exact negatives, so W_net is 0 and the cancellation test, not the
+        # subnormal guard, refuses it
+        model = box(1)
+        out = isothermal_segment(model, 1.0, 1.0, 2.0)
+        back = isothermal_segment(model, 1.0, 2.0, 1.0)
+        spec = CycleSpec(model, "carnot", (out, back), {"T_H": 1.0, "T_C": 1.0})
+        with pytest.raises(ConvergenceError, match="W_net = -?0 .* cancellation factor is inf"):
             run_cycle(spec, samples_per_segment=8)
 
 
