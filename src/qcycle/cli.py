@@ -17,14 +17,22 @@ import sys
 
 from .checks import SCOPES, run_checks
 from .config import RunConfig, parse_config, substance_document
-from .cycles import CycleReport, closed_form_efficiency, run_cycle
+from .cycles import CYCLE_KINDS, CycleReport, closed_form_efficiency, run_cycle
 from .errors import ConfigError, ConvergenceError, DomainError
+from .processes import SAMPLE_FIELDS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_DOMAIN = 4
+
+# error type -> exit code and the label main prints before its message
+ERRORS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    ConvergenceError: (EXIT_NUMERIC, "numeric error"),
+    DomainError: (EXIT_DOMAIN, "domain error"),
+}
 
 UNITS_NOTE = "hbar=m=k=1"
 
@@ -62,8 +70,12 @@ _FORMULA_IDS = {
 }
 
 
+# every float of the CSV outputs, to 17 significant digits
+_FLOAT = "%.17g"
+
+
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -83,19 +95,6 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _report_document(config: RunConfig, report: CycleReport) -> dict:
-    corners = [
-        {
-            "label": c.label,
-            "L": c.L,
-            "beta": c.beta,
-            "T": c.T,
-            "F": c.F,
-            "U": c.U,
-            "S": c.S,
-            "regime": c.regime,
-        }
-        for c in report.corner_table
-    ]
     return {
         "units": UNITS_NOTE,
         "substance": substance_document(config),
@@ -110,15 +109,15 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
         "closure_residual": report.closure_residual,
         "loop_entropy": report.loop_entropy,
         "first_law_residual": report.first_law_residual,
-        "corners": corners,
+        "corners": [dataclasses.asdict(c) for c in report.corner_table],
     }
 
 
 def _diagram_csv(report: CycleReport) -> str:
-    # one row per sample, read from the segment's columns (PathSample's
-    # fields in order); "%.17g" writes what _fmt writes
-    row = ",".join(["%.17g"] * 9)
-    lines = ["segment_index,t,L,beta,T,F,U,S,Q_cum,W_cum"]
+    # one row per sample, read from the segment's columns, whose rows are
+    # SAMPLE_FIELDS
+    row = ",".join([_FLOAT] * len(SAMPLE_FIELDS))
+    lines = [",".join(("segment_index",) + SAMPLE_FIELDS)]
     for index, result in enumerate(report.segment_results):
         indexed = f"{index}," + row
         lines.extend(indexed % tuple(values) for values in result.columns.T.tolist())
@@ -129,7 +128,7 @@ def table_csv() -> str:
     """Machine-readable efficiency table at the canonical sample ratios."""
     lines = ["substance,gamma,cycle,formula,eta"]
     for name, gamma in TABLE_SUBSTANCES:
-        for cycle in ("carnot", "otto", "brayton", "diesel"):
+        for cycle in CYCLE_KINDS:
             eta = closed_form_efficiency(cycle, gamma, TABLE_PARAMETERS)
             lines.append(
                 f"{name},{_fmt(gamma)},{cycle},{_FORMULA_IDS[cycle]},{_fmt(eta)}"
@@ -186,12 +185,10 @@ def _sweep_point(config: RunConfig, name: str, value: float):
         spec = point.build_cycle()
         report = run_cycle(spec, point.policy, point.output.samples_per_segment)
         return value, report.eta_numeric, report.eta_closed, EXIT_OK
-    except (ConfigError, ValueError):
+    except tuple(ERRORS) as err:
+        return value, None, None, ERRORS[type(err)][0]
+    except ValueError:
         return value, None, None, EXIT_CONFIG
-    except ConvergenceError:
-        return value, None, None, EXIT_NUMERIC
-    except DomainError:
-        return value, None, None, EXIT_DOMAIN
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -292,15 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DomainError as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except tuple(ERRORS) as err:
+        code, label = ERRORS[type(err)]
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

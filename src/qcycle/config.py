@@ -16,17 +16,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .cycles import CycleSpec, build_brayton, build_carnot, build_diesel, build_otto
+from . import cycles
+from .cycles import CYCLE_BUILDERS, CycleSpec
 from .errors import ConfigError
 from .numerics import DEFAULT_POLICY, NumericsPolicy
-from .substances import BOX_KINDS, KINDS, OSCILLATOR_KINDS, SpectrumModel
-
-_CYCLE_FIELDS = {
-    "brayton": ("F1", "F0", "L_A", "L_B"),
-    "diesel": ("F1", "L1", "r_C", "r_E"),
-    "otto": ("L0", "L1", "beta_hot", "beta_cold"),
-    "carnot": ("T_H", "T_C", "L_A", "L_B"),
-}
+from .substances import KIND_PARAMETERS, KINDS, SpectrumModel
 
 # NumericsPolicy fields and their types: a float must lie in (0, 1), an int
 # must be positive
@@ -65,12 +59,7 @@ class RunConfig:
         )
 
     def build_cycle(self) -> CycleSpec:
-        builder = {
-            "brayton": build_brayton,
-            "diesel": build_diesel,
-            "otto": build_otto,
-            "carnot": build_carnot,
-        }[self.cycle_kind]
+        builder = getattr(cycles, CYCLE_BUILDERS[self.cycle_kind][0])
         # the builder is the one judge of how the parameters relate: it
         # refuses a wrong ordering, a zero-area loop, an Otto that is no
         # engine or a Brayton on a 2D substance
@@ -110,12 +99,7 @@ def _validate_substance(node: dict) -> tuple[str, float, float]:
         raise ConfigError(
             f"substance.kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
-    allowed = ("kind",)
-    if kind in BOX_KINDS:
-        allowed += ("mass",)
-    if kind in OSCILLATOR_KINDS:
-        allowed += ("mode_constant",)
-    _reject_unknown(node, allowed, "substance")
+    _reject_unknown(node, ("kind",) + KIND_PARAMETERS[kind], "substance")
     mass = _positive_number(node.get("mass", 1.0), "substance.mass")
     mode = _positive_number(node.get("mode_constant", 1.0), "substance.mode_constant")
     return kind, mass, mode
@@ -126,12 +110,12 @@ def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
     if "kind" not in node:
         raise ConfigError("cycle.kind: required")
     kind = node["kind"]
-    if kind not in _CYCLE_FIELDS:
+    if kind not in CYCLE_BUILDERS:
         raise ConfigError(
             f"cycle.kind: unknown kind {kind!r}; expected one of "
-            f"{', '.join(_CYCLE_FIELDS)}"
+            f"{', '.join(CYCLE_BUILDERS)}"
         )
-    fields = _CYCLE_FIELDS[kind]
+    fields = CYCLE_BUILDERS[kind][1]
     _reject_unknown(node, ("kind",) + fields, "cycle")
     params = {}
     for name in fields:
@@ -158,20 +142,16 @@ def _validate_numerics(node) -> NumericsPolicy:
 
 def _validate_output(node) -> OutputConfig:
     node = _require_mapping(node, "output")
-    _reject_unknown(
-        node, ("report_path", "diagram_path", "samples_per_segment"), "output"
-    )
-    report = node.get("report_path", "report.json")
-    diagram = node.get("diagram_path", "diagram.csv")
-    for name, value in (("report_path", report), ("diagram_path", diagram)):
-        if not isinstance(value, str) or not value:
+    values = asdict(OutputConfig())
+    _reject_unknown(node, tuple(values), "output")
+    values.update(node)
+    for name in ("report_path", "diagram_path"):
+        if not isinstance(values[name], str) or not values[name]:
             raise ConfigError(f"output.{name}: expected a non-empty string")
-    samples = node.get("samples_per_segment", 64)
+    samples = values["samples_per_segment"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ConfigError("output.samples_per_segment: expected an integer >= 2")
-    return OutputConfig(
-        report_path=report, diagram_path=diagram, samples_per_segment=samples
-    )
+    return OutputConfig(**values)
 
 
 def validate_config(document) -> RunConfig:
@@ -183,14 +163,8 @@ def validate_config(document) -> RunConfig:
             raise ConfigError(f"{section}: required section")
     kind, mass, mode = _validate_substance(document["substance"])
     cycle_kind, params = _validate_cycle(document["cycle"])
-    policy = (
-        _validate_numerics(document["numerics"])
-        if "numerics" in document
-        else DEFAULT_POLICY
-    )
-    output = (
-        _validate_output(document["output"]) if "output" in document else OutputConfig()
-    )
+    policy = _validate_numerics(document.get("numerics", {}))
+    output = _validate_output(document.get("output", {}))
     return RunConfig(
         substance_kind=kind,
         cycle_kind=cycle_kind,
@@ -213,12 +187,8 @@ def parse_config(text: str) -> RunConfig:
 
 def substance_document(config: RunConfig) -> dict:
     """The config's substance section: its kind and the parameter it uses."""
-    substance: dict = {"kind": config.substance_kind}
-    if config.substance_kind in BOX_KINDS:
-        substance["mass"] = config.mass
-    if config.substance_kind in OSCILLATOR_KINDS:
-        substance["mode_constant"] = config.mode_constant
-    return substance
+    kind = config.substance_kind
+    return {"kind": kind, **{name: getattr(config, name) for name in KIND_PARAMETERS[kind]}}
 
 
 def serialize_config(config: RunConfig) -> str:

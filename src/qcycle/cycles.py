@@ -320,6 +320,18 @@ def build_carnot(
     )
 
 
+# cycle kind -> the name of its builder in this module and the builder's
+# parameters between model and policy, in the order a config error lists the
+# kinds.  A builder is named rather than held, so a call looks it up in this
+# module's namespace and passes through whatever is bound there.
+CYCLE_BUILDERS = {
+    "brayton": ("build_brayton", ("F1", "F0", "L_A", "L_B")),
+    "diesel": ("build_diesel", ("F1", "L1", "r_C", "r_E")),
+    "otto": ("build_otto", ("L0", "L1", "beta_hot", "beta_cold")),
+    "carnot": ("build_carnot", ("T_H", "T_C", "L_A", "L_B")),
+}
+
+
 def _closure_residual(segments: tuple[ProcessSegment, ...]) -> float:
     worst = 0.0
     for i, seg in enumerate(segments):

@@ -1,7 +1,6 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-ConvergenceError -> 3, DomainError -> 4.
+The CLI maps these onto process exit codes by its table cli.ERRORS.
 """
 
 

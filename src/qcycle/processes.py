@@ -28,6 +28,7 @@ from .numerics import (
 from .substances import (
     GibbsState,
     SpectrumModel,
+    _axis_scale,
     _gibbs_entropy,
     _kernel,
     axis_states,
@@ -83,6 +84,7 @@ class PathSample:
 
 # PathSample's fields in order: the rows of SegmentResult.columns
 SAMPLE_FIELDS = tuple(f.name for f in fields(PathSample))
+_L_ROW, _BETA_ROW = SAMPLE_FIELDS.index("L"), SAMPLE_FIELDS.index("beta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,21 +388,24 @@ class _SegmentBatch:
     columns is the read-only (9, k, n) array of every sample's PathSample
     fields, in SAMPLE_FIELDS order; a segment's PathSample tuple is built
     from its row on the first read of its samples and kept.  For the
-    cross-check the batch holds (k,) arrays: each segment's kind, held value
-    and beta0 (table columns), its gap Delta and x = beta Delta at t = 0,
-    and x at t = 1.  Every non-adiabatic segment is integrated in s = ln x,
-    between those two x, at the exact rate sum_n E_n dP_n/ds = T dS/ds.
+    cross-check the batch also holds each segment's kind, held value and
+    beta0 (table columns), and forms the gap Delta and x = beta Delta at
+    t = 0 and t = 1 from the L and beta rows as axis_states does.  Every
+    non-adiabatic segment is integrated in s = ln x, between those two x,
+    at the exact rate sum_n E_n dP_n/ds = T dS/ds.
     With S = d (ln z + x <g>), dS/dx = -d x Var(g), so
     dQ/ds = -d Delta x Var(g), with Delta = x / beta0 on an isotherm, the
     held Delta(L) on an isochore, and on an isobar the Delta at which L is
-    explicit in x (isobar_states), so no node solves the schedule.  All of
-    them are one integrate_adaptive_batch call, each refinement level's
-    nodes of every segment as one array and each segment to its own
-    tolerance, so a segment's value does not depend on the others in the
-    batch.  An adiabat's Q_direct is zero.  Two threads reading at once may
-    both integrate, or both build a row's samples; they store the same
-    values, and every read of a row's samples returns the tuple stored
-    first.
+    explicit in x (isobar_states), so no node solves the schedule.  A node's
+    x is x0 e^(t ds) on an isochore, which holds a cold box isochore's
+    cross-check to 6e-15 of Q instead of 2e-14, and e^(s0 + t ds) on the
+    other kinds, where that form does no worse.  All of them are one
+    integrate_adaptive_batch call, each refinement level's nodes of every
+    segment as one array and each segment to its own tolerance, so a
+    segment's value does not depend on the others in the batch.  An
+    adiabat's Q_direct is zero.  Two threads reading at once may both
+    integrate, or both build a row's samples; they store the same values,
+    and every read of a row's samples returns the tuple stored first.
     """
 
     columns: np.ndarray
@@ -408,9 +413,6 @@ class _SegmentBatch:
     kind: np.ndarray
     held: np.ndarray
     beta0: np.ndarray
-    gap0: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
     policy: NumericsPolicy
     heats: list[float] | None = None
     built: dict[int, tuple[PathSample, ...]] = field(default_factory=dict)
@@ -431,13 +433,21 @@ class _SegmentBatch:
         model, kind = self.model, self.kind
         d = model.dimension
         integrated = np.flatnonzero(kind != _ADIABATIC)
-        s0 = np.log(self.x0)
-        ds = np.log(self.x1) - s0
+        ends = [0, -1]
+        gaps = _axis_scale(model.axis, self.columns[_L_ROW][:, ends])[1]
+        x0, x1 = (self.columns[_BETA_ROW][:, ends] * gaps).T
+        s0 = np.log(x0)
+        ds = np.log(x1) - s0
+        # a node's x is scale e^(base + t ds): x0 e^(t ds) on an isochore
+        isochoric = kind == _ISOCHORIC
+        scale = np.where(isochoric, x0, 1.0)
+        base = np.where(isochoric, 0.0, s0)
+        gap0 = gaps[:, 0]
 
         def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
             rows = integrated[owner]
-            x = np.exp(s0[rows] + t * ds[rows])
-            gap = np.where(kind[rows] == _ISOTHERMAL, x / self.beta0[rows], self.gap0[rows])
+            x = scale[rows] * np.exp(base[rows] + t * ds[rows])
+            gap = np.where(kind[rows] == _ISOTHERMAL, x / self.beta0[rows], gap0[rows])
             var = np.empty_like(x)
             isobaric = kind[rows] == _ISOBARIC
             if isobaric.any():
@@ -550,11 +560,7 @@ def stacked_heat_work(
     columns[0] = ts
     columns[1:] = (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
     columns.flags.writeable = False
-    # copies, so that the batch keeps no (k, n) array but its columns
-    batch = _SegmentBatch(
-        columns, model, table[_KIND], table[_HELD], table[_BETA0],
-        st.gap[:, 0].copy(), st.x[:, 0].copy(), st.x[:, -1].copy(), policy,
-    )
+    batch = _SegmentBatch(columns, model, table[_KIND], table[_HELD], table[_BETA0], policy)
     totals = zip(
         Q_cum[:, -1].tolist(), W_cum[:, -1].tolist(), W_thermal.tolist(),
         W_scale.tolist(), U_cum[:, -1].tolist(),

@@ -7,8 +7,8 @@ Delta proportional to L^-p, so each equilibrium quantity depends on
 (beta, L) only through x = beta Delta, and the separable 2D/3D kinds are d
 copies of their 1D axis.  One exact kernel per 1D kind gives
 (ln z, <g>, Var g) at x with no truncated sum: closed forms for the linear
-and two-level spectra, and for box1d a short direct series above x = 1 and
-the Jacobi theta inversion below it.  A GibbsState is the record of one
+and two-level spectra, and for box1d a short direct series from x = 0.5 up
+and the Jacobi theta inversion below it.  A GibbsState is the record of one
 kernel evaluation; no level is summed and no occupation vector is built.
 The direct level sums that the kernel is tested against live in
 qcycle.reference.
@@ -45,6 +45,13 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 BOX_KINDS = ("box1d", "box2d", "box3d")
 OSCILLATOR_KINDS = ("harmonic1d", "harmonic2d", "harmonic3d", "cavity")
+# kind -> the SpectrumModel parameters it reads: the mass for a box, the mode
+# constant for an oscillator or the cavity, none for the spin
+KIND_PARAMETERS = {
+    **dict.fromkeys(BOX_KINDS, ("mass",)),
+    **dict.fromkeys(OSCILLATOR_KINDS, ("mode_constant",)),
+    "spin_half": (),
+}
 
 
 @dataclass(frozen=True)
@@ -167,12 +174,12 @@ def _kernel(kind: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     z = sum_n exp(-x g_n) over every level, untruncated.  The linear spectra
     (g = n) and the spin have closed forms; box1d takes the direct series
-    where x >= 1 and the theta inversion where x < 1, each on its masked
+    where x >= 0.5 and the theta inversion where x < 0.5, each on its masked
     slice.  Every output is finite for x >= 1e-30.
     """
     x = np.asarray(x, dtype=float)
     if kind == "box1d":
-        warm = x < 1.0
+        warm = x < 0.5
         if warm.all():
             return _box1d_theta(x)
         if not warm.any():
@@ -195,29 +202,38 @@ def _kernel(kind: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return log_z, mean, mean / one_minus_q
 
 
-# g_n = n^2 - 1 for n = 2..8: at x >= 1 the first omitted term, e^-80x, is
-# below 2^-60 of the excited sum, which exceeds e^-3x
-_SERIES_GAPS = np.arange(2.0, 9.0) ** 2 - 1.0
+# g_n = n^2 - 1 for n = 2..10: at x >= 0.5 the first omitted term, e^-120x,
+# is below 2^-80 of the excited sum, which exceeds e^-3x
+_SERIES_GAPS = np.arange(2.0, 11.0) ** 2 - 1.0
 _THETA_SQUARES = np.array([1.0, 4.0, 9.0])
 
 
 def _box1d_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x >= 1, by the direct series.
+    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x >= 0.5, by the direct series.
 
     ln z = log1p(sum_{n>=2} w_n) keeps its relative accuracy when the excited
-    levels are nearly empty; <g^2> - <g>^2 cancels by at most 5 % here.
+    levels are nearly empty; <g^2> - <g>^2 cancels by at most 17 % here.
     """
-    w = np.exp(np.multiply.outer(x, -_SERIES_GAPS))
-    gw = w * _SERIES_GAPS
-    excited = w.sum(axis=-1)
+    gaps = _SERIES_GAPS.reshape((-1,) + (1,) * np.ndim(x))
+    w = np.exp(np.multiply.outer(-_SERIES_GAPS, x))
+    gw = w * gaps
+    excited = _in_order(w)
     z = 1.0 + excited
-    mean = gw.sum(axis=-1) / z
-    var = (gw * _SERIES_GAPS).sum(axis=-1) / z - mean * mean
+    mean = _in_order(gw) / z
+    var = _in_order(gw * gaps) / z - mean * mean
     return np.log1p(excited), mean, var
 
 
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... + terms[8], added in that order, the largest
+    first.  numpy's sum keeps that order for up to seven summands but pairs
+    up longer runs where they are its innermost loop, as for a one-element
+    x, which would then round differently from a longer x."""
+    return terms[:7].sum(axis=0) + terms[7] + terms[8]
+
+
 def _box1d_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x < 1, by the Jacobi theta
+    """(ln z, <g>, Var g) for g_n = n^2 - 1 at x < 0.5, by the Jacobi theta
     inversion (Whittaker & Watson, ch. 21)
 
         A = 1 + 2 sum_{n>=1} exp(-x n^2) = sqrt(pi/x) theta,
@@ -225,7 +241,7 @@ def _box1d_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     with z = e^x (A - 1)/2.  theta's derivatives are carried as x theta'/theta
     and x^2 theta''/theta, sums of y^j e^-y <= 1, so nothing overflows; three
-    terms reach e^-88 at x = 1.
+    terms reach e^-177 at x = 0.5.
     """
     y = np.multiply.outer(_PI2 / x, _THETA_SQUARES)
     e = np.exp(-y)
@@ -469,8 +485,8 @@ def beta_for_force(
     return beta.item() if shape == () else beta.reshape(shape)
 
 
-# <g> at x = 1, where the kernel changes form: the Newton seed is warm for
-# larger targets (x <= 1) and cold for smaller ones
+# <g> at x = 1, where the Newton seed changes form: it is warm for larger
+# targets (x <= 1) and cold for smaller ones
 _SEED_SWITCH = _box1d_series(np.array(1.0))[1].item()
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcycle import processes
-from qcycle.cli import _parser, main
+from qcycle.cli import ERRORS, _parser, main
 from qcycle.config import parse_config
-from qcycle.cycles import run_cycle
+from qcycle.cycles import CornerRecord, run_cycle
+from qcycle.errors import ConfigError, ConvergenceError, DomainError
 from qcycle.substances import box, equilibrium_force
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "table2.csv"
@@ -270,6 +271,55 @@ CROSS_CHECKED = {
         "output": {"samples_per_segment": 8},
     },
 }
+
+
+class TestContractsReadFromTheirOwners:
+    def test_diagram_header_and_corner_keys(self, tmp_path):
+        doc = patch_outputs(CAVITY_BRAYTON, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 0
+        header = (tmp_path / "diagram.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["segment_index", *processes.SAMPLE_FIELDS]
+        report = json.loads((tmp_path / "report.json").read_text())
+        names = [field.name for field in dataclasses.fields(CornerRecord)]
+        assert [list(corner) for corner in report["corners"]] == [names] * 4
+
+    @pytest.mark.parametrize(
+        "error, code, doc, param",
+        [
+            # T_C > T_H, refused by the builder
+            (ConfigError, 2,
+             {"substance": {"kind": "box1d"},
+              "cycle": {"kind": "carnot", "T_H": 1.0, "T_C": 2.0, "L_A": 1.0, "L_B": 2.0}},
+             "T_H"),
+            # W_net cancels by a factor of 2.8e7
+            (ConvergenceError, 3,
+             {"substance": {"kind": "box1d"},
+              "cycle": {"kind": "brayton", "F1": 20.0, "F0": 20.0 * (1.0 - 1e-7),
+                        "L_A": 1.0, "L_B": 1.2}},
+             "F0"),
+            # the isobar lies below the vacuum force
+            (DomainError, 4,
+             {"substance": {"kind": "cavity"},
+              "cycle": {"kind": "brayton", "F1": 0.13, "F0": 0.12, "L_A": 1.0, "L_B": 2.0}},
+             "F0"),
+        ],
+        ids=["config", "convergence", "domain"],
+    )
+    def test_run_and_sweep_exit_by_the_error_table(self, tmp_path, capsys, error, code, doc, param):
+        assert ERRORS[error][0] == code
+        label = ERRORS[error][1]
+        doc = patch_outputs(dict(doc, output={"samples_per_segment": 8}), tmp_path)
+        config = write_config(tmp_path, doc)
+        assert main(["run", str(config)]) == code
+        assert capsys.readouterr().err.startswith(f"{label}: ")
+        assert not (tmp_path / "report.json").exists()
+        # the sweep writes the same code for the same point, and prints no error
+        value = repr(doc["cycle"][param])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(config), "--param", param, "--from", value, "--to", value,
+                     "--steps", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1].split(",")[4] == str(code)
 
 
 class TestCrossCheckOffTheRunPath:

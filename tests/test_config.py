@@ -4,9 +4,17 @@ import json
 
 import pytest
 
-from qcycle.config import parse_config, serialize_config, validate_config
+from qcycle.config import (
+    OutputConfig,
+    parse_config,
+    serialize_config,
+    substance_document,
+    validate_config,
+)
+from qcycle.cycles import CYCLE_BUILDERS
 from qcycle.errors import ConfigError
 from qcycle.numerics import DEFAULT_POLICY
+from qcycle.substances import BOX_KINDS, KIND_PARAMETERS, KINDS, OSCILLATOR_KINDS
 
 MINIMAL_BRAYTON = {
     "substance": {"kind": "box1d"},
@@ -189,3 +197,52 @@ def test_config_builds_runnable_cycle():
 def test_json_text_entry_point():
     config = parse_config(json.dumps(MINIMAL_BRAYTON))
     assert config.cycle_kind == "brayton"
+
+
+# every parameter a substance section could name: the union of the table's
+SUBSTANCE_FIELDS = sorted({name for names in KIND_PARAMETERS.values() for name in names})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_substance_fields_are_the_kind_table(kind):
+    # mass for the box kinds, mode_constant for the oscillators and the
+    # cavity, none for the spin; any other field is an unknown field
+    allowed = KIND_PARAMETERS[kind]
+    assert allowed == (
+        ("mass",) if kind in BOX_KINDS else ("mode_constant",) if kind in OSCILLATOR_KINDS else ()
+    )
+    cycle = {"kind": "carnot", "T_H": 2.0, "T_C": 1.0, "L_A": 1.0, "L_B": 2.0}
+    given = {name: 2.5 for name in allowed}
+    config = validate_config({"substance": {"kind": kind, **given}, "cycle": cycle})
+    assert substance_document(config) == {"kind": kind, **given}
+    for name in SUBSTANCE_FIELDS + ["pressure_units"]:
+        if name not in allowed:
+            with pytest.raises(ConfigError, match=rf"^substance\.{name}: unknown field$"):
+                validate_config({"substance": {"kind": kind, name: 2.5}, "cycle": cycle})
+
+
+@pytest.mark.parametrize("kind", list(CYCLE_BUILDERS))
+def test_cycle_fields_are_the_builders_table(kind):
+    # exactly the builder's parameters, each required, in the table's order
+    fields = CYCLE_BUILDERS[kind][1]
+    params = {name: 1.0 for name in fields}
+    config = validate_config({"substance": {"kind": "box1d"}, "cycle": {"kind": kind, **params}})
+    assert list(config.cycle_params.items()) == list(params.items())
+    for name in fields:
+        cycle = {"kind": kind, **{k: v for k, v in params.items() if k != name}}
+        with pytest.raises(ConfigError, match=rf"^cycle\.{name}: required for {kind}$"):
+            validate_config({"substance": {"kind": "box1d"}, "cycle": cycle})
+    with pytest.raises(ConfigError, match=r"^cycle\.Q: unknown field$"):
+        cycle = {"kind": kind, **params, "Q": 1.0}
+        validate_config({"substance": {"kind": "box1d"}, "cycle": cycle})
+
+
+def test_unknown_cycle_kind_lists_the_table_in_its_order():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"substance": {"kind": "box1d"}, "cycle": {"kind": "stirling"}})
+    assert str(err.value).endswith("expected one of brayton, diesel, otto, carnot")
+
+
+def test_output_defaults_are_output_configs():
+    assert validate_config(dict(MINIMAL_BRAYTON, output={})).output == OutputConfig()
+    assert validate_config(MINIMAL_BRAYTON).output == OutputConfig()

@@ -1,6 +1,7 @@
 """Cycle builders, closed-form efficiencies and numeric agreement."""
 
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -8,8 +9,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcycle import processes, substances
+from qcycle import cycles, processes, substances
 from qcycle.cycles import (
+    CYCLE_BUILDERS,
+    CYCLE_KINDS,
     CycleSpec,
     build_brayton,
     build_carnot,
@@ -81,6 +84,20 @@ class TestClosedFormEfficiency:
             "brayton", 2.0, {"force_ratio": (0.125 * 7.3) / (0.5 * 7.3)}
         )
         assert base == scaled
+
+
+class TestBuilderTable:
+    @pytest.mark.parametrize("kind", CYCLE_KINDS)
+    def test_table_matches_the_builders_signature(self, kind):
+        # the parameters between model and policy, in order
+        name, fields = CYCLE_BUILDERS[kind]
+        params = list(inspect.signature(getattr(cycles, name)).parameters)
+        assert (params[0], params[-1]) == ("model", "policy")
+        assert tuple(params[1:-1]) == fields
+
+    def test_table_lists_every_cycle_kind(self):
+        assert list(CYCLE_BUILDERS) == ["brayton", "diesel", "otto", "carnot"]
+        assert sorted(CYCLE_BUILDERS) == sorted(CYCLE_KINDS)
 
 
 class TestBrayton:

@@ -407,6 +407,20 @@ def test_isobar_direct_heat_matches_closed_form(model, x):
     assert abs(r.Q_direct - r.Q) <= 1e-12 * abs(r.Q)
 
 
+@pytest.mark.parametrize(
+    "model, beta0, beta1, bound",
+    [(box(1), 10.0, 10.5, 1e-14), (cavity_mode(), 30.0, 31.0, 1e-15)],
+    ids=["box1d-cold", "cavity-cold"],
+)
+def test_cold_isochore_direct_heat(model, beta0, beta1, bound):
+    # an isochore's nodes are x0 e^(t ds), which keeps the cold box1d
+    # isochore's cross-check at 5.8e-15 (2.0e-14 from e^(s0 + t ds)) and the
+    # cavity's at 4.3e-16 (3.0e-15)
+    r = segment_heat_work(isochoric_segment(model, 1.0, beta0, beta1), samples_per_segment=4)
+    assert r.Q != 0.0
+    assert abs(r.Q_direct - r.Q) <= bound * abs(r.Q)
+
+
 def _beta_at(model, L, x):
     """A beta at which the kernel's x = beta Delta(L) is exactly x."""
     gap = gibbs_state(model, 1.0, L).gap

@@ -250,6 +250,35 @@ class TestKernel:
         assert abs(otto.eta_numeric - otto.eta_closed) <= 1e-8
 
 
+def test_box1d_kernel_from_the_series_switch_to_x_1():
+    # on [0.5, 1) the direct series holds all three moments to 1e-15 of
+    # 50-digit level sums; the theta form, taken below 0.5, would lose about
+    # three bits of <g> = -1 - f b/x there to the -1
+    xs = np.geomspace(0.5, 1.0, 41)[:-1]
+    got = np.array(substances._kernel("box1d", xs))
+    with mp.workdps(50):
+        for column, x in zip(got.T, xs):
+            x = mp.mpf(float(x))
+            sums = [mp.fsum((n * n - 1) ** j * mp.exp(-x * (n * n - 1)) for n in range(2, 40))
+                    for j in range(3)]
+            z = 1 + sums[0]
+            mean = sums[1] / z
+            reference = (mp.log1p(sums[0]), mean, sums[2] / z - mean * mean)
+            for value, expected in zip(column, reference):
+                assert abs(value / float(expected) - 1.0) <= 1e-15
+
+
+def test_box1d_series_rounds_alike_at_every_shape():
+    # one x gives the same bits alone, as a one-element array and inside a
+    # (k, n) batch: the series adds its nine terms in one order at every shape
+    xs = np.geomspace(0.5, 60.0, 64)
+    batch = [m.ravel() for m in substances._kernel("box1d", xs.reshape(4, 16))]
+    for i, x in enumerate(xs):
+        expected = [m[i] for m in batch]
+        assert [float(m) for m in substances._kernel("box1d", x)] == expected
+        assert [m.item() for m in substances._kernel("box1d", xs[i:i + 1])] == expected
+
+
 class TestPartitionFunction:
     def test_cavity_closed_geometric(self):
         z = math.exp(gibbs_state(cavity_mode(), math.log(2.0), 1.0).log_partition)
@@ -778,14 +807,11 @@ class TestBox1dNewtonSeed:
         assert counts.max() <= 4
 
     def test_round_trip_through_the_kernel(self):
-        xs = np.geomspace(1e-12, 230.0, 2000)
+        # 50,000 points, so that the band above the kernel's switch at
+        # x = 0.5 is sampled densely
+        xs = np.geomspace(1e-12, 230.0, 50_000)
         solved = substances._box1d_x_for_mean(self.mean_at(xs), NumericsPolicy())
-        error = np.abs(solved / xs - 1.0)
-        # on [0.5, 1) the theta form's <g> = -1 - f b/x loses about three
-        # bits to the -1, and x inherits that rounding of the forward kernel
-        near_one = (xs >= 0.5) & (xs < 1.0)
-        assert error[~near_one].max() <= 1e-15
-        assert error[near_one].max() <= 2e-15
+        assert np.abs(solved / xs - 1.0).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "target",
