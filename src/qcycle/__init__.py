@@ -6,138 +6,35 @@ drives four process kinds (isothermal, isochoric, isobaric, adiabatic) and
 the cycles composed from them (Carnot, Otto, Brayton, Diesel), with every
 closed form cross-checked against brute-force canonical sums
 (qcycle.reference).
+
+The names imported here are the public surface: the models, the state
+functions, the cycle builders and run_cycle, the run config, the errors and
+the check suite.  Every other name is imported from its own module.
 """
 
 from .checks import CheckResult, run_checks
-from .config import OutputConfig, RunConfig, parse_config, serialize_config, validate_config
+from .config import RunConfig, parse_config
 from .cycles import (
-    CORNER_LABELS,
-    CYCLE_KINDS,
-    CornerRecord,
     CycleReport,
     CycleSpec,
     build_brayton,
     build_carnot,
     build_diesel,
     build_otto,
-    closed_form_efficiency,
     run_cycle,
 )
 from .errors import ConfigError, ConvergenceError, DomainError, QcycleError
-from .numerics import (
-    DEFAULT_POLICY,
-    NumericsPolicy,
-    derivative_centered,
-    integrate_adaptive,
-    integrate_adaptive_batch,
-    integrate_gauss,
-)
-from .processes import (
-    SEGMENT_KINDS,
-    PathSample,
-    ProcessSegment,
-    SegmentResult,
-    adiabatic_advance,
-    adiabatic_segment,
-    build_segment,
-    isobaric_schedule,
-    isobaric_segment,
-    isochoric_segment,
-    isothermal_segment,
-    reverse_segment,
-    segment_heat_work,
-    segment_point,
-    stacked_heat_work,
-    work_gauss_reference,
-)
+from .numerics import NumericsPolicy
 from .substances import (
-    BOX_KINDS,
-    KINDS,
-    OSCILLATOR_KINDS,
-    GibbsState,
     SpectrumModel,
-    beta_for_force,
     box,
     cavity_mode,
     entropy,
-    equilibrium_force,
     force,
-    free_energy,
     gibbs_state,
     harmonic,
-    heat_capacity,
     internal_energy,
-    mean_occupation,
-    regime_parameter,
     spin_half,
-    vacuum_force,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOX_KINDS",
-    "CORNER_LABELS",
-    "CYCLE_KINDS",
-    "CheckResult",
-    "ConfigError",
-    "ConvergenceError",
-    "CornerRecord",
-    "CycleReport",
-    "CycleSpec",
-    "DEFAULT_POLICY",
-    "DomainError",
-    "GibbsState",
-    "KINDS",
-    "NumericsPolicy",
-    "OSCILLATOR_KINDS",
-    "OutputConfig",
-    "PathSample",
-    "ProcessSegment",
-    "QcycleError",
-    "RunConfig",
-    "SEGMENT_KINDS",
-    "SegmentResult",
-    "SpectrumModel",
-    "adiabatic_advance",
-    "adiabatic_segment",
-    "beta_for_force",
-    "box",
-    "build_brayton",
-    "build_carnot",
-    "build_diesel",
-    "build_otto",
-    "build_segment",
-    "cavity_mode",
-    "closed_form_efficiency",
-    "derivative_centered",
-    "entropy",
-    "equilibrium_force",
-    "force",
-    "free_energy",
-    "gibbs_state",
-    "harmonic",
-    "heat_capacity",
-    "integrate_adaptive",
-    "integrate_adaptive_batch",
-    "integrate_gauss",
-    "internal_energy",
-    "isobaric_schedule",
-    "isobaric_segment",
-    "isochoric_segment",
-    "isothermal_segment",
-    "mean_occupation",
-    "parse_config",
-    "regime_parameter",
-    "reverse_segment",
-    "run_checks",
-    "run_cycle",
-    "segment_heat_work",
-    "segment_point",
-    "serialize_config",
-    "spin_half",
-    "stacked_heat_work",
-    "validate_config",
-    "vacuum_force",
-    "work_gauss_reference",
-]

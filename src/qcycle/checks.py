@@ -34,7 +34,6 @@ from .substances import (
     cavity_mode,
     entropy,
     equilibrium_force,
-    force,
     free_energy,
     gibbs_state,
     harmonic,

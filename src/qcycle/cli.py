@@ -16,7 +16,7 @@ import os
 import sys
 
 from .checks import SCOPES, run_checks
-from .config import RunConfig, parse_config, substance_document
+from .config import RunConfig, _positive_number, parse_config, substance_document
 from .cycles import CYCLE_KINDS, CycleReport, closed_form_efficiency, run_cycle
 from .errors import ConfigError, ConvergenceError, DomainError
 from .processes import SAMPLE_FIELDS
@@ -202,8 +202,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.steps < 1:
         raise ConfigError("--steps must be at least 1")
-    if args.start <= 0.0 or args.stop <= 0.0:
-        raise ConfigError("sweep endpoints must be positive")
+    for option, value in (("--from", args.start), ("--to", args.stop)):
+        _positive_number(value, option)
     if args.steps == 1:
         values = [args.start]
     else:

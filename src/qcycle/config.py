@@ -48,8 +48,8 @@ class RunConfig:
     substance_kind: str
     cycle_kind: str
     cycle_params: dict[str, float]
-    mass: float = 1.0
-    mode_constant: float = 1.0
+    mass: float = SpectrumModel.mass
+    mode_constant: float = SpectrumModel.mode_constant
     policy: NumericsPolicy = DEFAULT_POLICY
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -90,7 +90,9 @@ def _reject_unknown(node: dict, allowed: tuple[str, ...], path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _validate_substance(node: dict) -> tuple[str, float, float]:
+def _validate_substance(node: dict) -> tuple[str, dict[str, float]]:
+    """The kind and the parameters the node gives; an omitted parameter takes
+    its SpectrumModel default."""
     node = _require_mapping(node, "substance")
     if "kind" not in node:
         raise ConfigError("substance.kind: required")
@@ -100,9 +102,12 @@ def _validate_substance(node: dict) -> tuple[str, float, float]:
             f"substance.kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
     _reject_unknown(node, ("kind",) + KIND_PARAMETERS[kind], "substance")
-    mass = _positive_number(node.get("mass", 1.0), "substance.mass")
-    mode = _positive_number(node.get("mode_constant", 1.0), "substance.mode_constant")
-    return kind, mass, mode
+    params = {
+        name: _positive_number(node[name], f"substance.{name}")
+        for name in KIND_PARAMETERS[kind]
+        if name in node
+    }
+    return kind, params
 
 
 def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
@@ -161,7 +166,7 @@ def validate_config(document) -> RunConfig:
     for section in ("substance", "cycle"):
         if section not in document:
             raise ConfigError(f"{section}: required section")
-    kind, mass, mode = _validate_substance(document["substance"])
+    kind, substance_params = _validate_substance(document["substance"])
     cycle_kind, params = _validate_cycle(document["cycle"])
     policy = _validate_numerics(document.get("numerics", {}))
     output = _validate_output(document.get("output", {}))
@@ -169,8 +174,7 @@ def validate_config(document) -> RunConfig:
         substance_kind=kind,
         cycle_kind=cycle_kind,
         cycle_params=params,
-        mass=mass,
-        mode_constant=mode,
+        **substance_params,
         policy=policy,
         output=output,
     )

@@ -34,7 +34,6 @@ from .substances import (
     axis_states,
     beta_for_force,
     entropy,
-    equilibrium_force,
     gibbs_state,
     isobar_states,
 )
@@ -288,30 +287,6 @@ def _adiabat(
     )
 
 
-def build_segment(
-    kind: str,
-    model: SpectrumModel,
-    start: tuple[float, float],
-    endpoint: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
-) -> ProcessSegment:
-    """Generic constructor: start is (beta, L); endpoint is the free
-    variable's end value (L for all kinds except isochoric, where it is
-    beta).  An isobaric segment holds the equilibrium force of the start
-    state."""
-    beta, L = start
-    if kind == "isothermal":
-        return isothermal_segment(model, beta, L, endpoint)
-    if kind == "isochoric":
-        return isochoric_segment(model, L, beta, endpoint)
-    if kind == "isobaric":
-        held = equilibrium_force(model, beta, L)
-        return isobaric_segment(model, held, L, endpoint, policy)
-    if kind == "adiabatic":
-        return adiabatic_segment(model, beta, L, endpoint)
-    raise ValueError(f"unknown segment kind {kind!r}")
-
-
 def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
     """The same path run end to start; Q and W change sign."""
     return ProcessSegment(
@@ -363,20 +338,6 @@ def _path_points(model: SpectrumModel, columns, t, policy: NumericsPolicy):
             model, columns[_HELD][isobaric], L[isobaric], policy
         )
     return beta, L
-
-
-def segment_point(
-    segment: ProcessSegment, t, policy: NumericsPolicy = DEFAULT_POLICY
-):
-    """(beta, L) at path parameter t, a float or an array; linear in the
-    free variable.  For an array both come back with t's shape, an isobar's
-    beta from one schedule solve over all of t."""
-    t = np.asarray(t, dtype=float)
-    columns = np.repeat(_segment_table((segment,)), t.size, axis=1)
-    beta, L = _path_points(segment.model, columns, t.ravel(), policy)
-    if t.ndim == 0:
-        return beta.item(), L.item()
-    return beta.reshape(t.shape), L.reshape(t.shape)
 
 
 @dataclass(eq=False, slots=True)
@@ -596,7 +557,8 @@ def work_gauss_reference(
     dL = segment.L_end - segment.L_start
 
     def work_rate(t: np.ndarray) -> np.ndarray:
-        beta, L = segment_point(segment, t, policy)
+        columns = np.repeat(_segment_table((segment,)), t.size, axis=1)
+        beta, L = _path_points(model, columns, t, policy)
         U = model.dimension * axis_states(model, beta, L).energy
         return -model.scaling_power * U / L * dL
 

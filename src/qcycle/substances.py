@@ -111,21 +111,23 @@ class SpectrumModel:
         return self.dimension * _axis_scale(self.axis, L)[0]
 
 
-def box(dim: int = 1, mass: float = 1.0) -> SpectrumModel:
+def box(dim: int = 1, mass: float = SpectrumModel.mass) -> SpectrumModel:
     """Single particle in a hard-wall box of side L (dim = 1, 2 or 3)."""
     if dim not in (1, 2, 3):
         raise ValueError(f"box dimension must be 1, 2 or 3, got {dim}")
     return SpectrumModel(kind=f"box{dim}d", mass=mass)
 
 
-def harmonic(dim: int = 1, mode_constant: float = 1.0) -> SpectrumModel:
+def harmonic(
+    dim: int = 1, mode_constant: float = SpectrumModel.mode_constant
+) -> SpectrumModel:
     """Isotropic harmonic oscillator with frequency mode_constant / L."""
     if dim not in (1, 2, 3):
         raise ValueError(f"oscillator dimension must be 1, 2 or 3, got {dim}")
     return SpectrumModel(kind=f"harmonic{dim}d", mode_constant=mode_constant)
 
 
-def cavity_mode(mode_constant: float = 1.0) -> SpectrumModel:
+def cavity_mode(mode_constant: float = SpectrumModel.mode_constant) -> SpectrumModel:
     """Single-mode radiation field in a cavity of length L.
 
     Spectrally identical to the 1D oscillator: E_n = (n + 1/2) kappa / L.
@@ -287,10 +289,6 @@ class GibbsState(NamedTuple):
 
     levels_used = 0
 
-    @property
-    def temperature(self) -> float:
-        return 1.0 / self.beta
-
 
 # Per-axis equilibrium quantities at (beta, L), floats or arrays: E_0, Delta,
 # x = beta Delta, the kernel's (ln z, <g>, Var g) and U = E_0 + Delta <g>.
@@ -386,14 +384,6 @@ def entropy(state: GibbsState) -> float:
 def free_energy(model: SpectrumModel, beta: float, L: float) -> float:
     """F = -(1/beta) ln Z = d (E_0 - ln z / beta), from the kernel."""
     return -gibbs_state(model, beta, L).log_partition / beta
-
-
-def mean_occupation(model: SpectrumModel, beta: float, L: float) -> float:
-    """Bose factor <n> = 1 / (e^{beta omega} - 1) of the cavity mode."""
-    if model.kind != "cavity":
-        raise ValueError(f"mean_occupation applies to the cavity mode, got {model.kind!r}")
-    _check_state_args(beta, L)
-    return 1.0 / math.expm1(beta * model.mode_constant / L)
 
 
 def equilibrium_force(model: SpectrumModel, beta: float, L: float) -> float:
@@ -551,28 +541,3 @@ def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
         f"isobaric schedule: Newton solve for <g> = {target[0]!r} did not "
         f"converge in {policy.root_max_iter} iterations"
     )
-
-
-def heat_capacity(
-    model: SpectrumModel,
-    beta: float,
-    L: float,
-    mode: str = "coordinate",
-) -> float:
-    """Exact heat capacity from the kernel.
-
-    mode='coordinate' gives C_V = dU/dT at fixed L, which is d x^2 Var(g).
-    mode='force' gives C_P = (dU + F dL)/dT along the constant-force
-    schedule through (beta, L).  With F = p U / L held, dU/U = dL/L, and
-    the exact partials of U(T, L) give
-    C_P = (p + 1) U C_V / ((p + 1) U - p T C_V).
-    """
-    if mode not in ("coordinate", "force"):
-        raise ValueError(f"mode must be 'coordinate' or 'force', got {mode!r}")
-    state = gibbs_state(model, beta, L)
-    c_v = state.axes * state.x * state.x * state.moments[2]
-    if mode == "coordinate":
-        return c_v
-    p = model.scaling_power
-    u = internal_energy(state, model)
-    return (p + 1) * u * c_v / ((p + 1) * u - p * c_v / beta)

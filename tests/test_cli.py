@@ -252,6 +252,17 @@ class TestRun:
         assert report["eta_numeric"] == pytest.approx(report["eta_closed"], abs=1e-12)
         assert (tmp_path / "diagram.csv").exists()
 
+    def test_readme_library_example_runs(self):
+        # the Library section reads only names of the top-level qcycle
+        text = README.read_text(encoding="utf-8")
+        example = text.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(example, "README.md", "exec"), namespace)
+        report, sums, state = namespace["report"], namespace["sums"], namespace["state"]
+        assert report.eta_numeric == pytest.approx(0.5, rel=1e-12)
+        assert report.eta_closed == pytest.approx(0.5, rel=1e-12)
+        assert abs(sums.log_partition - state.log_partition) <= 1e-14
+
 
 # one cycle per integrated segment kind: isobars, isochores, isotherms
 CROSS_CHECKED = {
@@ -452,6 +463,19 @@ class TestCheck:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("option", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_endpoint_is_a_config_error(self, tmp_path, capsys, option, value):
+        # refused as `run` refuses the same parameter value, before any point
+        config = write_config(tmp_path, CAVITY_BRAYTON)
+        out = tmp_path / "sweep.csv"
+        ends = {"--from": "0.3", "--to": "0.6", option: value}
+        assert main(["sweep", str(config), "--param", "F0", "--from", ends["--from"],
+                     "--to", ends["--to"], "--steps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {option}: must be a positive finite number, got {value}\n"
+        assert not out.exists()
+
     def test_cavity_force_ratio_sweep(self, tmp_path):
         config = write_config(tmp_path, CAVITY_BRAYTON)
         out = tmp_path / "sweep.csv"

@@ -14,7 +14,17 @@ from qcycle.config import (
 from qcycle.cycles import CYCLE_BUILDERS
 from qcycle.errors import ConfigError
 from qcycle.numerics import DEFAULT_POLICY
-from qcycle.substances import BOX_KINDS, KIND_PARAMETERS, KINDS, OSCILLATOR_KINDS
+from qcycle.substances import (
+    BOX_KINDS,
+    KIND_PARAMETERS,
+    KINDS,
+    OSCILLATOR_KINDS,
+    SpectrumModel,
+    box,
+    cavity_mode,
+    harmonic,
+    spin_half,
+)
 
 MINIMAL_BRAYTON = {
     "substance": {"kind": "box1d"},
@@ -246,3 +256,23 @@ def test_unknown_cycle_kind_lists_the_table_in_its_order():
 def test_output_defaults_are_output_configs():
     assert validate_config(dict(MINIMAL_BRAYTON, output={})).output == OutputConfig()
     assert validate_config(MINIMAL_BRAYTON).output == OutputConfig()
+
+
+# each kind's model as its constructor builds it with no parameter given
+CONSTRUCTED = {
+    **{f"box{d}d": box(d) for d in (1, 2, 3)},
+    **{f"harmonic{d}d": harmonic(d) for d in (1, 2, 3)},
+    "cavity": cavity_mode(),
+    "spin_half": spin_half(),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_omitted_substance_parameter_is_the_models_default(kind):
+    # SpectrumModel's field defaults are the only ones: a config that names
+    # only the kind, and a constructor called without its parameter, build
+    # the same model as SpectrumModel(kind)
+    cycle = {"kind": "carnot", "T_H": 2.0, "T_C": 1.0, "L_A": 1.0, "L_B": 2.0}
+    config = validate_config({"substance": {"kind": kind}, "cycle": cycle})
+    assert config.model() == SpectrumModel(kind)
+    assert CONSTRUCTED[kind] == SpectrumModel(kind)

@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 
 from qcycle.errors import DomainError
-from qcycle.numerics import DEFAULT_POLICY
 from qcycle.processes import (
     _adiabatic_pair,
     adiabatic_advance,
     adiabatic_segment,
-    build_segment,
     isobaric_schedule,
     isobaric_segment,
     isochoric_segment,
     isothermal_segment,
     reverse_segment,
     segment_heat_work,
-    segment_point,
     work_gauss_reference,
 )
 from qcycle.reference import gibbs_sums
@@ -120,30 +117,9 @@ class TestAdiabaticAdvance:
 
 
 class TestSegmentConstruction:
-    def test_build_segment_dispatch(self):
-        model = cavity_mode()
-        iso = build_segment("isothermal", model, (1.0, 1.0), 2.0)
-        assert iso.kind == "isothermal" and iso.held == "T"
-        cho = build_segment("isochoric", model, (1.0, 1.0), 2.0)
-        assert cho.beta_end == 2.0 and cho.L_end == 1.0
-        bar = build_segment("isobaric", model, (math.log(3.0), 1.0), 1.5)
-        assert bar.held == "F"
-        assert bar.held_value == pytest.approx(1.0, rel=1e-11)
-        ada = build_segment("adiabatic", model, (1.0, 1.0), 2.0)
-        assert ada.beta_end == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            build_segment("isoenthalpic", model, (1.0, 1.0), 2.0)
-
     def test_isobaric_below_vacuum_rejected(self):
         with pytest.raises(DomainError):
             isobaric_segment(cavity_mode(), 0.4, 1.0, 2.0)
-
-    def test_segment_point_schedules(self):
-        model = cavity_mode()
-        seg = isobaric_segment(model, 1.0, 1.0, 2.0)
-        beta, L = segment_point(seg, 0.5)
-        assert L == 1.5
-        assert beta == pytest.approx(isobaric_schedule(model, 1.0, 1.5), rel=1e-14)
 
     def test_reverse_segment(self):
         seg = isothermal_segment(box(1), 0.8, 1.0, 2.0)
@@ -277,18 +253,44 @@ class TestSegmentHeatWork:
         assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale
 
 
+# one segment of each kind from (beta, L) = (0.15, 1.0); the isobar holds
+# the force of that state
+SEGMENTS_FROM_ONE_STATE = {
+    "isothermal": lambda model: isothermal_segment(model, 0.15, 1.0, 1.2),
+    "isochoric": lambda model: isochoric_segment(model, 1.0, 0.15, 1.7),
+    "isobaric": lambda model: isobaric_segment(
+        model, equilibrium_force(model, 0.15, 1.0), 1.0, 1.2
+    ),
+    "adiabatic": lambda model: adiabatic_segment(model, 0.15, 1.0, 1.2),
+}
+
+
+def _defined_point(seg, t):
+    """(beta, L) at path parameter t by the segment kind's own definition:
+    beta linear in t on an isochore, L linear in t otherwise, with
+    beta0 (L/L0)^p on an adiabat and the schedule at the held force on an
+    isobar."""
+    if seg.kind == "isochoric":
+        return seg.beta_start + t * (seg.beta_end - seg.beta_start), seg.L_start
+    L = seg.L_start + t * (seg.L_end - seg.L_start)
+    if seg.kind == "adiabatic":
+        return seg.beta_start * (L / seg.L_start) ** seg.model.scaling_power, L
+    if seg.kind == "isobaric":
+        return isobaric_schedule(seg.model, seg.held_value, L), L
+    return seg.beta_start, L
+
+
 @pytest.mark.parametrize("model", [box(1), box(2), cavity_mode(), spin_half()],
                          ids=lambda m: m.kind)
-@pytest.mark.parametrize("kind", ["isothermal", "isochoric", "isobaric", "adiabatic"])
+@pytest.mark.parametrize("kind", list(SEGMENTS_FROM_ONE_STATE))
 def test_array_samples_match_per_sample_states(model, kind):
     # every sample of the array route against a state built for it alone;
     # the box1d isochore runs x = beta E_1 from 0.74 to 8.4, across the
     # kernel's switch at x = 1
-    end = 1.7 if kind == "isochoric" else 1.2
-    seg = build_segment(kind, model, (0.15, 1.0), end)
+    seg = SEGMENTS_FROM_ONE_STATE[kind](model)
     r = segment_heat_work(seg, samples_per_segment=16)
     for sample in r.samples:
-        beta, L = segment_point(seg, sample.t)
+        beta, L = _defined_point(seg, sample.t)
         assert (sample.beta, sample.L) == pytest.approx((beta, L), rel=1e-13, abs=0.0)
         state = gibbs_state(model, sample.beta, sample.L)
         expected = (internal_energy(state, model), entropy(state), force(state, model))
@@ -370,18 +372,21 @@ def test_random_segments_close():
         kind = ("isothermal", "isochoric", "isobaric")[rng.integers(3)]
         beta, beta_end = rng.uniform(0.2, 5.0, 2)
         L0, L1 = rng.uniform(0.5, 3.0, 2)
-        if kind == "isobaric":  # expanding
-            L0, L1 = min(L0, L1), max(L0, L1)
-        end = beta_end if kind == "isochoric" else L1
-        try:
-            seg = build_segment(kind, model, (beta, L0), end)
-        except DomainError:
-            # the held force does not exceed the zero-temperature force, to
-            # rounding, at one end of the path
+        if kind == "isothermal":
+            seg = isothermal_segment(model, beta, L0, L1)
+        elif kind == "isochoric":
+            seg = isochoric_segment(model, L0, beta, beta_end)
+        else:
+            L0, L1 = min(L0, L1), max(L0, L1)  # expanding
             held = equilibrium_force(model, beta, L0)
-            excess = min(held - vacuum_force(model, L) for L in (L0, L1))
-            assert excess <= 1e-12 * abs(held)
-            continue
+            try:
+                seg = isobaric_segment(model, held, L0, L1)
+            except DomainError:
+                # the held force does not exceed the zero-temperature force,
+                # to rounding, at one end of the path
+                excess = min(held - vacuum_force(model, L) for L in (L0, L1))
+                assert excess <= 1e-12 * abs(held)
+                continue
         r = segment_heat_work(seg, samples_per_segment=4)
         scale = max(abs(r.Q), abs(r.W_on), abs(r.delta_U))
         assert abs(r.delta_U - r.Q_direct - r.W_on) <= 1e-10 * scale, seg

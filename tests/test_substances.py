@@ -30,9 +30,7 @@ from qcycle.substances import (
     free_energy,
     gibbs_state,
     harmonic,
-    heat_capacity,
     internal_energy,
-    mean_occupation,
     regime_parameter,
     spin_half,
     vacuum_force,
@@ -597,79 +595,6 @@ class TestFreeEnergy:
         assert free_energy(box(1), 500.0, 1.0) == pytest.approx(
             box(1).ground_energy(1.0), rel=1e-12
         )
-
-
-class TestMeanOccupation:
-    def test_unit_occupation(self):
-        assert mean_occupation(cavity_mode(), math.log(2.0), 1.0) == pytest.approx(1.0)
-
-    def test_zero_temperature(self):
-        assert mean_occupation(cavity_mode(), 200.0, 1.0) < 1e-80
-
-    def test_algebraic_inversion(self):
-        beta = math.log(1.0 + 1.0 / 4.0)
-        assert mean_occupation(cavity_mode(), beta, 1.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_wrong_kind(self):
-        with pytest.raises(ValueError):
-            mean_occupation(harmonic(1), 1.0, 1.0)
-
-
-class TestHeatCapacity:
-    def test_box_classical_constant_coordinate(self):
-        model = box(1)
-        beta = 1e-6 / model.ground_energy(1.0)
-        cv = heat_capacity(model, beta, 1.0, "coordinate")
-        assert abs(cv - 0.5) <= 1e-3
-
-    def test_box_classical_ratio(self):
-        model = box(1)
-        beta = 1e-6 / model.ground_energy(1.0)
-        cp = heat_capacity(model, beta, 1.0, "force")
-        cv = heat_capacity(model, beta, 1.0, "coordinate")
-        assert abs(cp / cv - 3.0) <= 1e-2
-
-    def test_cavity_high_temperature_ratio(self):
-        # beta omega ~ 0.05: quantum corrections to C_P/C_V = 2 are O((b w)^2)
-        model = cavity_mode()
-        beta = beta_for_force(model, 20.0, 1.0)
-        cp = heat_capacity(model, beta, 1.0, "force")
-        cv = heat_capacity(model, beta, 1.0, "coordinate")
-        assert abs(cp / cv - 2.0) <= 1e-2
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            heat_capacity(box(1), 1.0, 1.0, "volume")
-
-    @pytest.mark.parametrize(
-        "model, beta, L",
-        [(box(1), 0.3, 1.0), (box(1), 0.05, 1.0), (cavity_mode(), 0.7, 1.3),
-         (spin_half(), 1.1, 0.8)],
-        ids=("box1d", "box1d-warm", "cavity", "spin_half"),
-    )
-    def test_exact_against_mpmath(self, model, beta, L):
-        # C_V = beta^2 d^2 ln Z/d beta^2, and C_P = -beta dS/d beta along
-        # dF = 0, both from partials of ln Z(beta, L) by mpmath level sums
-        def log_z(b, length):
-            if model.kind == "spin_half":
-                levels = [-1 / (2 * length), 1 / (2 * length)]
-            elif model.kind == "box1d":
-                levels = [mp.pi**2 * n * n / (2 * length**2) for n in range(1, 120)]
-            else:
-                levels = [(n + mp.mpf(0.5)) / length for n in range(400)]
-            return mp.log(mp.fsum(mp.exp(-b * e) for e in levels))
-
-        with mp.workdps(40):
-            b, x = mp.mpf(beta), mp.mpf(L)
-            d = {k: mp.diff(log_z, (b, x), k) for k in ((0, 1), (2, 0), (1, 1), (0, 2))}
-            s_b = -b * d[2, 0]
-            s_l = d[0, 1] - b * d[1, 1]
-            f_b = d[1, 1] / b - d[0, 1] / b**2
-            f_l = d[0, 2] / b
-            c_v = float(b * b * d[2, 0])
-            c_p = float(-b * (s_b - s_l * f_b / f_l))
-        assert heat_capacity(model, beta, L, "coordinate") == pytest.approx(c_v, rel=1e-12)
-        assert heat_capacity(model, beta, L, "force") == pytest.approx(c_p, rel=1e-12)
 
 
 class TestMonotonicity:
