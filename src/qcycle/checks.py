@@ -335,15 +335,9 @@ def _cycle_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
 
 
 def run_checks(
-    scope: str = "all",
-    policy: NumericsPolicy = DEFAULT_POLICY,
-    tolerance_scale: float = 1.0,
+    scope: str = "all", policy: NumericsPolicy = DEFAULT_POLICY
 ) -> list[CheckResult]:
-    """Run the invariant suites of one scope (or all of them).
-
-    tolerance_scale multiplies every tolerance; it exists so harnesses can
-    deliberately make the suite unsatisfiable and exercise failure paths.
-    """
+    """Run the invariant suites of one scope (or all of them)."""
     if scope not in SCOPES + ("all",):
         raise ValueError(f"scope must be one of {SCOPES + ('all',)}, got {scope!r}")
     suites = {
@@ -360,7 +354,7 @@ def run_checks(
                     name=check_name,
                     scope=name,
                     deviation=float(deviation),
-                    tolerance=tolerance * tolerance_scale,
+                    tolerance=tolerance,
                 )
             )
     return out

@@ -9,6 +9,7 @@ error, 3 numeric non-convergence, 4 physical-domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -78,18 +79,32 @@ def _fmt(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+def _write_atomic(outputs: dict[str, str]) -> None:
+    """Write each path's text to path.tmp, then move every .tmp onto its
+    path, so that no path is replaced before every text is written.  An
+    OSError removes what this call wrote and raises ConfigError naming the
+    path."""
+    written = []
+    try:
+        for path, text in outputs.items():
+            with open(f"{path}.tmp", "w", encoding="utf-8", newline="") as handle:
+                written.append(f"{path}.tmp")
+                handle.write(text)
+        for path in outputs:
+            os.replace(f"{path}.tmp", path)
+            written.append(path)
+    except OSError as err:
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def _load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config(text)
 
@@ -138,13 +153,16 @@ def table_csv() -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    spec = config.build_cycle()
-    report = run_cycle(spec, config.policy, config.output.samples_per_segment)
     report_path = args.report or config.output.report_path
     diagram_path = args.diagram or config.output.diagram_path
+    if os.path.realpath(report_path) == os.path.realpath(diagram_path):
+        raise ConfigError(
+            f"report {report_path} and diagram {diagram_path} are one file"
+        )
+    spec = config.build_cycle()
+    report = run_cycle(spec, config.policy, config.output.samples_per_segment)
     document = json.dumps(_report_document(config, report), indent=2) + "\n"
-    _write_atomic(report_path, document)
-    _write_atomic(diagram_path, _diagram_csv(report))
+    _write_atomic({report_path: document, diagram_path: _diagram_csv(report)})
     print(
         f"{config.cycle_kind}/{config.substance_kind}: "
         f"eta_numeric={report.eta_numeric:.10g} eta_closed={report.eta_closed:.10g} "
@@ -156,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     text = table_csv()
     if args.out:
-        _write_atomic(args.out, text)
+        _write_atomic({args.out: text})
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -164,7 +182,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    results = run_checks(args.scope, tolerance_scale=args.tolerance_scale)
+    results = run_checks(args.scope)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -210,16 +228,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         step = (args.stop - args.start) / (args.steps - 1)
         values = [args.start + i * step for i in range(args.steps)]
 
-    # The points run one after another: the cycles are Python-bound, so a
-    # thread pool only adds contention.  QCYCLE_NUM_THREADS is still read
-    # and validated, as the accepted contract of earlier versions.
-    env_cap = os.environ.get("QCYCLE_NUM_THREADS")
-    if env_cap:
-        try:
-            int(env_cap)
-        except ValueError as err:
-            raise ConfigError(f"QCYCLE_NUM_THREADS must be an integer: {err}") from err
-
     rows = [_sweep_point(config, name, v) for v in values]
 
     lines = ["parameter,value,eta_numeric,eta_closed,exit_code"]
@@ -228,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         eta_c_s = "" if eta_c is None else _fmt(eta_c)
         lines.append(f"{name},{_fmt(value)},{eta_n_s},{eta_c_s},{code}")
     out = args.out or "sweep.csv"
-    _write_atomic(out, "\n".join(lines) + "\n")
+    _write_atomic({out: "\n".join(lines) + "\n"})
     good = sum(1 for row in rows if row[3] == EXIT_OK)
     print(f"swept {name} over {len(values)} points ({good} ok) -> {out}")
     return EXIT_OK
@@ -260,13 +268,6 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the built-in invariant suites")
     p_check.add_argument(
         "--scope", choices=SCOPES + ("all",), default="all", help="suite to run"
-    )
-    p_check.add_argument(
-        "--tolerance-scale",
-        dest="tolerance_scale",
-        type=float,
-        default=1.0,
-        help="multiply every tolerance (harness hook for exercising failures)",
     )
 
     p_sweep = sub.add_parser("sweep", help="sweep one cycle parameter")

@@ -14,27 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import cycles
 from .cycles import CYCLE_BUILDERS, CycleSpec
 from .errors import ConfigError
 from .numerics import DEFAULT_POLICY, NumericsPolicy
 from .substances import KIND_PARAMETERS, KINDS, SpectrumModel
-
-# NumericsPolicy fields and their types: a float must lie in (0, 1), an int
-# must be positive
-_POLICY_FIELDS = {"quad_tol": float, "quad_max_depth": int, "root_max_iter": int}
-# Fields of earlier versions that nothing reads any more: still type- and
-# range-checked, so every config that parsed before parses the same, then
-# ignored.
-_RETIRED_FIELDS = {
-    "series_tol": float,
-    "level_cap": int,
-    "root_tol": float,
-    "fd_step_rel": float,
-}
-
 
 @dataclass(frozen=True)
 class OutputConfig:
@@ -120,10 +106,10 @@ def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
             f"cycle.kind: unknown kind {kind!r}; expected one of "
             f"{', '.join(CYCLE_BUILDERS)}"
         )
-    fields = CYCLE_BUILDERS[kind][1]
-    _reject_unknown(node, ("kind",) + fields, "cycle")
+    names = CYCLE_BUILDERS[kind][1]
+    _reject_unknown(node, ("kind",) + names, "cycle")
     params = {}
-    for name in fields:
+    for name in names:
         if name not in node:
             raise ConfigError(f"cycle.{name}: required for {kind}")
         params[name] = _positive_number(node[name], f"cycle.{name}")
@@ -131,18 +117,19 @@ def _validate_cycle(node: dict) -> tuple[str, dict[str, float]]:
 
 
 def _validate_numerics(node) -> NumericsPolicy:
+    """The policy the node sets: each name is a NumericsPolicy field, of its
+    default's type, and NumericsPolicy alone judges the value's range."""
     node = _require_mapping(node, "numerics")
-    fields = {**_POLICY_FIELDS, **_RETIRED_FIELDS}
-    _reject_unknown(node, tuple(fields), "numerics")
+    types = {f.name: type(f.default) for f in fields(NumericsPolicy)}
+    _reject_unknown(node, tuple(types), "numerics")
     for name, value in node.items():
-        if isinstance(value, bool) or not isinstance(value, (fields[name], int)):
-            expected = "an integer" if fields[name] is int else "a number"
+        if isinstance(value, bool) or not isinstance(value, (types[name], int)):
+            expected = "an integer" if types[name] is int else "a number"
             raise ConfigError(f"numerics.{name}: expected {expected}")
-        if fields[name] is float and not 0.0 < value < 1.0:
-            raise ConfigError(f"numerics: {name} must lie in (0, 1), got {value}")
-        if fields[name] is int and value <= 0:
-            raise ConfigError(f"numerics: {name} must be positive, got {value}")
-    return NumericsPolicy(**{k: v for k, v in node.items() if k in _POLICY_FIELDS})
+    try:
+        return NumericsPolicy(**node)
+    except ValueError as err:
+        raise ConfigError(f"numerics: {err}") from err
 
 
 def _validate_output(node) -> OutputConfig:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcycle import processes
+from qcycle import checks, processes
 from qcycle.cli import ERRORS, _parser, main
 from qcycle.config import parse_config
 from qcycle.cycles import CornerRecord, run_cycle
@@ -64,7 +64,7 @@ class TestParser:
         assert "7/7 checks passed" in capsys.readouterr().out
         assert _parser() is _parser()
         assert vars(_parser().parse_args(["check"])) == {
-            "command": "check", "scope": "all", "tolerance_scale": 1.0
+            "command": "check", "scope": "all"
         }
         assert vars(_parser().parse_args(["run", config])) == {
             "command": "run", "config": config, "report": None, "diagram": None
@@ -214,17 +214,6 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_level_cap_does_not_bind_on_a_run(self, tmp_path):
-        # level_cap is a retired numerics field: accepted, validated and
-        # ignored, so a cap far below any truncation point changes nothing
-        reports = []
-        for numerics in ({}, {"level_cap": 40}):
-            doc = dict(patch_outputs(CAVITY_BRAYTON, tmp_path), numerics=numerics)
-            assert main(["run", str(write_config(tmp_path, doc))]) == 0
-            reports.append(json.loads((tmp_path / "report.json").read_text()))
-        for key in ("eta_numeric", "Q_in", "Q_out"):
-            assert reports[1][key] == reports[0][key]
-
     @pytest.mark.parametrize(
         "substance, cycle, message",
         [
@@ -282,6 +271,61 @@ CROSS_CHECKED = {
         "output": {"samples_per_segment": 8},
     },
 }
+
+
+class TestFilePaths:
+    """A config that cannot be read, an output that cannot be written, or
+    one file for both outputs exits 2 and leaves no output behind."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        sweep = ["--param", "F0", "--from", "0.3", "--to", "0.6", "--steps", "2"]
+        assert main([command, str(path)] + (sweep if command == "sweep" else [])) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("diagram", ["missing/d.csv", "folder"])
+    def test_run_that_cannot_write_its_diagram_writes_no_report(self, tmp_path, capsys, diagram):
+        # the diagram's directory is missing, or the diagram path is a
+        # directory, which fails only on the last move
+        (tmp_path / "folder").mkdir()
+        config = write_config(tmp_path, CAVITY_BRAYTON)
+        target = tmp_path / diagram
+        assert main(["run", str(config), "--report", str(tmp_path / "r.json"),
+                     "--diagram", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "folder"]
+
+    @pytest.mark.parametrize("command", ["sweep", "table"])
+    def test_out_into_a_missing_directory(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, CAVITY_BRAYTON)
+        out = tmp_path / "missing" / "out.csv"
+        argv = {
+            "sweep": ["sweep", str(config), "--param", "F0", "--from", "0.3",
+                      "--to", "0.6", "--steps", "2"],
+            "table": ["table"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_one_file_for_report_and_diagram(self, tmp_path, capsys, monkeypatch, via):
+        # the two names differ, but resolve to one file
+        monkeypatch.chdir(tmp_path)
+        if via == "flags":
+            config = write_config(tmp_path, CAVITY_BRAYTON)
+            argv = ["--report", "same.out", "--diagram", str(tmp_path / "same.out")]
+        else:
+            doc = dict(CAVITY_BRAYTON, output={"report_path": "same.out",
+                                               "diagram_path": "./same.out"})
+            config, argv = write_config(tmp_path, doc), []
+        assert main(["run", str(config)] + argv) == 2
+        assert capsys.readouterr().err.startswith("config error: report same.out and diagram ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestContractsReadFromTheirOwners:
@@ -457,9 +501,17 @@ class TestCheck:
         assert len(cold) == 1 and cold[0].endswith("PASS")
         assert lines[-1] == "7/7 checks passed"
 
-    def test_corrupted_tolerances_fail(self, capsys):
-        assert main(["check", "--scope", "substance", "--tolerance-scale", "1e-9"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_failing_suite_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "_substance_checks", lambda policy: [("forced", 1.0, 0.5)])
+        assert main(["check", "--scope", "substance"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("FAIL") and lines[-1] == "0/1 checks passed"
+
+    def test_tolerance_scale_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--tolerance-scale", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance-scale" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -515,19 +567,6 @@ class TestSweep:
                 assert row[2] == "" and row[3] == ""
             else:
                 assert float(row[1]) > 0.5
-
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCYCLE_NUM_THREADS", "1")
-        config = write_config(tmp_path, CAVITY_BRAYTON)
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(config), "--param", "F0",
-                     "--from", "0.3", "--to", "0.6", "--steps", "3",
-                     "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 4
-        monkeypatch.setenv("QCYCLE_NUM_THREADS", "not-a-number")
-        assert main(["sweep", str(config), "--param", "F0",
-                     "--from", "0.3", "--to", "0.6", "--steps", "3",
-                     "--out", str(out)]) == 2
 
     def test_single_point_sweep_matches_run(self, tmp_path):
         doc = patch_outputs(CAVITY_BRAYTON, tmp_path)

@@ -13,7 +13,7 @@ from qcycle.config import (
 )
 from qcycle.cycles import CYCLE_BUILDERS
 from qcycle.errors import ConfigError
-from qcycle.numerics import DEFAULT_POLICY
+from qcycle.numerics import DEFAULT_POLICY, NumericsPolicy
 from qcycle.substances import (
     BOX_KINDS,
     KIND_PARAMETERS,
@@ -110,38 +110,48 @@ def test_numerics_overrides():
     assert config.policy.quad_tol == 1e-9
     assert config.policy.root_max_iter == 50
     assert config.policy.quad_max_depth == 40  # untouched default
-    with pytest.raises(ConfigError, match="numerics"):
-        validate_config(dict(MINIMAL_BRAYTON, numerics={"series_tol": 2.0}))
+    with pytest.raises(ConfigError, match="numerics: quad_tol"):
+        validate_config(dict(MINIMAL_BRAYTON, numerics={"quad_tol": 2.0}))
     with pytest.raises(ConfigError, match="numerics.banana"):
         validate_config(dict(MINIMAL_BRAYTON, numerics={"banana": 1}))
 
 
-@pytest.mark.parametrize(
-    "numerics",
-    [
-        {"series_tol": 1e-12},
-        {"level_cap": 40},
-        {"root_tol": 1e-8, "fd_step_rel": 1e-4},
-    ],
-)
-def test_retired_numerics_fields_accepted_and_ignored(numerics):
-    config = validate_config(dict(MINIMAL_BRAYTON, numerics=numerics))
-    assert config == validate_config(MINIMAL_BRAYTON)
+@pytest.mark.parametrize("name", ["series_tol", "level_cap", "root_tol", "fd_step_rel"])
+def test_retired_numerics_names_are_unknown_fields(name):
+    with pytest.raises(ConfigError, match=f"^numerics.{name}: unknown field$"):
+        validate_config(dict(MINIMAL_BRAYTON, numerics={name: 40}))
 
 
 @pytest.mark.parametrize(
     "numerics, message",
     [
-        ({"root_tol": 0.0}, "root_tol"),
-        ({"fd_step_rel": "small"}, "fd_step_rel"),
-        ({"level_cap": 0}, "level_cap"),
-        ({"level_cap": 40.5}, "level_cap"),
-        ({"level_cap": True}, "level_cap"),
+        ({"quad_tol": 2.0}, "quad_tol must lie in (0, 1), got 2.0"),
+        ({"quad_tol": 0}, "quad_tol must lie in (0, 1), got 0"),
+        ({"quad_max_depth": 0}, "quad_max_depth must be positive, got 0"),
+        ({"root_max_iter": -3}, "root_max_iter must be positive, got -3"),
     ],
 )
-def test_retired_numerics_fields_still_validated(numerics, message):
-    with pytest.raises(ConfigError, match=message):
+def test_numerics_range_is_judged_by_the_policy(numerics, message):
+    with pytest.raises(ValueError) as policy_err:
+        NumericsPolicy(**numerics)
+    assert str(policy_err.value) == message
+    with pytest.raises(ConfigError) as config_err:
         validate_config(dict(MINIMAL_BRAYTON, numerics=numerics))
+    assert str(config_err.value) == f"numerics: {message}"
+
+
+@pytest.mark.parametrize(
+    "numerics, message",
+    [
+        ({"quad_tol": "small"}, "numerics.quad_tol: expected a number"),
+        ({"quad_max_depth": 40.5}, "numerics.quad_max_depth: expected an integer"),
+        ({"root_max_iter": True}, "numerics.root_max_iter: expected an integer"),
+    ],
+)
+def test_numerics_types_follow_the_policy_defaults(numerics, message):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(MINIMAL_BRAYTON, numerics=numerics))
+    assert str(err.value) == message
 
 
 def test_output_validation():

@@ -5,10 +5,10 @@ import inspect
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+import mp_oracle
 from qcycle import cycles, processes, substances
 from qcycle.cycles import (
     CYCLE_BUILDERS,
@@ -220,29 +220,9 @@ class TestOttoAndCarnot:
         assert 0.0 <= report.eta_numeric < 1.0
 
 
-def _mp_axis_entropy(model, beta, L):
-    """Entropy of one axis of model's Gibbs state at (beta, L), by mpmath
-    level sums over the gaps g = E - E_0, up to beta g = 300."""
-    beta, L = mp.mpf(beta), mp.mpf(L)
-    kind = model.axis.kind
-    if kind == "spin_half":
-        gaps = [1 / L]
-    elif kind == "box1d":
-        unit = mp.pi**2 / (2 * model.mass * L * L)
-        top = int(mp.sqrt(300 / (beta * unit))) + 2
-        gaps = [unit * (n * n - 1) for n in range(2, top + 1)]
-    else:
-        unit = model.mode_constant / L
-        gaps = [unit * n for n in range(1, int(300 / (beta * unit)) + 2)]
-    weights = [mp.exp(-beta * g) for g in gaps]
-    excited = mp.fsum(weights)
-    mean = mp.fsum(g * w for g, w in zip(gaps, weights)) / (1 + excited)
-    return mp.log1p(excited) + beta * mean
-
-
 class TestColdCarnot:
     """Carnot loops whose corners reach x = beta Delta of about 50, where the
-    work is far below the ground energy, against mpmath level sums."""
+    work is far below the ground energy, against the 50-digit oracle."""
 
     @pytest.mark.parametrize(
         "model, T_H, x",
@@ -259,18 +239,8 @@ class TestColdCarnot:
              "spin-50", "harmonic3d-50"],
     )
     def test_efficiency_and_totals_against_mpmath(self, model, T_H, x):
-        spec = build_carnot(model, T_H, 0.5 * T_H, 1.0, 2.0)
-        report = run_cycle(spec, samples_per_segment=8)
-        hot, cold = spec.segments[0], spec.segments[2]
-        with mp.workdps(50):
-            heats = [
-                model.dimension
-                * (_mp_axis_entropy(model, seg.beta_end, seg.L_end)
-                   - _mp_axis_entropy(model, seg.beta_start, seg.L_start))
-                / seg.beta_start
-                for seg in (hot, cold)
-            ]
-            q_in, w_net = float(heats[0]), float(mp.fsum(heats))
+        report = run_cycle(build_carnot(model, T_H, 0.5 * T_H, 1.0, 2.0), samples_per_segment=8)
+        q_in, _, w_net, _ = mp_oracle.carnot(model, T_H, 0.5 * T_H, 1.0, 2.0)
         assert max(c.regime for c in report.corner_table) == pytest.approx(x, rel=1e-3)
         assert abs(report.Q_in - q_in) <= 1e-12 * q_in
         assert abs(report.W_net - w_net) <= 1e-12 * w_net
@@ -282,7 +252,8 @@ class TestThinOtto:
     """Ottos whose hot corner sits a relative delta below beta_cold
     (L0/L1)^p, so that both adiabats carry nearly the same <g> and W_net
     cancels between them.  eta_closed = 1 - (L0/L1)^(gamma - 1) holds at
-    any temperatures, so it is the exact reference."""
+    any temperatures, so it is an exact reference for eta; the 50-digit
+    oracle is one for Q_in and W_net as well."""
 
     @pytest.mark.parametrize(
         "model, beta_cold",
@@ -301,6 +272,10 @@ class TestThinOtto:
                 outcomes.append("cancels")
                 continue
             assert abs(report.eta_numeric - report.eta_closed) <= 1e-9 * report.eta_closed
+            reference = mp_oracle.otto(model, 1.0, 1.1, beta_hot, beta_cold)
+            assert abs(report.Q_in - reference.Q_in) <= 1e-9 * reference.Q_in
+            assert abs(report.W_net - reference.W_net) <= 1e-9 * reference.W_net
+            assert abs(report.eta_numeric - reference.eta) <= 1e-9 * reference.eta
             outcomes.append("reports")
         # the corners' x is 14 to 33; the widest loop reports, the thinnest
         # cancels
