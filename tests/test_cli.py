@@ -463,6 +463,23 @@ class TestSubnormalHeat:
         assert not (tmp_path / "diagram.csv").exists()
 
 
+# box1d isobaric runs whose report and diagram are kept byte for byte: a warm
+# Brayton, a Diesel, and the cold Brayton whose corner A, at x = 4.4, takes
+# the kernel's direct series
+GOLDEN_RUNS = ("brayton_box1d", "diesel_box1d", "brayton_box1d_cold")
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_run_outputs_byte_identical(self, name, tmp_path, capsys):
+        report, diagram = tmp_path / "report.json", tmp_path / "diagram.csv"
+        config = GOLDEN.parent / f"{name}.json"
+        argv = ["run", str(config), "--report", str(report), "--diagram", str(diagram)]
+        assert main(argv) == 0
+        assert report.read_bytes() == (GOLDEN.parent / f"{name}.report.json").read_bytes()
+        assert diagram.read_bytes() == (GOLDEN.parent / f"{name}.diagram.csv").read_bytes()
+
+
 class TestTable:
     def test_golden_file_byte_identical(self, tmp_path):
         out = tmp_path / "table.csv"

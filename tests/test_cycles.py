@@ -589,3 +589,62 @@ class TestAdiabatPairInTheBuilders:
         calls.clear()
         isobaric_segment(model, F1, 0.55 * L1, 0.8 * L1)
         assert built == calls + [2]
+
+
+def _miss_the_solves_from(monkeypatch, start):
+    """Make every box Newton solve return x (1 + 1e-8) from element start on,
+    so that the 1e-10 residual check fails first at that element."""
+    solve = substances._box1d_x_for_mean
+
+    def missed(target, policy):
+        x = solve(target, policy).copy()
+        x[start:] *= 1.0 + 1e-8
+        return x
+
+    monkeypatch.setattr(substances, "_box1d_x_for_mean", missed)
+
+
+def _residual_message(L, force):
+    return f"isobaric schedule residual exceeds 1e-10 at L={L}, axis target force {force}"
+
+
+class TestScheduleResidualErrors:
+    """A schedule solve that misses raises ConvergenceError naming the first
+    failing L: corners in A, B, C, D order, samples in segment order, then
+    sample order."""
+
+    @pytest.mark.parametrize("corner", [0, 1, 2, 3], ids=list("ABCD"))
+    def test_brayton_names_the_first_failing_corner(self, corner, monkeypatch):
+        spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+        seg = spec.segments[corner]
+        force = 20.0 if corner < 2 else 8.0
+        _miss_the_solves_from(monkeypatch, corner)
+        with pytest.raises(ConvergenceError) as err:
+            build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+        assert str(err.value) == _residual_message(seg.L_start, force)
+
+    @pytest.mark.parametrize("corner", [0, 1], ids=list("AB"))
+    def test_diesel_names_the_first_failing_corner(self, corner, monkeypatch):
+        L = (0.55 * 2.0, 0.8 * 2.0)[corner]
+        _miss_the_solves_from(monkeypatch, corner)
+        with pytest.raises(ConvergenceError) as err:
+            build_diesel(box(1), 20.0, 2.0, 0.55, 0.8)
+        assert str(err.value) == _residual_message(L, 20.0)
+
+    @pytest.mark.parametrize(
+        "build, start, segment, sample",
+        [
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 0, 0, 0),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 16 + 3, 2, 3),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 0, 0, 0),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 5, 0, 5),
+        ],
+        ids=["brayton-first", "brayton-CD-4th", "diesel-first", "diesel-6th"],
+    )
+    def test_run_names_the_first_failing_sample(self, build, start, segment, sample, monkeypatch):
+        spec = build()
+        L = run_cycle(spec, samples_per_segment=16).segment_results[segment].columns[1, sample]
+        _miss_the_solves_from(monkeypatch, start)
+        with pytest.raises(ConvergenceError) as err:
+            run_cycle(spec, samples_per_segment=16)
+        assert str(err.value) == _residual_message(L.item(), spec.segments[segment].held_value)
