@@ -26,9 +26,11 @@ from .numerics import (
     integrate_gauss,
 )
 from .substances import (
+    AxisStates,
     GibbsState,
     SpectrumModel,
     _axis_scale,
+    _check_schedule,
     _gibbs_entropy,
     _kernel,
     axis_states,
@@ -255,16 +257,21 @@ def _adiabatic_pair(
     beta_start: tuple[float, float],
     L_start: tuple[float, float],
     L_end: tuple[float, float],
+    starts: AxisStates | None = None,
 ) -> tuple[ProcessSegment, ProcessSegment]:
-    """The adiabatic_segments of two starts, each argument a pair, from one
-    axis_states call on 2-element arrays instead of two gibbs_state calls.
+    """The adiabatic_segments of two starts, each argument a pair, whose
+    held entropies are read from starts, the AxisStates of the two starts as
+    2-element arrays.  A builder that has evaluated its corners passes their
+    rows and no kernel is called here; without starts, one axis_states call
+    on 2-element arrays gives them, instead of two gibbs_state calls.
 
     The kernel is elementwise and the held entropy is _gibbs_entropy, as in
     entropy, so each held value is bitwise the one adiabatic_segment gives.
     The arguments are validated by ProcessSegment only.
     """
-    st = axis_states(model, np.array(beta_start), np.array(L_start))
-    held = _gibbs_entropy(model.dimension, st.log_z, st.x, st.mean).tolist()
+    if starts is None:
+        starts = axis_states(model, np.array(beta_start), np.array(L_start))
+    held = _gibbs_entropy(model.dimension, starts.log_z, starts.x, starts.mean).tolist()
     return tuple(
         _adiabat(model, *start) for start in zip(beta_start, L_start, L_end, held)
     )
@@ -320,22 +327,25 @@ def _segment_table(segments: Sequence[ProcessSegment]) -> np.ndarray:
     return np.array(rows).T
 
 
-def _path_points(model: SpectrumModel, columns, t, policy: NumericsPolicy):
-    """(beta, L) at path parameters t along the segments whose table columns
-    are given per element of t, linear in the free variable.  Every isobar
-    element takes its beta from one schedule solve."""
-    kind = columns[_KIND]
+def _path_points(
+    model: SpectrumModel, table: np.ndarray, t, policy: NumericsPolicy, checked: bool = True
+):
+    """(beta, L), each (k, n), at the n path parameters t along the k
+    segments of table, linear in the free variable.  Every isobar element
+    takes its beta from one schedule solve, which checks its residual unless
+    checked is False."""
+    columns = table[:, :, None]  # each table column as a (k, 1) array
     L0, beta0 = columns[_L0], columns[_BETA0]
     L = L0 + t * columns[_L_SLOPE]
     beta = np.where(
-        kind == _ADIABATIC,
+        columns[_KIND] == _ADIABATIC,
         beta0 * (L / L0) ** model.scaling_power,
         beta0 + t * columns[_BETA_SLOPE],
     )
-    isobaric = kind == _ISOBARIC
+    isobaric = table[_KIND] == _ISOBARIC
     if isobaric.any():
-        beta[isobaric] = isobaric_schedule(
-            model, columns[_HELD][isobaric], L[isobaric], policy
+        beta[isobaric] = beta_for_force(
+            model, columns[_HELD][isobaric], L[isobaric], policy, checked=checked
         )
     return beta, L
 
@@ -437,7 +447,8 @@ def stacked_heat_work(
     The samples of all segments are array operations: one path pass (every
     isobar sample from one schedule solve) and one axis_states call give
     every sample's beta, L, per-axis ground energy E_0 and kernel moments as
-    (k, n) arrays.  The results keep the finished columns, one (9, k, n)
+    (k, n) arrays; the solve's 1e-10 residual check reads the isobar rows of
+    that call.  The results keep the finished columns, one (9, k, n)
     array that no run converts: a segment's PathSamples are built only when
     its samples are read.
     With d axes and g = E - E_0, the cumulative work on the system is
@@ -448,7 +459,9 @@ def stacked_heat_work(
     isotherm and delta_U - W_on on the other kinds (zero on an adiabat).
     W_thermal, the end value of W_on less d Delta E_0, is -d Delta ln z / beta0
     on an isotherm, d Delta(Delta <g>) on an adiabat, zero on an isochore and
-    -F0 dL - d Delta E_0 on an isobar.
+    -F0 dL - d Delta E_0 on an isobar; it and W_scale are formed per segment
+    from its end values as Python floats, whose operations round as numpy's
+    do.
 
     No quadrature runs here: the results share one _SegmentBatch, which
     holds the columns and integrates every segment's Q_direct on the first
@@ -467,10 +480,13 @@ def stacked_heat_work(
     k, n = len(segments), samples_per_segment
 
     ts = np.linspace(0.0, 1.0, n)
-    beta, L = _path_points(model, np.repeat(table, n, axis=1), np.tile(ts, k), policy)
-    beta, L = beta.reshape(k, n), L.reshape(k, n)
+    beta, L = _path_points(model, table, ts, policy, checked=False)
     st = axis_states(model, beta, L)
     kind, held = table[_KIND][:, None], table[_HELD][:, None]
+    isobaric = kind == _ISOBARIC
+    if isobaric.any():
+        rows = isobaric[:, 0]
+        _check_schedule(model, held[rows], L[rows], st.energy[rows])
     e0 = d * st.ground
     thermal = st.gap * st.mean  # <E - E_0> per axis
     ground_shift = e0 - e0[:, :1]
@@ -487,33 +503,12 @@ def stacked_heat_work(
         isothermal,
         ground_shift - shift,
         np.where(
-            kind == _ISOBARIC,
+            isobaric,
             -held * (L - L[:, :1]),
             np.where(kind == _ADIABATIC, U_cum, 0.0),
         ),
     )
     Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
-    kinds = table[_KIND]
-    W_thermal = np.where(
-        kinds == _ISOTHERMAL,
-        -shift[:, -1],
-        np.where(
-            kinds == _ISOBARIC,
-            W_cum[:, -1] - ground_shift[:, -1],
-            np.where(kinds == _ADIABATIC, thermal_shift[:, -1], 0.0),
-        ),
-    )
-    # thermal energy per axis widened by its slope in ln x
-    widened = st.gap * (st.mean + st.x * st.var)
-    W_scale = np.where(
-        kinds == _ADIABATIC,
-        d * (widened[:, 0] + widened[:, -1]),
-        np.where(
-            kinds == _ISOBARIC,
-            np.abs(W_cum[:, -1]) + np.abs(ground_shift[:, -1]),
-            np.abs(W_thermal),
-        ),
-    )
 
     U = d * st.energy
     S = _gibbs_entropy(d, st.log_z, st.x, st.mean)
@@ -522,14 +517,32 @@ def stacked_heat_work(
     columns[1:] = (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
     columns.flags.writeable = False
     batch = _SegmentBatch(columns, model, table[_KIND], table[_HELD], table[_BETA0], policy)
-    totals = zip(
-        Q_cum[:, -1].tolist(), W_cum[:, -1].tolist(), W_thermal.tolist(),
-        W_scale.tolist(), U_cum[:, -1].tolist(),
-    )
-    return tuple(
-        SegmentResult(seg, *total, batch, i)
-        for i, (seg, total) in enumerate(zip(segments, totals))
-    )
+    # each segment's end values, and the gap, <g>, x and Var g at both ends,
+    # as Python floats
+    ends = np.array((
+        Q_cum[:, -1], W_cum[:, -1], U_cum[:, -1], shift[:, -1],
+        ground_shift[:, -1], thermal_shift[:, -1],
+        st.gap[:, 0], st.mean[:, 0], st.x[:, 0], st.var[:, 0],
+        st.gap[:, -1], st.mean[:, -1], st.x[:, -1], st.var[:, -1],
+    )).T.tolist()
+    results = []
+    for i, (seg, end) in enumerate(zip(segments, ends)):
+        Q, W_on, delta_U, shift_end, ground_end, thermal_end = end[:6]
+        if seg.kind == "isothermal":
+            W_thermal = -shift_end
+            W_scale = abs(W_thermal)
+        elif seg.kind == "isobaric":
+            W_thermal = W_on - ground_end
+            W_scale = abs(W_on) + abs(ground_end)
+        elif seg.kind == "adiabatic":
+            # thermal energy per axis widened by its slope in ln x, both ends
+            gap0, mean0, x0, var0, gap1, mean1, x1, var1 = end[6:]
+            W_thermal = thermal_end
+            W_scale = d * (gap0 * (mean0 + x0 * var0) + gap1 * (mean1 + x1 * var1))
+        else:
+            W_thermal = W_scale = 0.0
+        results.append(SegmentResult(seg, Q, W_on, W_thermal, W_scale, delta_U, batch, i))
+    return tuple(results)
 
 
 def segment_heat_work(
@@ -557,8 +570,7 @@ def work_gauss_reference(
     dL = segment.L_end - segment.L_start
 
     def work_rate(t: np.ndarray) -> np.ndarray:
-        columns = np.repeat(_segment_table((segment,)), t.size, axis=1)
-        beta, L = _path_points(model, columns, t, policy)
+        beta, L = _path_points(model, _segment_table((segment,)), t, policy)
         U = model.dimension * axis_states(model, beta, L).energy
         return -model.scaling_power * U / L * dL
 

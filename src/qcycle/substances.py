@@ -207,7 +207,6 @@ def _kernel(kind: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # g_n = n^2 - 1 for n = 2..10: at x >= 0.5 the first omitted term, e^-120x,
 # is below 2^-80 of the excited sum, which exceeds e^-3x
 _SERIES_GAPS = np.arange(2.0, 11.0) ** 2 - 1.0
-_THETA_SQUARES = np.array([1.0, 4.0, 9.0])
 
 
 def _box1d_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,21 +241,25 @@ def _box1d_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta = 1 + 2 sum_{k>=1} exp(-y_k),  y_k = pi^2 k^2 / x,
 
     with z = e^x (A - 1)/2.  theta's derivatives are carried as x theta'/theta
-    and x^2 theta''/theta, sums of y^j e^-y <= 1, so nothing overflows; three
-    terms reach e^-177 at x = 0.5.
+    and x^2 theta''/theta, sums of y^j e^-y <= 1, so nothing overflows.  Only
+    the k = 1 term is kept: at x < 0.5, y_1 > 19.7, and the k >= 2 terms of
+    each sum are below 18 e^(-3 y_1) < 4e-25 of its k = 1 term, less than
+    half an ulp, so adding them rounds back to the k = 1 term and every
+    moment is the one the three-term sums give, bit for bit.
     """
-    y = np.multiply.outer(_PI2 / x, _THETA_SQUARES)
+    y = _PI2 / x
     e = np.exp(-y)
     ye = y * e
-    theta = 1.0 + 2.0 * e.sum(axis=-1)
-    d1 = 2.0 * ye.sum(axis=-1) / theta  # x theta'/theta
-    d2 = 2.0 * ((y - 2.0) * ye).sum(axis=-1) / theta  # x^2 theta''/theta
+    theta = 1.0 + 2.0 * e
+    d1 = 2.0 * ye / theta  # x theta'/theta
+    d2 = 2.0 * ((y - 2.0) * ye) / theta  # x^2 theta''/theta
     a = np.sqrt(np.pi / x) * theta
+    excess = a - 1.0  # 2 (z e^-x)
     b = d1 - 0.5  # x A'/A
-    f = a / (a - 1.0)  # A/(A - 1): converts moments of A into moments of z
+    f = a / excess  # A/(A - 1): converts moments of A into moments of z
     mean = -1.0 - f * b / x
-    var = f * (0.5 + d2 - d1 * d1 - b * b / (a - 1.0)) / (x * x)
-    return x + np.log(0.5 * (a - 1.0)), mean, var
+    var = f * (0.5 + d2 - d1 * d1 - b * b / excess) / (x * x)
+    return x + np.log(0.5 * excess), mean, var
 
 
 def _check_state_args(beta: float, L: float) -> None:
@@ -419,6 +422,8 @@ def beta_for_force(
     force_target,
     L,
     policy: NumericsPolicy = DEFAULT_POLICY,
+    *,
+    checked: bool = True,
 ):
     """Inverse temperature at which the equilibrium force equals the target.
 
@@ -431,7 +436,10 @@ def beta_for_force(
     target F/d.  A target no positive temperature reaches raises
     DomainError, and every returned beta satisfies
     |F(beta, L) - F0| <= 1e-10 |F0| against the kernel's force, or
-    ConvergenceError is raised.
+    ConvergenceError is raised (_check_schedule, on one more kernel call).  A
+    caller that evaluates the states at the returned betas anyway passes
+    checked=False and runs _check_schedule on those states itself, which
+    makes the same check without that call.
     """
     target = np.asarray(force_target, dtype=float) / model.dimension
     shape = np.broadcast(target, L).shape
@@ -459,20 +467,36 @@ def beta_for_force(
         )
     if kind == "box1d":
         beta = _box1d_x_for_mean(mean, policy) / e1
-        realized = axis.scaling_power * axis_states(axis, beta, L).energy / L
-        missed = np.abs(realized - target) > 1e-10 * np.abs(target)
-        if missed.any():
-            i = np.flatnonzero(missed)[0]
-            raise ConvergenceError(
-                f"isobaric schedule residual exceeds 1e-10 at L={L[i]}, "
-                f"axis target force {target[i]}"
-            )
+        if checked:
+            _check_schedule(axis, target, L, axis_states(axis, beta, L).energy)
     elif kind == "spin_half":
         beta = L * np.log((1.0 + y) / (1.0 - y))  # 2 L atanh(y)
     else:
         kappa = axis.mode_constant
         beta = (L / kappa) * np.log((2.0 * target * L * L + kappa) / excess)
     return beta.item() if shape == () else beta.reshape(shape)
+
+
+def _check_schedule(model: SpectrumModel, force_target, L, energy) -> None:
+    """The residual check of a box schedule solve: raise ConvergenceError at
+    the first element, in row-major order, whose force p U_axis / L misses
+    its axis target F/d by more than 1e-10 relative.  energy is the per-axis
+    U of the states at the solved betas (AxisStates.energy), and
+    force_target, L and energy broadcast together.  The closed inversions of
+    the other kinds are not checked, as beta_for_force does not check them.
+    """
+    if model.axis.kind != "box1d":
+        return
+    target = force_target / model.dimension
+    realized = model.scaling_power * energy / L
+    missed = np.abs(realized - target) > 1e-10 * np.abs(target)
+    if missed.any():
+        i = np.flatnonzero(missed)[0]
+        target, L = np.broadcast_arrays(target, L)
+        raise ConvergenceError(
+            f"isobaric schedule residual exceeds 1e-10 at L={L.flat[i]}, "
+            f"axis target force {target.flat[i]}"
+        )
 
 
 # <g> at x = 1, where the Newton seed changes form: it is warm for larger
@@ -488,14 +512,31 @@ def _box1d_x_seed(target: np.ndarray) -> np.ndarray:
     in u is taken at its largest root, in trigonometric form, and x = pi/u^2;
     the seed's relative error in <g> + 1 is about 2 e^(-pi^2/x), below 1e-17
     for x < 0.25.  Cold: the two lowest levels, <g> ~ 3w/(1 + w) with
-    w = e^(-3x), so x = ln((3 - <g>)/<g>)/3.  Each form reads its target
-    clipped to its own side, so neither warns on the other's elements.
+    w = e^(-3x), so x = ln((3 - <g>)/<g>)/3.  Where the targets lie on both
+    sides, each form reads its target clipped to its own side, so neither
+    warns on the other's elements; where all lie on one side, only that
+    side's form is taken.
     """
-    c = 2.0 * np.pi * (np.maximum(target, _SEED_SWITCH) + 1.0)
+    warm = target >= _SEED_SWITCH
+    if warm.all():
+        return _warm_seed(target)
+    if not warm.any():
+        return _cold_seed(target)
+    return np.where(
+        warm,
+        _warm_seed(np.maximum(target, _SEED_SWITCH)),
+        _cold_seed(np.minimum(target, _SEED_SWITCH)),
+    )
+
+
+def _warm_seed(target: np.ndarray) -> np.ndarray:
+    c = 2.0 * np.pi * (target + 1.0)
     u = 2.0 * np.sqrt(c / 3.0) * np.cos(np.arccos(-1.5 * np.sqrt(3.0 / c)) / 3.0)
-    g = np.minimum(target, _SEED_SWITCH)
-    cold = np.log((np.log(3.0 - g) - np.log(g)) / 3.0)
-    return np.where(target >= _SEED_SWITCH, np.log(np.pi / (u * u)), cold)
+    return np.log(np.pi / (u * u))
+
+
+def _cold_seed(target: np.ndarray) -> np.ndarray:
+    return np.log((np.log(3.0 - target) - np.log(target)) / 3.0)
 
 
 def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
@@ -510,10 +551,12 @@ def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
     whose step falls below 1e-9 takes it and is done: one kernel evaluation
     for x < 0.1, at most two below x = 0.5.  The last step is taken as
     x e^step, since e^(s + step) would round x to the spacing of ln x, 2e-15
-    relative at x = 1e-12.  policy.root_max_iter caps the kernel evaluations.
+    relative at x = 1e-12.  An iteration after which every element is done,
+    as the first one usually is, returns before the bracket bookkeeping.
+    policy.root_max_iter caps the kernel evaluations.
     """
     s = _box1d_x_seed(target)
-    lo, hi = np.full_like(s, -np.inf), np.full_like(s, np.inf)
+    lo, hi = -np.inf, np.inf  # the brackets on s, arrays from the first narrowing
     result = np.empty_like(s)
     todo = np.arange(s.size)  # the elements still iterating
     for _ in range(policy.root_max_iter):
@@ -524,12 +567,13 @@ def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = np.log(mean / target)
             step = phi * mean / (x * var)
+        done = np.abs(step) <= 1e-9
+        if done.all():
+            result[todo] = x * np.exp(step)
+            return result
         rising = phi > 0.0
         lo, hi = np.where(rising, s, lo), np.where(rising, hi, s)
-        done = np.abs(step) <= 1e-9
         result[todo[done]] = x[done] * np.exp(step[done])
-        if done.all():
-            return result
         trial = s + step
         inside = (lo < trial) & (trial < hi)
         s = np.where(inside, trial, np.where(rising, s + 1.0, s - 1.0))

@@ -25,13 +25,12 @@ from qcycle.errors import ConvergenceError, DomainError
 from qcycle.numerics import NumericsPolicy
 from qcycle.processes import (
     SAMPLE_FIELDS,
-    isobaric_schedule,
-    isobaric_segment,
     isothermal_segment,
     segment_heat_work,
     stacked_heat_work,
 )
 from qcycle.substances import (
+    beta_for_force,
     box,
     cavity_mode,
     entropy,
@@ -569,6 +568,10 @@ class TestAdiabatPairInTheBuilders:
         BATCH_CYCLES[name]()
         assert calls == [2]
 
+    # a builder makes its schedule's Newton evaluations, which an unchecked
+    # solve of its isobar corners repeats, and one call at its corner states:
+    # A, B, C and D for a Brayton, A, B and D for a Diesel.  That call serves
+    # both the schedule's residual check and the adiabats' held entropies.
     @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
     def test_brayton_makes_one_call_more_than_its_schedule(self, model, monkeypatch):
         F1, F0 = (20.0, 8.0) if model.kind == "box1d" else (2.0, 0.5)
@@ -577,8 +580,8 @@ class TestAdiabatPairInTheBuilders:
         built = list(calls)
         calls.clear()
         corners = np.array([seg.L_start for seg in spec.segments])
-        isobaric_schedule(model, np.array([F1, F1, F0, F0]), corners)
-        assert built == calls + [2]
+        beta_for_force(model, np.array([F1, F1, F0, F0]), corners, checked=False)
+        assert built == calls + [4]
 
     @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
     def test_diesel_makes_one_call_more_than_its_schedule(self, model, monkeypatch):
@@ -587,9 +590,34 @@ class TestAdiabatPairInTheBuilders:
         build_diesel(model, F1, L1, 0.55, 0.8)
         built = list(calls)
         calls.clear()
-        isobaric_segment(model, F1, 0.55 * L1, 0.8 * L1)
-        assert built == calls + [2]
+        beta_for_force(model, F1, np.array([0.55 * L1, 0.8 * L1]), checked=False)
+        assert built == calls + [3]
 
+    @pytest.mark.parametrize(
+        "name", ["brayton-box1d", "brayton-cavity", "diesel-box1d", "diesel-cavity"]
+    )
+    def test_run_makes_one_call_more_than_its_sample_schedule(self, name, monkeypatch):
+        # the Newton evaluations of the isobar samples, then one call on all
+        # k n samples, whose isobar rows the schedule's residual check reads
+        spec = BATCH_CYCLES[name]()
+        isobars = [seg for seg in spec.segments if seg.kind == "isobaric"]
+        t = np.linspace(0.0, 1.0, 16)
+        L = np.array([seg.L_start + t * (seg.L_end - seg.L_start) for seg in isobars])
+        calls = _count_kernel_calls(monkeypatch)
+        run_cycle(spec, samples_per_segment=16)
+        ran = list(calls)
+        calls.clear()
+        held = np.array([[seg.held_value] for seg in isobars])
+        beta_for_force(spec.model, held, L, checked=False)
+        assert ran == calls + [4 * 16]
+
+    @pytest.mark.parametrize("name", ["brayton-box1d", "diesel-box1d"])
+    def test_warm_box_cycle_makes_four_kernel_calls(self, name, monkeypatch):
+        # one Newton evaluation and one state call in the builder, and the
+        # same in the run
+        calls = _count_kernel_calls(monkeypatch)
+        run_cycle(BATCH_CYCLES[name]())
+        assert len(calls) == 4
 
 def _miss_the_solves_from(monkeypatch, start):
     """Make every box Newton solve return x (1 + 1e-8) from element start on,

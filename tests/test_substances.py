@@ -277,6 +277,42 @@ def test_box1d_series_rounds_alike_at_every_shape():
         assert [m.item() for m in substances._kernel("box1d", xs[i:i + 1])] == expected
 
 
+def _box1d_theta_three_terms(x):
+    """The theta form as it stood with three terms, k = 1, 2, 3, in each of
+    theta's sums."""
+    y = np.multiply.outer(math.pi**2 / x, np.array([1.0, 4.0, 9.0]))
+    e = np.exp(-y)
+    ye = y * e
+    theta = 1.0 + 2.0 * e.sum(axis=-1)
+    d1 = 2.0 * ye.sum(axis=-1) / theta
+    d2 = 2.0 * ((y - 2.0) * ye).sum(axis=-1) / theta
+    a = np.sqrt(np.pi / x) * theta
+    b = d1 - 0.5
+    f = a / (a - 1.0)
+    mean = -1.0 - f * b / x
+    var = f * (0.5 + d2 - d1 * d1 - b * b / (a - 1.0)) / (x * x)
+    return x + np.log(0.5 * (a - 1.0)), mean, var
+
+
+def _same_bits(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_box1d_theta_keeps_one_term_exactly():
+    # below x = 0.5 the k >= 2 terms are under half an ulp of the k = 1
+    # term, so the one-term theta gives the three-term moments bit for bit:
+    # on a log grid over [1e-30, 0.5), on the 1000 floats just below 0.5,
+    # and on arrays of 1 to 9 elements
+    grid = np.geomspace(1e-30, 0.5, 100_001)[:-1]
+    top = 0.5 - np.arange(1000, 0, -1) * 2.0**-54
+    for xs in (grid, top):
+        assert _same_bits(substances._box1d_theta(xs), _box1d_theta_three_terms(xs))
+    for size in range(1, 10):
+        for start in range(0, grid.size - size, 4999):
+            xs = grid[start:start + size]
+            assert _same_bits(substances._box1d_theta(xs), _box1d_theta_three_terms(xs))
+
+
 class TestPartitionFunction:
     def test_cavity_closed_geometric(self):
         z = math.exp(gibbs_state(cavity_mode(), math.log(2.0), 1.0).log_partition)
