@@ -471,7 +471,7 @@ GOLDEN_RUNS = ("brayton_box1d", "diesel_box1d", "brayton_box1d_cold")
 
 class TestGoldenRuns:
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
-    def test_run_outputs_byte_identical(self, name, tmp_path, capsys):
+    def test_run_outputs_byte_identical(self, name, tmp_path):
         report, diagram = tmp_path / "report.json", tmp_path / "diagram.csv"
         config = GOLDEN.parent / f"{name}.json"
         argv = ["run", str(config), "--report", str(report), "--diagram", str(diagram)]

@@ -619,6 +619,7 @@ class TestAdiabatPairInTheBuilders:
         run_cycle(BATCH_CYCLES[name]())
         assert len(calls) == 4
 
+
 def _miss_the_solves_from(monkeypatch, start):
     """Make every box Newton solve return x (1 + 1e-8) from element start on,
     so that the 1e-10 residual check fails first at that element."""
