@@ -466,7 +466,14 @@ class TestSubnormalHeat:
 # box1d isobaric runs whose report and diagram are kept byte for byte: a warm
 # Brayton, a Diesel, and the cold Brayton whose corner A, at x = 4.4, takes
 # the kernel's direct series
-GOLDEN_RUNS = ("brayton_box1d", "diesel_box1d", "brayton_box1d_cold")
+GOLDEN_RUNS = (
+    "brayton_box1d",
+    "diesel_box1d",
+    "brayton_box1d_cold",
+    "carnot_box3d",
+    "otto_harmonic2d",
+    "carnot_spin_half",
+)
 
 
 class TestGoldenRuns:
