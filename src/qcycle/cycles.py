@@ -380,8 +380,8 @@ def run_cycle(
     smallest normal float raises DomainError: a subnormal keeps only an
     absolute accuracy of 2^-1074, so its ratio would be no efficiency.
     The corners are the segments' first samples and loop_entropy sums each
-    segment's S change, both read from the batch's columns, so a run builds
-    no PathSample.
+    segment's S change, both read from the batch's columns in one pass, so
+    a run builds no PathSample.
     """
     results = stacked_heat_work(spec.segments, policy, samples_per_segment)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
@@ -389,12 +389,16 @@ def run_cycle(
     q_in = sum((r.Q for r in results if r.Q > 0.0), 0.0)
     q_out = 0.0 - sum((r.Q for r in results if r.Q < 0.0), 0.0)
     w_net = -sum(r.W_thermal for r in results)
-    loop_entropy = sum((r.columns[_S, -1] - r.columns[_S, 0]).item() for r in results)
+    # the results share one batch: its (9, k, n) block is read once for the
+    # corners, each segment's first sample, and for every segment's S change
+    block = results[0]._batch.columns
+    corners = block[_CORNER, :, 0].T.tolist()
+    loop_entropy = sum(S_end - c[-1] for S_end, c in zip(block[_S, :, -1].tolist(), corners))
     closure = _closure_residual(spec.segments)
     first_law = abs(w_net - (q_in - q_out))
     corner_table = tuple(
         CornerRecord(label, *c, regime_parameter(spec.model, c[1], c[0]))
-        for label, c in zip(CORNER_LABELS, (r.columns[_CORNER, 0].tolist() for r in results))
+        for label, c in zip(CORNER_LABELS, corners)
     )
     scale = sum(r.W_scale for r in results)
     cancels = _EPS * scale > CANCELLATION_TOL * abs(w_net)

@@ -14,6 +14,7 @@ independent cross-check of the heat, is integrated only when it is read
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
@@ -196,31 +197,13 @@ def adiabatic_advance(
 def isothermal_segment(
     model: SpectrumModel, beta: float, L_start: float, L_end: float
 ) -> ProcessSegment:
-    return ProcessSegment(
-        kind="isothermal",
-        model=model,
-        beta_start=beta,
-        L_start=L_start,
-        beta_end=beta,
-        L_end=L_end,
-        held="T",
-        held_value=1.0 / beta,
-    )
+    return ProcessSegment("isothermal", model, beta, L_start, beta, L_end, "T", 1.0 / beta)
 
 
 def isochoric_segment(
     model: SpectrumModel, L: float, beta_start: float, beta_end: float
 ) -> ProcessSegment:
-    return ProcessSegment(
-        kind="isochoric",
-        model=model,
-        beta_start=beta_start,
-        L_start=L,
-        beta_end=beta_end,
-        L_end=L,
-        held="L",
-        held_value=L,
-    )
+    return ProcessSegment("isochoric", model, beta_start, L, beta_end, L, "L", L)
 
 
 def isobaric_segment(
@@ -234,14 +217,7 @@ def isobaric_segment(
         model, force_held, np.array([L_start, L_end]), policy
     ).tolist()
     return ProcessSegment(
-        kind="isobaric",
-        model=model,
-        beta_start=beta_start,
-        L_start=L_start,
-        beta_end=beta_end,
-        L_end=L_end,
-        held="F",
-        held_value=force_held,
+        "isobaric", model, beta_start, L_start, beta_end, L_end, "F", force_held
     )
 
 
@@ -282,16 +258,8 @@ def _adiabat(
 ) -> ProcessSegment:
     """The adiabat from (beta_start, L_start) to L_end that holds entropy S:
     beta L^p is constant along it."""
-    return ProcessSegment(
-        kind="adiabatic",
-        model=model,
-        beta_start=beta_start,
-        L_start=L_start,
-        beta_end=beta_start * (L_end / L_start) ** model.scaling_power,
-        L_end=L_end,
-        held="S",
-        held_value=S,
-    )
+    beta_end = beta_start * (L_end / L_start) ** model.scaling_power
+    return ProcessSegment("adiabatic", model, beta_start, L_start, beta_end, L_end, "S", S)
 
 
 def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
@@ -308,45 +276,49 @@ def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
     )
 
 
-# the columns of a segment table, one row per segment: the kind's index in
-# SEGMENT_KINDS, the path's start and slope in L and in beta, and the held
-# value.  An isochore holds L and is the only kind linear in beta; an
-# adiabat's and an isobar's beta follow from L.
-_KIND, _L0, _L_SLOPE, _BETA0, _BETA_SLOPE, _HELD = range(6)
 _ISOTHERMAL, _ISOCHORIC, _ISOBARIC, _ADIABATIC = range(4)
 
 
-def _segment_table(segments: Sequence[ProcessSegment]) -> np.ndarray:
-    rows = []
-    for s in segments:
-        kind = SEGMENT_KINDS.index(s.kind)
-        isochoric = kind == _ISOCHORIC
-        L_slope = 0.0 if isochoric else s.L_end - s.L_start
-        beta_slope = s.beta_end - s.beta_start if isochoric else 0.0
-        rows.append((kind, s.L_start, L_slope, s.beta_start, beta_slope, s.held_value))
-    return np.array(rows).T
+@functools.lru_cache(maxsize=16)
+def _unit_grid(n: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, n), read-only, built once per n and shared by
+    every batch of n samples per segment."""
+    grid = np.linspace(0.0, 1.0, n)
+    grid.flags.writeable = False
+    return grid
 
 
 def _path_points(
-    model: SpectrumModel, table: np.ndarray, t, policy: NumericsPolicy, checked: bool = True
+    model: SpectrumModel,
+    segments: Sequence[ProcessSegment],
+    t,
+    policy: NumericsPolicy,
+    checked: bool = True,
 ):
     """(beta, L), each (k, n), at the n path parameters t along the k
-    segments of table, linear in the free variable.  Every isobar element
+    segments, linear in the free variable, each row by its own kind's
+    formula: an isochore holds L and is the only kind linear in beta, an
+    isotherm holds beta, an adiabat holds beta L^p, and every isobar element
     takes its beta from one schedule solve, which checks its residual unless
     checked is False."""
-    columns = table[:, :, None]  # each table column as a (k, 1) array
-    L0, beta0 = columns[_L0], columns[_BETA0]
-    L = L0 + t * columns[_L_SLOPE]
-    beta = np.where(
-        columns[_KIND] == _ADIABATIC,
-        beta0 * (L / L0) ** model.scaling_power,
-        beta0 + t * columns[_BETA_SLOPE],
-    )
-    isobaric = table[_KIND] == _ISOBARIC
-    if isobaric.any():
-        beta[isobaric] = beta_for_force(
-            model, columns[_HELD][isobaric], L[isobaric], policy, checked=checked
-        )
+    p = model.scaling_power
+    L0 = np.array([s.L_start for s in segments])[:, None]
+    dL = [0.0 if s.kind == "isochoric" else s.L_end - s.L_start for s in segments]
+    L = L0 + t * np.array(dL)[:, None]
+    beta = np.empty_like(L)
+    isobars = []
+    for i, s in enumerate(segments):
+        if s.kind == "isothermal":
+            beta[i] = s.beta_start
+        elif s.kind == "isochoric":
+            beta[i] = s.beta_start + t * (s.beta_end - s.beta_start)
+        elif s.kind == "adiabatic":
+            beta[i] = s.beta_start * (L[i] / s.L_start) ** p
+        else:
+            isobars.append(i)
+    if isobars:
+        held = np.array([segments[i].held_value for i in isobars])[:, None]
+        beta[isobars] = beta_for_force(model, held, L[isobars], policy, checked=checked)
     return beta, L
 
 
@@ -359,8 +331,8 @@ class _SegmentBatch:
     columns is the read-only (9, k, n) array of every sample's PathSample
     fields, in SAMPLE_FIELDS order; a segment's PathSample tuple is built
     from its row on the first read of its samples and kept.  For the
-    cross-check the batch also holds each segment's kind, held value and
-    beta0 (table columns), and forms the gap Delta and x = beta Delta at
+    cross-check the batch also holds the segments, whose kinds, held values
+    and beta0 it reads, and forms the gap Delta and x = beta Delta at
     t = 0 and t = 1 from the L and beta rows as axis_states does.  Every
     non-adiabatic segment is integrated in s = ln x, between those two x,
     at the exact rate sum_n E_n dP_n/ds = T dS/ds.
@@ -381,9 +353,7 @@ class _SegmentBatch:
 
     columns: np.ndarray
     model: SpectrumModel
-    kind: np.ndarray
-    held: np.ndarray
-    beta0: np.ndarray
+    segments: Sequence[ProcessSegment]
     policy: NumericsPolicy
     heats: list[float] | None = None
     built: dict[int, tuple[PathSample, ...]] = field(default_factory=dict)
@@ -401,7 +371,10 @@ class _SegmentBatch:
         return self.heats[row]
 
     def _integrate(self) -> list[float]:
-        model, kind = self.model, self.kind
+        model, segments = self.model, self.segments
+        kind = np.array([SEGMENT_KINDS.index(s.kind) for s in segments])
+        held = np.array([s.held_value for s in segments])
+        beta0 = np.array([s.beta_start for s in segments])
         d = model.dimension
         integrated = np.flatnonzero(kind != _ADIABATIC)
         ends = [0, -1]
@@ -418,11 +391,11 @@ class _SegmentBatch:
         def heat_rate(owner: np.ndarray, t: np.ndarray) -> np.ndarray:
             rows = integrated[owner]
             x = scale[rows] * np.exp(base[rows] + t * ds[rows])
-            gap = np.where(kind[rows] == _ISOTHERMAL, x / self.beta0[rows], gap0[rows])
+            gap = np.where(kind[rows] == _ISOTHERMAL, x / beta0[rows], gap0[rows])
             var = np.empty_like(x)
             isobaric = kind[rows] == _ISOBARIC
             if isobaric.any():
-                st = isobar_states(model, self.held[rows[isobaric]], x[isobaric])
+                st = isobar_states(model, held[rows[isobaric]], x[isobaric])
                 gap[isobaric], var[isobaric] = st.gap, st.var
             if not isobaric.all():
                 var[~isobaric] = _kernel(model.axis.kind, x[~isobaric])[2]
@@ -447,10 +420,13 @@ def stacked_heat_work(
     The samples of all segments are array operations: one path pass (every
     isobar sample from one schedule solve) and one axis_states call give
     every sample's beta, L, per-axis ground energy E_0 and kernel moments as
-    (k, n) arrays; the solve's 1e-10 residual check reads the isobar rows of
-    that call.  The results keep the finished columns, one (9, k, n)
-    array that no run converts: a segment's PathSamples are built only when
-    its samples are read.
+    (k, n) arrays, on the n-point unit grid that every batch of n samples
+    shares; the solve's 1e-10 residual check reads the isobar rows of that
+    call.  Each segment's heat and work rows are written into the
+    preallocated (9, k, n) columns by its own kind's formula, and its totals
+    are read from the rows' end values.  The results keep the finished
+    columns, which no run converts: a segment's PathSamples are built only
+    when its samples are read.
     With d axes and g = E - E_0, the cumulative work on the system is
     A(t) - A(0) on an isotherm (A = -ln Z / beta = d (E_0 - ln z / beta)),
     -F0 (L(t) - L0) on an isobar, zero on an isochore and U(t) - U(0) on an
@@ -472,76 +448,73 @@ def stacked_heat_work(
         raise ValueError("samples_per_segment must be at least 2")
     if not segments:
         return ()
+    segments = tuple(segments)
     model = segments[0].model
-    if any(seg.model != model for seg in segments[1:]):
+    if any(seg.model is not model and seg.model != model for seg in segments[1:]):
         raise ValueError("stacked segments must share one model")
     d, p = model.dimension, model.scaling_power
-    table = _segment_table(segments)
     k, n = len(segments), samples_per_segment
-
-    ts = np.linspace(0.0, 1.0, n)
-    beta, L = _path_points(model, table, ts, policy, checked=False)
+    ts = _unit_grid(n)
+    beta, L = _path_points(model, segments, ts, policy, checked=False)
     st = axis_states(model, beta, L)
-    kind, held = table[_KIND][:, None], table[_HELD][:, None]
-    isobaric = kind == _ISOBARIC
-    if isobaric.any():
-        rows = isobaric[:, 0]
-        _check_schedule(model, held[rows], L[rows], st.energy[rows])
+    isobars = [i for i, seg in enumerate(segments) if seg.kind == "isobaric"]
+    if isobars:
+        held = np.array([segments[i].held_value for i in isobars])[:, None]
+        _check_schedule(model, held, L[isobars], st.energy[isobars])
+    columns = np.empty((len(SAMPLE_FIELDS), k, n))
+    columns[0], columns[1], columns[2] = ts, L, beta
+    T, F, U, S, Q_cum, W_cum = columns[3:]
+    np.divide(1.0, beta, out=T)
+    np.multiply(d, st.energy, out=U)
+    np.divide(p * U, L, out=F)
+    S[:] = _gibbs_entropy(d, st.log_z, st.x, st.mean)
     e0 = d * st.ground
     thermal = st.gap * st.mean  # <E - E_0> per axis
     ground_shift = e0 - e0[:, :1]
     thermal_shift = d * (thermal - thermal[:, :1])
     U_cum = ground_shift + thermal_shift
-    # on an isotherm at its bath's beta0: d Delta ln z / beta0, which is
-    # T Delta S less thermal_shift and ground_shift less W_cum
-    shift = d * (st.log_z - st.log_z[:, :1]) / table[_BETA0][:, None]
-    isothermal = kind == _ISOTHERMAL
-    # work on the system: A(t) - A(0) on an isotherm, -F0 (L - L0) on an
-    # isobar, all of dU on an adiabat (frozen probabilities), none on an
-    # isochore
-    W_cum = np.where(
-        isothermal,
-        ground_shift - shift,
-        np.where(
-            isobaric,
-            -held * (L - L[:, :1]),
-            np.where(kind == _ADIABATIC, U_cum, 0.0),
-        ),
-    )
-    Q_cum = np.where(isothermal, shift + thermal_shift, U_cum - W_cum)
-
-    U = d * st.energy
-    S = _gibbs_entropy(d, st.log_z, st.x, st.mean)
-    columns = np.empty((len(SAMPLE_FIELDS), k, n))
-    columns[0] = ts
-    columns[1:] = (L, beta, 1.0 / beta, p * U / L, U, S, Q_cum, W_cum)
-    columns.flags.writeable = False
-    batch = _SegmentBatch(columns, model, table[_KIND], table[_HELD], table[_BETA0], policy)
-    # each segment's end values, and the gap, <g>, x and Var g at both ends,
-    # as Python floats
-    ends = np.array((
-        Q_cum[:, -1], W_cum[:, -1], U_cum[:, -1], shift[:, -1],
-        ground_shift[:, -1], thermal_shift[:, -1],
-        st.gap[:, 0], st.mean[:, 0], st.x[:, 0], st.var[:, 0],
-        st.gap[:, -1], st.mean[:, -1], st.x[:, -1], st.var[:, -1],
-    )).T.tolist()
+    # the thermal energy per axis widened by its slope in ln x, at both ends
+    ends = np.s_[:, :: n - 1]
+    widened = (st.gap[ends] * (st.mean[ends] + st.x[ends] * st.var[ends])).tolist()
+    batch = _SegmentBatch(columns, model, segments, policy)
     results = []
-    for i, (seg, end) in enumerate(zip(segments, ends)):
-        Q, W_on, delta_U, shift_end, ground_end, thermal_end = end[:6]
+    for i, seg in enumerate(segments):
+        # the row by its own kind's formula.  Work on the system: A(t) - A(0)
+        # on an isotherm, -F0 (L - L0) on an isobar, all of dU on an adiabat
+        # (frozen probabilities), none on an isochore; heat T dS on an
+        # isotherm and dU - W on the other kinds
+        W_row, Q_row = W_cum[i], Q_cum[i]
         if seg.kind == "isothermal":
-            W_thermal = -shift_end
+            # at its bath's beta0: d Delta ln z / beta0, which is T Delta S
+            # less thermal_shift and ground_shift less W_cum
+            shift = d * (st.log_z[i] - st.log_z[i, 0]) / seg.beta_start
+            np.subtract(ground_shift[i], shift, out=W_row)
+            np.add(shift, thermal_shift[i], out=Q_row)
+        else:
+            if seg.kind == "isobaric":
+                np.multiply(-seg.held_value, L[i] - L[i, 0], out=W_row)
+            elif seg.kind == "adiabatic":
+                W_row[:] = U_cum[i]
+            else:
+                W_row[:] = 0.0
+            np.subtract(U_cum[i], W_row, out=Q_row)
+        # the totals, from the row's end values as Python floats
+        W_on = float(W_row[-1])
+        if seg.kind == "isothermal":
+            W_thermal = -float(shift[-1])
             W_scale = abs(W_thermal)
         elif seg.kind == "isobaric":
+            ground_end = float(ground_shift[i, -1])
             W_thermal = W_on - ground_end
             W_scale = abs(W_on) + abs(ground_end)
         elif seg.kind == "adiabatic":
-            # thermal energy per axis widened by its slope in ln x, both ends
-            gap0, mean0, x0, var0, gap1, mean1, x1, var1 = end[6:]
-            W_thermal = thermal_end
-            W_scale = d * (gap0 * (mean0 + x0 * var0) + gap1 * (mean1 + x1 * var1))
+            W_thermal = float(thermal_shift[i, -1])
+            W_scale = d * (widened[i][0] + widened[i][1])
         else:
             W_thermal = W_scale = 0.0
+        Q, delta_U = float(Q_row[-1]), float(U_cum[i, -1])
         results.append(SegmentResult(seg, Q, W_on, W_thermal, W_scale, delta_U, batch, i))
+    columns.flags.writeable = False
     return tuple(results)
 
 
@@ -570,7 +543,7 @@ def work_gauss_reference(
     dL = segment.L_end - segment.L_start
 
     def work_rate(t: np.ndarray) -> np.ndarray:
-        beta, L = _path_points(model, _segment_table((segment,)), t, policy)
+        beta, L = _path_points(model, (segment,), t, policy)
         U = model.dimension * axis_states(model, beta, L).energy
         return -model.scaling_power * U / L * dL
 

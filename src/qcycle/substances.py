@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -102,7 +102,9 @@ class SpectrumModel:
         Built on the first read and kept.
         """
         kind = _KIND_TABLE[self.kind][2]
-        return self if kind == self.kind else replace(self, kind=kind)
+        if kind == self.kind:
+            return self
+        return SpectrumModel(kind, self.mass, self.mode_constant)
 
     def ground_energy(self, L: float) -> float:
         """Lowest level energy, d E_0 of the axis; no level is enumerated."""

@@ -334,6 +334,49 @@ class TestLoopInvariants:
         assert report.Q_in > report.Q_out > 0.0
 
 
+# every cycle kind on every substance it supports: Carnot and Otto on every
+# kind, Brayton and Diesel on the 1D kinds with a positive force
+def _every_supported_cycle():
+    for kind in substances.KINDS:
+        model = substances.SpectrumModel(kind)
+        yield f"carnot-{kind}", lambda m=model: build_carnot(m, 2.0, 1.0, 1.0, 2.0)
+        yield f"otto-{kind}", lambda m=model: build_otto(m, 1.0, 2.0, 0.3, 2.0)
+    yield "brayton-box1d", lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+    yield "diesel-box1d", lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8)
+    for model in (harmonic(1), cavity_mode()):
+        yield f"brayton-{model.kind}", lambda m=model: build_brayton(m, 2.0, 0.5, 1.5, 2.5)
+        yield f"diesel-{model.kind}", lambda m=model: build_diesel(m, 1.0, 4.0, 0.5, 0.8)
+
+
+EVERY_CYCLE = dict(_every_supported_cycle())
+
+
+class TestReportReadsTheBlock:
+    """run_cycle reads the corners and loop_entropy from the batch's block
+    at once; they must be what each result's own columns give."""
+
+    @pytest.mark.parametrize("name", EVERY_CYCLE)
+    def test_corners_and_loop_entropy_are_the_per_result_reads(self, name):
+        spec = EVERY_CYCLE[name]()
+        report = run_cycle(spec, samples_per_segment=16)
+        S = SAMPLE_FIELDS.index("S")
+        corners = SAMPLE_FIELDS.index("L"), S + 1
+        for corner, r in zip(report.corner_table, report.segment_results):
+            L, beta, T, F, U, S_A = r.columns[corners[0]:corners[1], 0].tolist()
+            regime = substances.regime_parameter(spec.model, beta, L)
+            assert (corner.L, corner.beta, corner.T, corner.F, corner.U, corner.S) == (L, beta, T, F, U, S_A)
+            assert corner.regime == regime
+            assert all(type(v) is float for v in dataclasses.astuple(corner)[1:])
+        loop = sum((r.columns[S, -1] - r.columns[S, 0]).item() for r in report.segment_results)
+        assert type(report.loop_entropy) is float
+        assert math.copysign(1.0, report.loop_entropy) == math.copysign(1.0, loop)
+        assert report.loop_entropy == loop
+
+    def test_every_kind_is_covered(self):
+        # Carnot and Otto on the 8 kinds, Brayton and Diesel on 3
+        assert len(EVERY_CYCLE) == 2 * len(substances.KINDS) + 2 * 3
+
+
 # every cycle kind on every substance it accepts among box1d, cavity,
 # spin_half and box2d (the isobaric cycles need a 1D substance with a
 # positive force)

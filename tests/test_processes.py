@@ -10,6 +10,7 @@ import pytest
 from qcycle.errors import DomainError
 from qcycle.processes import (
     _adiabatic_pair,
+    _unit_grid,
     adiabatic_advance,
     adiabatic_segment,
     isobaric_schedule,
@@ -462,3 +463,21 @@ class TestAdiabatPair:
         assert pair == tuple(
             adiabatic_segment(model, b, L0, L1) for b, L0, L1 in zip(beta, L_start, L_end)
         )
+
+
+class TestUnitGrid:
+    def test_cached_grid_is_linspace_and_read_only(self):
+        for n in range(2, 257):
+            grid = _unit_grid(n)
+            assert grid.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
+            assert not grid.flags.writeable
+            assert _unit_grid(n) is grid
+        with pytest.raises(ValueError):
+            _unit_grid(8)[3] = 0.5
+        assert _unit_grid(8)[3] == np.linspace(0.0, 1.0, 8)[3]
+
+    def test_every_batch_samples_the_grid(self):
+        seg = isothermal_segment(cavity_mode(), 0.5, 1.0, 2.0)
+        for n in (2, 3, 16, 64):
+            t = segment_heat_work(seg, samples_per_segment=n).columns[0]
+            assert t.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
