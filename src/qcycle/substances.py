@@ -431,8 +431,10 @@ def beta_for_force(
 
     force_target and L are floats or arrays that broadcast together, all
     solved at once; beta is a float or an array of the broadcast shape.
-    Exact closed inversions for the cavity/harmonic1d (log form) and the
-    spin (atanh form).  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the target
+    Exact closed inversions for the cavity/harmonic1d,
+    (L/kappa) log1p(2 kappa / (2 F L^2 - kappa)), and the spin,
+    2 L atanh(-2 F L^2): neither takes the log of a rounded ratio near 1,
+    which would lose eps/x of beta at x = beta Delta.  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the target
     fixes <g> = F L / (2 E_1) - 1, which _box1d_x_for_mean solves for x;
     beta = x / E_1.  The multi-dimensional kinds solve their axis at the
     target F/d.  A target no positive temperature reaches raises
@@ -472,10 +474,10 @@ def beta_for_force(
         if checked:
             _check_schedule(axis, target, L, axis_states(axis, beta, L).energy)
     elif kind == "spin_half":
-        beta = L * np.log((1.0 + y) / (1.0 - y))  # 2 L atanh(y)
+        beta = 2.0 * L * np.arctanh(y)
     else:
         kappa = axis.mode_constant
-        beta = (L / kappa) * np.log((2.0 * target * L * L + kappa) / excess)
+        beta = (L / kappa) * np.log1p(2.0 * kappa / excess)
     return beta.item() if shape == () else beta.reshape(shape)
 
 

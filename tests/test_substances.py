@@ -694,6 +694,28 @@ class TestBetaForForce:
         with pytest.raises(DomainError):
             beta_for_force(spin_half(), 0.1, 1.0)
 
+    @pytest.mark.parametrize("model", [cavity_mode(), harmonic(1), spin_half()], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("x", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_closed_schedule_keeps_its_digits_in_the_warm_limit(self, model, x):
+        # F is a float at corner x = beta Delta; its exact inverse, at 50
+        # digits, is (L/kappa) ln((2 F L^2 + kappa)/(2 F L^2 - kappa)) for
+        # the linear spectra and 2 L atanh(-2 F L^2) for the spin.  The log of
+        # the rounded ratio, about 1 + 2x, lost eps/x: 1.1e-8 at x = 1e-8
+        L = 2.0
+        spin = model.kind == "spin_half"
+        with mp.workdps(50):
+            mL = mp.mpf(L)
+            kappa = mp.mpf(1 if spin else model.mode_constant)
+            F = float(_mp_energy(model, mp.mpf(x) * mL / kappa, mL) / mL)  # p = 1
+            mF = mp.mpf(F)
+            if spin:
+                exact = 2 * mL * mp.atanh(-2 * mF * mL**2)
+            else:
+                exact = (mL / kappa) * mp.log((2 * mF * mL**2 + kappa) / (2 * mF * mL**2 - kappa))
+            assert abs(mp.mpf(beta_for_force(model, F, L)) - exact) <= 1e-15 * exact
+            betas = beta_for_force(model, np.array([F, F]), L)
+            assert abs(mp.mpf(betas[1]) - exact) <= 1e-15 * exact
+
     def test_random_box_schedules(self):
         # targets from 1e-8 to 1e8 above the zero-temperature force
         rng = np.random.default_rng(4427)
@@ -807,3 +829,12 @@ class TestBox1dNewtonSeed:
         assert np.isfinite(seed).all()
         alone = [substances._box1d_x_for_mean(t, NumericsPolicy()) for t in targets[:, None]]
         assert np.abs(solved / np.concatenate(alone) - 1.0).max() <= 1e-15
+
+
+def _mp_energy(model, beta, L):
+    """U at (beta, L) of a linear spectrum or the spin, in mpmath: the Bose
+    form (omega/2) coth(beta omega / 2), or -(1/2L) tanh(beta / 2L)."""
+    if model.kind == "spin_half":
+        return -mp.tanh(beta / (2 * L)) / (2 * L)
+    omega = mp.mpf(model.mode_constant) / L
+    return omega / 2 * mp.coth(beta * omega / 2)
