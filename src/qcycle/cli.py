@@ -225,8 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps == 1:
         values = [args.start]
     else:
+        # the last point is --to itself, as np.linspace ends, not start +
+        # (steps - 1) step, which can miss it by an ulp
         step = (args.stop - args.start) / (args.steps - 1)
-        values = [args.start + i * step for i in range(args.steps)]
+        values = [args.start + i * step for i in range(args.steps - 1)] + [args.stop]
 
     rows = [_sweep_point(config, name, v) for v in values]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcycle import checks, processes
+from qcycle import checks, cli, processes
 from qcycle.cli import ERRORS, _parser, main
 from qcycle.config import parse_config
 from qcycle.cycles import CornerRecord, run_cycle
@@ -602,6 +602,35 @@ class TestSweep:
               "--from", "0.5", "--to", "0.5", "--steps", "1", "--out", str(out)])
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(report["eta_numeric"], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "start, stop, steps",
+        [(0.1, 0.45, 8), (0.3, 0.6, 3), (0.2, 1.0, 5), (1.9, 0.35, 11), (0.5, 0.5, 4)],
+    )
+    def test_grid_ends_exactly_at_to(self, tmp_path, start, stop, steps):
+        # the README's example, 0.1 + 7 * (0.35 / 7), is 0.44999999999999996;
+        # the last point is --to itself and the interior is start + i * step
+        config = write_config(tmp_path, CAVITY_BRAYTON)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(config), "--param", "F0", "--from", repr(start),
+                     "--to", repr(stop), "--steps", str(steps), "--out", str(out)]) == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        step = (stop - start) / (steps - 1)
+        assert values == [start + i * step for i in range(steps - 1)] + [stop]
+        assert values[-1] == stop and values[0] == start
+
+    def test_random_grids_end_at_to(self, tmp_path, monkeypatch):
+        points = []
+        monkeypatch.setattr(cli, "_sweep_point", lambda _config, _name, v: points.append(v) or (v, 1.0, 1.0, 0))
+        config = write_config(tmp_path, CAVITY_BRAYTON)
+        rng = np.random.default_rng(2411)
+        for _ in range(200):
+            start, stop = (float(v) for v in rng.uniform(0.05, 1.9, 2))
+            steps = int(rng.integers(2, 40))
+            points.clear()
+            assert main(["sweep", str(config), "--param", "F0", "--from", repr(start), "--to",
+                         repr(stop), "--steps", str(steps), "--out", str(tmp_path / "s.csv")]) == 0
+            assert points[0] == start and points[-1] == stop and len(points) == steps
 
     def test_unknown_parameter(self, tmp_path, capsys):
         config = write_config(tmp_path, CAVITY_BRAYTON)
