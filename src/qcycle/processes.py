@@ -217,7 +217,14 @@ def isobaric_segment(
         model, force_held, np.array([L_start, L_end]), policy
     ).tolist()
     return ProcessSegment(
-        "isobaric", model, beta_start, L_start, beta_end, L_end, "F", force_held
+        kind="isobaric",
+        model=model,
+        beta_start=beta_start,
+        L_start=L_start,
+        beta_end=beta_end,
+        L_end=L_end,
+        held="F",
+        held_value=force_held,
     )
 
 

@@ -434,7 +434,8 @@ def beta_for_force(
     Exact closed inversions for the cavity/harmonic1d,
     (L/kappa) log1p(2 kappa / (2 F L^2 - kappa)), and the spin,
     2 L atanh(-2 F L^2): neither takes the log of a rounded ratio near 1,
-    which would lose eps/x of beta at x = beta Delta.  For box1d, F = 2 E_1 (1 + <g>(x)) / L, so the target
+    which would lose eps/x of beta at x = beta Delta.  For box1d,
+    F = 2 E_1 (1 + <g>(x)) / L, so the target
     fixes <g> = F L / (2 E_1) - 1, which _box1d_x_for_mean solves for x;
     beta = x / E_1.  The multi-dimensional kinds solve their axis at the
     target F/d.  A target no positive temperature reaches raises
