@@ -221,10 +221,12 @@ def _check_adiabat_entropy() -> float:
 
 
 def _held_drift(result) -> float:
-    # held is "T", "L", "F" or "S", each a row of the result's columns
+    # held is "T", "L", "F" or "S", each a row of the result's columns; an
+    # adiabat records no held value and holds its first sample's entropy
     seg = result.segment
     values = result.columns[SAMPLE_FIELDS.index(seg.held)]
-    return float(np.abs(values - seg.held_value).max()) / max(abs(seg.held_value), _TINY)
+    held = float(values[0]) if seg.held_value is None else seg.held_value
+    return float(np.abs(values - held).max()) / max(abs(held), _TINY)
 
 
 def _check_reversal(results, policy: NumericsPolicy) -> float:

@@ -124,7 +124,9 @@ def _report_document(config: RunConfig, report: CycleReport) -> dict:
         "closure_residual": report.closure_residual,
         "loop_entropy": report.loop_entropy,
         "first_law_residual": report.first_law_residual,
-        "corners": [dataclasses.asdict(c) for c in report.corner_table],
+        # a corner's fields, in order, hold a label and floats, so a copy of
+        # its __dict__ is what dataclasses.asdict gives, without its deep copy
+        "corners": [dict(vars(c)) for c in report.corner_table],
     }
 
 

@@ -28,19 +28,12 @@ from .processes import (
     SAMPLE_FIELDS,
     ProcessSegment,
     SegmentResult,
-    _adiabatic_pair,
+    adiabatic_segment,
     isochoric_segment,
     isothermal_segment,
     stacked_heat_work,
 )
-from .substances import (
-    AxisStates,
-    SpectrumModel,
-    _check_schedule,
-    axis_states,
-    beta_for_force,
-    regime_parameter,
-)
+from .substances import SpectrumModel, beta_for_force, regime_parameter
 
 CYCLE_KINDS = ("carnot", "otto", "brayton", "diesel")
 CORNER_LABELS = ("A", "B", "C", "D")
@@ -171,9 +164,7 @@ def build_brayton(
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
     F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  The four
-    corners' temperatures come from one isobaric schedule solve, and one
-    axis_states call at the four corners serves both its residual check and
-    the held entropies of the adiabats from B and D.
+    corners' temperatures come from one checked isobaric schedule solve.
     """
     _require_1d(model, "brayton")
     if not 0.0 < F0 < F1:
@@ -183,15 +174,11 @@ def build_brayton(
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
     F, L = np.array([F1, F1, F0, F0]), np.array([L_A, L_B, L_C, L_D])
-    beta = beta_for_force(model, F, L, policy, checked=False)
-    corners = axis_states(model, beta, L)
-    _check_schedule(model, F, L, corners.energy)
-    beta_a, beta_b, beta_c, beta_d = beta.tolist()
+    beta_a, beta_b, beta_c, beta_d = beta_for_force(model, F, L, policy).tolist()
     seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
-    seg_bc, seg_da = _adiabatic_pair(
-        model, (beta_b, beta_d), (L_B, L_D), (L_C, L_A), AxisStates._make(v[1::2] for v in corners)
-    )
+    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
     seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", F0)
+    seg_da = adiabatic_segment(model, beta_d, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="brayton",
@@ -219,9 +206,8 @@ def build_diesel(
     L1 is the largest coordinate; the isobar runs from L_A = r_C L1 to
     L_B = r_E L1 with 0 < r_C < r_E < 1; r_C = r_E, a zero-area loop,
     raises ValueError.  The corner forces then satisfy F_C = F1 r_E^gamma
-    and F_D = F1 r_C^gamma.  The isobar's ends come from one schedule
-    solve, and one axis_states call at A, B and D serves both its residual
-    check and the held entropies of the adiabats from B and D.
+    and F_D = F1 r_C^gamma.  The isobar's ends come from one checked
+    schedule solve.
     """
     _require_1d(model, "diesel")
     if L1 <= 0.0 or F1 <= 0.0:
@@ -232,16 +218,12 @@ def build_diesel(
             f"coordinate L1), got r_C={r_C}, r_E={r_E}"
         )
     L_A, L_B = r_C * L1, r_E * L1
-    L = np.array([L_A, L_B, L1])
-    beta_a, beta_b = beta_for_force(model, F1, L[:2], policy, checked=False).tolist()
+    beta_a, beta_b = beta_for_force(model, F1, np.array([L_A, L_B]), policy).tolist()
     beta_d = beta_a * (L1 / L_A) ** model.scaling_power
-    corners = axis_states(model, np.array([beta_a, beta_b, beta_d]), L)
-    _check_schedule(model, F1, L[:2], corners.energy[:2])
     seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
-    seg_bc, seg_da = _adiabatic_pair(
-        model, (beta_b, beta_d), (L_B, L1), (L1, L_A), AxisStates._make(v[1:] for v in corners)
-    )
+    seg_bc = adiabatic_segment(model, beta_b, L_B, L1)
     seg_cd = isochoric_segment(model, L1, seg_bc.beta_end, beta_d)
+    seg_da = adiabatic_segment(model, beta_d, L1, L_A)
     return CycleSpec(
         model=model,
         kind="diesel",
@@ -282,8 +264,9 @@ def build_otto(
             f"{beta_a} <= {beta_hot}"
         )
     seg_ab = isochoric_segment(model, L0, beta_a, beta_hot)
-    seg_bc, seg_da = _adiabatic_pair(model, (beta_hot, beta_cold), (L0, L1), (L1, L0))
+    seg_bc = adiabatic_segment(model, beta_hot, L0, L1)
     seg_cd = isochoric_segment(model, L1, beta_c, beta_cold)
+    seg_da = adiabatic_segment(model, beta_cold, L1, L0)
     return CycleSpec(
         model=model,
         kind="otto",
@@ -320,8 +303,9 @@ def build_carnot(
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
     seg_ab = isothermal_segment(model, beta_h, L_A, L_B)
-    seg_bc, seg_da = _adiabatic_pair(model, (beta_h, beta_c), (L_B, L_D), (L_C, L_A))
+    seg_bc = adiabatic_segment(model, beta_h, L_B, L_C)
     seg_cd = isothermal_segment(model, beta_c, L_C, L_D)
+    seg_da = adiabatic_segment(model, beta_c, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="carnot",

@@ -3,8 +3,9 @@
 A segment is one leg of a cycle: isothermal, isochoric, isobaric or
 adiabatic.  The path is parameterized linearly in the free variable over
 t in [0, 1] (L for all kinds except isochoric, which is linear in beta);
-the conserved quantity of each kind is recorded and can be checked at any
-sample.  Every state along a path is a Gibbs state of a spectrum
+the conserved quantity of each kind is named, recorded on every kind but
+the adiabat (whose entropy is its first sample's), and can be checked at
+any sample.  Every state along a path is a Gibbs state of a spectrum
 E_n = c_n / L^p, so the work sum_n P_n dE_n and the heat sum_n E_n dP_n
 have closed forms on every segment kind: the cumulative heat and work are
 exact at each sample.  The quadrature of the exact heat rate, an
@@ -27,7 +28,6 @@ from .numerics import (
     integrate_gauss,
 )
 from .substances import (
-    AxisStates,
     GibbsState,
     SpectrumModel,
     _axis_scale,
@@ -36,8 +36,6 @@ from .substances import (
     _kernel,
     axis_states,
     beta_for_force,
-    entropy,
-    gibbs_state,
     isobar_states,
 )
 
@@ -49,7 +47,9 @@ class ProcessSegment:
     """One quasi-static path with its endpoints and conserved quantity.
 
     held names the conserved quantity ("T", "L", "F" or "S") and held_value
-    records its value for drift verification along the realized path.
+    records its value for drift verification along the realized path.  An
+    adiabat's path is fixed by beta L^p alone, so it records no value
+    (held_value is None): its entropy is that of its first sample.
     """
 
     kind: str
@@ -59,7 +59,7 @@ class ProcessSegment:
     beta_end: float
     L_end: float
     held: str
-    held_value: float
+    held_value: float | None
 
     def __post_init__(self) -> None:
         if self.kind not in SEGMENT_KINDS:
@@ -114,11 +114,13 @@ class SegmentResult:
     ground parts sum to exactly zero around a closed loop, so a cycle's net
     work is the sum of the thermal parts.
     W_scale is the rounding scale of W_thermal, the size of the terms it
-    subtracts: its magnitude on an isotherm, |F0 dL| + |d Delta E_0| on an
-    isobar, and on an adiabat d Delta (<g> + x Var(g)), Delta the gap,
-    summed over both ends: each end's thermal energy widened by its slope
-    in ln x.  The two ends share x only up to rounding, and on a cold
-    adiabat a one-ulp move of x moves the thermal energy by x ulps.
+    subtracts: d |ln z| / beta0 at each end, summed, on an isotherm, whose
+    difference cancels where the entropy saturates (the spin's ln 2 at
+    small x); |F0 dL| + |d Delta E_0| on an isobar; and on an adiabat
+    d Delta (<g> + x Var(g)), Delta the gap, summed over both ends: each
+    end's thermal energy widened by its slope in ln x.  The two ends share
+    x only up to rounding, and on a cold adiabat a one-ulp move of x moves
+    the thermal energy by x ulps.
     """
 
     segment: ProcessSegment
@@ -231,42 +233,12 @@ def isobaric_segment(
 def adiabatic_segment(
     model: SpectrumModel, beta_start: float, L_start: float, L_end: float
 ) -> ProcessSegment:
-    start = gibbs_state(model, beta_start, L_start)
-    return _adiabat(model, beta_start, L_start, L_end, entropy(start))
-
-
-def _adiabatic_pair(
-    model: SpectrumModel,
-    beta_start: tuple[float, float],
-    L_start: tuple[float, float],
-    L_end: tuple[float, float],
-    starts: AxisStates | None = None,
-) -> tuple[ProcessSegment, ProcessSegment]:
-    """The adiabatic_segments of two starts, each argument a pair, whose
-    held entropies are read from starts, the AxisStates of the two starts as
-    2-element arrays.  A builder that has evaluated its corners passes their
-    rows and no kernel is called here; without starts, one axis_states call
-    on 2-element arrays gives them, instead of two gibbs_state calls.
-
-    The kernel is elementwise and the held entropy is _gibbs_entropy, as in
-    entropy, so each held value is bitwise the one adiabatic_segment gives.
-    The arguments are validated by ProcessSegment only.
-    """
-    if starts is None:
-        starts = axis_states(model, np.array(beta_start), np.array(L_start))
-    held = _gibbs_entropy(model.dimension, starts.log_z, starts.x, starts.mean).tolist()
-    return tuple(
-        _adiabat(model, *start) for start in zip(beta_start, L_start, L_end, held)
-    )
-
-
-def _adiabat(
-    model: SpectrumModel, beta_start: float, L_start: float, L_end: float, S: float
-) -> ProcessSegment:
-    """The adiabat from (beta_start, L_start) to L_end that holds entropy S:
-    beta L^p is constant along it."""
+    """The adiabat from (beta_start, L_start) to L_end: beta L^p is constant
+    along it.  No state is evaluated here."""
+    if L_start <= 0.0:
+        raise ValueError(f"coordinate must be positive, got L={L_start}")
     beta_end = beta_start * (L_end / L_start) ** model.scaling_power
-    return ProcessSegment("adiabatic", model, beta_start, L_start, beta_end, L_end, "S", S)
+    return ProcessSegment("adiabatic", model, beta_start, L_start, beta_end, L_end, "S", None)
 
 
 def reverse_segment(segment: ProcessSegment) -> ProcessSegment:
@@ -380,7 +352,8 @@ class _SegmentBatch:
     def _integrate(self) -> list[float]:
         model, segments = self.model, self.segments
         kind = np.array([SEGMENT_KINDS.index(s.kind) for s in segments])
-        held = np.array([s.held_value for s in segments])
+        # read on isobar rows only: an adiabat records no held value
+        held = np.array([s.held_value if s.kind == "isobaric" else 0.0 for s in segments])
         beta0 = np.array([s.beta_start for s in segments])
         d = model.dimension
         integrated = np.flatnonzero(kind != _ADIABATIC)
@@ -509,7 +482,8 @@ def stacked_heat_work(
         W_on = float(W_row[-1])
         if seg.kind == "isothermal":
             W_thermal = -float(shift[-1])
-            W_scale = abs(W_thermal)
+            log_z0, log_z1 = st.log_z[i, :: n - 1].tolist()
+            W_scale = d * (abs(log_z0) + abs(log_z1)) / seg.beta_start
         elif seg.kind == "isobaric":
             ground_end = float(ground_shift[i, -1])
             W_thermal = W_on - ground_end

@@ -214,6 +214,19 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("T_H", [5000.0, 50000.0], ids=["x=1e-4", "x=1e-5"])
+    def test_spin_carnot_whose_entropy_change_cancels_exits_3(self, tmp_path, capsys, T_H):
+        # corner B at x = 1e-4 or 1e-5: each isotherm's entropy change, of
+        # order x^2, is the difference of two S ~ ln 2.  Such runs exited 0
+        # with W_net off by 2.5e-9 and 2.2e-6 before W_scale counted ln z.
+        doc = patch_outputs({
+            "substance": {"kind": "spin_half"},
+            "cycle": {"kind": "carnot", "T_H": T_H, "T_C": T_H / 2.0, "L_A": 1.0, "L_B": 2.0},
+        }, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 3
+        assert "cancellation factor" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "substance, cycle, message",
         [
@@ -463,20 +476,26 @@ class TestSubnormalHeat:
         assert not (tmp_path / "diagram.csv").exists()
 
 
-# box1d isobaric runs whose report and diagram are kept byte for byte: a warm
-# Brayton, a Diesel, and the cold Brayton whose corner A, at x = 4.4, takes
-# the kernel's direct series
-GOLDEN_RUNS = (
-    "brayton_box1d",
-    "diesel_box1d",
-    "brayton_box1d_cold",
-    "carnot_box3d",
-    "otto_harmonic2d",
-    "carnot_spin_half",
+# the runs whose report and diagram are kept byte for byte: every config
+# <name>.json in tests/goldens beside its <name>.report.json and
+# <name>.diagram.csv.  They are a warm and a cold box1d Brayton (the cold
+# one's corner A, at x = 4.4, takes the kernel's direct series), a box1d
+# Diesel, a box3d Carnot, a harmonic2d Otto and a spin Carnot.
+GOLDEN_RUNS = tuple(
+    sorted(p.stem for p in GOLDEN.parent.glob("*.json") if not p.name.endswith(".report.json"))
 )
 
 
 class TestGoldenRuns:
+    def test_every_golden_file_belongs_to_a_run(self):
+        outputs = {
+            f"{name}{suffix}"
+            for name in GOLDEN_RUNS
+            for suffix in (".json", ".report.json", ".diagram.csv")
+        }
+        assert {p.name for p in GOLDEN.parent.iterdir()} == outputs | {GOLDEN.name}
+        assert len(GOLDEN_RUNS) >= 6
+
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
     def test_run_outputs_byte_identical(self, name, tmp_path):
         report, diagram = tmp_path / "report.json", tmp_path / "diagram.csv"

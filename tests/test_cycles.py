@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import mp_oracle
 from qcycle import cycles, processes, substances
+from qcycle.config import parse_config
 from qcycle.cycles import (
     CYCLE_BUILDERS,
     CYCLE_KINDS,
@@ -30,6 +32,8 @@ from qcycle.processes import (
     stacked_heat_work,
 )
 from qcycle.substances import (
+    KINDS,
+    SpectrumModel,
     beta_for_force,
     box,
     cavity_mode,
@@ -589,6 +593,9 @@ class TestSubnormalHeat:
             run_cycle(spec, samples_per_segment=8)
 
 
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+
 def _count_kernel_calls(monkeypatch):
     """The element counts of every substances._kernel call from now on."""
     calls = []
@@ -602,21 +609,32 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-class TestAdiabatPairInTheBuilders:
-    @pytest.mark.parametrize(
-        "name", [n for n in BATCH_CYCLES if n.startswith(("carnot", "otto"))]
-    )
-    def test_carnot_and_otto_make_one_kernel_call(self, name, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
-        BATCH_CYCLES[name]()
-        assert calls == [2]
+class TestKernelCalls:
+    """substances._kernel calls, counted.  A Carnot or Otto builder
+    evaluates no state, so its run's one batch call is the cycle's only
+    call; a Brayton or Diesel builder makes its checked schedule solve's."""
 
-    # a builder makes its schedule's Newton evaluations, which an unchecked
-    # solve of its isobar corners repeats, and one call at its corner states:
-    # A, B, C and D for a Brayton, A, B and D for a Diesel.  That call serves
-    # both the schedule's residual check and the adiabats' held entropies.
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_carnot_and_otto_builders_make_no_call(self, kind, monkeypatch):
+        model = SpectrumModel(kind)
+        calls = _count_kernel_calls(monkeypatch)
+        build_carnot(model, 2.0, 1.0, 1.0, 2.0)
+        build_otto(model, 1.0, 2.0, 0.3, 2.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("build", [build_carnot, build_otto], ids=["carnot", "otto"])
+    def test_carnot_and_otto_cycles_make_one_call(self, kind, build, monkeypatch):
+        args = (2.0, 1.0, 1.0, 2.0) if build is build_carnot else (1.0, 2.0, 0.3, 2.0)
+        calls = _count_kernel_calls(monkeypatch)
+        run_cycle(build(SpectrumModel(kind), *args), samples_per_segment=16)
+        assert calls == [4 * 16]
+
+    # a box schedule makes its Newton evaluations and its residual check, one
+    # call at the isobar corners: A, B, C and D for a Brayton, A and B for a
+    # Diesel.  The closed schedules of the other kinds make none.
     @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
-    def test_brayton_makes_one_call_more_than_its_schedule(self, model, monkeypatch):
+    def test_brayton_builder_makes_its_checked_schedule_calls(self, model, monkeypatch):
         F1, F0 = (20.0, 8.0) if model.kind == "box1d" else (2.0, 0.5)
         calls = _count_kernel_calls(monkeypatch)
         spec = build_brayton(model, F1, F0, 1.5, 2.5)
@@ -624,17 +642,38 @@ class TestAdiabatPairInTheBuilders:
         calls.clear()
         corners = np.array([seg.L_start for seg in spec.segments])
         beta_for_force(model, np.array([F1, F1, F0, F0]), corners, checked=False)
-        assert built == calls + [4]
+        assert built == calls + ([4] if model.kind == "box1d" else [])
 
     @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
-    def test_diesel_makes_one_call_more_than_its_schedule(self, model, monkeypatch):
+    def test_diesel_builder_makes_its_checked_schedule_calls(self, model, monkeypatch):
         F1, L1 = (20.0, 2.0) if model.kind == "box1d" else (1.0, 4.0)
         calls = _count_kernel_calls(monkeypatch)
         build_diesel(model, F1, L1, 0.55, 0.8)
         built = list(calls)
         calls.clear()
         beta_for_force(model, F1, np.array([0.55 * L1, 0.8 * L1]), checked=False)
-        assert built == calls + [3]
+        assert built == calls + ([2] if model.kind == "box1d" else [])
+
+    # the calls of each golden run's builder and of its run_cycle.  A box
+    # isobar schedule makes its Newton evaluations, one when warm and three
+    # for the cold Brayton's samples, and one checked state call.
+    GOLDEN_CALLS = {
+        "brayton_box1d": (2, 2),
+        "brayton_box1d_cold": (2, 4),
+        "diesel_box1d": (2, 2),
+        "carnot_box3d": (0, 1),
+        "carnot_spin_half": (0, 1),
+        "otto_harmonic2d": (0, 1),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN_CALLS)
+    def test_golden_runs_call_counts(self, name, monkeypatch):
+        config = parse_config((GOLDENS / f"{name}.json").read_text())
+        calls = _count_kernel_calls(monkeypatch)
+        spec = config.build_cycle()
+        built = len(calls)
+        run_cycle(spec, config.policy, config.output.samples_per_segment)
+        assert (built, len(calls) - built) == self.GOLDEN_CALLS[name]
 
     @pytest.mark.parametrize(
         "name", ["brayton-box1d", "brayton-cavity", "diesel-box1d", "diesel-cavity"]

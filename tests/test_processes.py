@@ -9,7 +9,7 @@ import pytest
 
 from qcycle.errors import DomainError
 from qcycle.processes import (
-    _adiabatic_pair,
+    SAMPLE_FIELDS,
     _unit_grid,
     adiabatic_advance,
     adiabatic_segment,
@@ -19,6 +19,7 @@ from qcycle.processes import (
     isothermal_segment,
     reverse_segment,
     segment_heat_work,
+    stacked_heat_work,
     work_gauss_reference,
 )
 from qcycle.reference import gibbs_sums
@@ -121,6 +122,11 @@ class TestSegmentConstruction:
     def test_isobaric_below_vacuum_rejected(self):
         with pytest.raises(DomainError):
             isobaric_segment(cavity_mode(), 0.4, 1.0, 2.0)
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (1.0, -1.0), (0.0, 1.0)])
+    def test_adiabat_from_a_non_positive_start_rejected(self, start):
+        with pytest.raises(ValueError, match="must be positive"):
+            adiabatic_segment(box(1), *start, 2.0)
 
     def test_reverse_segment(self):
         seg = isothermal_segment(box(1), 0.8, 1.0, 2.0)
@@ -438,31 +444,34 @@ def _beta_at(model, L, x):
     raise AssertionError(f"no beta gives x = {x!r} at L = {L!r}")
 
 
-class TestAdiabatPair:
-    """The builders' one-call pair of adiabats against adiabatic_segment,
-    which evaluates each start alone: equal segments, so bitwise equal held
-    entropies."""
+class TestAdiabatHeldEntropy:
+    """An adiabat records no held value and evaluates no state when built:
+    its held entropy is its row's first S sample, which must be bitwise the
+    entropy of a gibbs_state at its start."""
+
+    @staticmethod
+    def assert_first_entropies(model, starts):
+        segments = [adiabatic_segment(model, *start) for start in starts]
+        assert all(seg.held_value is None for seg in segments)
+        S = SAMPLE_FIELDS.index("S")
+        first = [r.columns[S, 0].item() for r in stacked_heat_work(segments, samples_per_segment=4)]
+        assert first == [entropy(gibbs_state(model, b, L)) for b, L, _ in starts]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_pair_equals_two_adiabatic_segments(self, kind):
-        model = SpectrumModel(kind)
-        starts = ((0.3, 1.0, 1.7), (2.5, 1.9, 0.8))
-        expected = tuple(adiabatic_segment(model, *start) for start in starts)
-        assert _adiabatic_pair(model, *zip(*starts)) == expected
+    def test_first_sample_is_the_start_entropy(self, kind):
+        self.assert_first_entropies(SpectrumModel(kind), ((0.3, 1.0, 1.7), (2.5, 1.9, 0.8)))
 
     # box1d kernel arguments on both sides of its switch at x = 1
     BOX1D_X = (1e-12, 0.5, np.nextafter(1.0, 0.0).item(), np.nextafter(1.0, 2.0).item(), 700.0)
 
     @pytest.mark.parametrize("x_a, x_b", itertools.combinations_with_replacement(BOX1D_X, 2))
-    def test_box1d_pair_across_regimes(self, x_a, x_b):
+    def test_box1d_across_regimes(self, x_a, x_b):
+        # the two starts share one kernel call, whatever form each x takes
         model = box(1)
         L_start, L_end = (1.0, 1.3), (1.5, 0.9)
         beta = tuple(_beta_at(model, L, x) for L, x in zip(L_start, (x_a, x_b)))
         assert tuple(gibbs_state(model, b, L).x for b, L in zip(beta, L_start)) == (x_a, x_b)
-        pair = _adiabatic_pair(model, beta, L_start, L_end)
-        assert pair == tuple(
-            adiabatic_segment(model, b, L0, L1) for b, L0, L1 in zip(beta, L_start, L_end)
-        )
+        self.assert_first_entropies(model, tuple(zip(beta, L_start, L_end)))
 
 
 class TestUnitGrid:
