@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,12 +29,14 @@ from .processes import (
     SAMPLE_FIELDS,
     ProcessSegment,
     SegmentResult,
+    _sample_lengths,
+    _stacked_heat_work,
+    _unit_grid,
     adiabatic_segment,
     isochoric_segment,
     isothermal_segment,
-    stacked_heat_work,
 )
-from .substances import SpectrumModel, beta_for_force, regime_parameter
+from .substances import SpectrumModel, _check_schedule, beta_for_force, regime_parameter
 
 CYCLE_KINDS = ("carnot", "otto", "brayton", "diesel")
 CORNER_LABELS = ("A", "B", "C", "D")
@@ -47,18 +50,60 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 # rows of a SegmentResult's columns: the entropy, and a corner's L, beta, T,
 # F, U and S in CornerRecord's order
-_S = SAMPLE_FIELDS.index("S")
-_CORNER = slice(SAMPLE_FIELDS.index("L"), _S + 1)
+_L, _U, _S = (SAMPLE_FIELDS.index(name) for name in ("L", "U", "S"))
+_CORNER = slice(_L, _S + 1)
+
+
+class _Corners(NamedTuple):
+    """What a Brayton or Diesel builder records in place of its segments:
+    every corner's L in A-D order, the held force of each corner on an
+    isobar (those corners come first), the segments that are isobars, each
+    from its corner i to corner i + 1 at force[i], and the builder's policy,
+    with which a first read of CycleSpec.segments solves the corners."""
+
+    L: tuple[float, float, float, float]
+    force: tuple[float, ...]
+    isobars: tuple[int, ...]
+    policy: NumericsPolicy
 
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """A closed four-segment cycle ready to run."""
+    """A closed four-segment cycle ready to run.
+
+    A Brayton or Diesel builder evaluates no state: it passes segments None
+    and records its _Corners.  run_cycle then solves the corners with the
+    isobar samples, and the first read of segments solves the corners alone
+    in one checked schedule solve and keeps the segments.  Both build them
+    with _corner_segments from the same betas, so they are equal bit for
+    bit; a corner the solve cannot reach raises DomainError, and one whose
+    force misses ConvergenceError, at whichever comes first.
+    """
 
     model: SpectrumModel
     kind: str
-    segments: tuple[ProcessSegment, ...]
+    segments: tuple[ProcessSegment, ...] | None
     parameters: dict[str, float]
+    _corners: _Corners | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.segments is None:
+            if self._corners is None:
+                raise ValueError("a cycle needs its segments or its corners")
+            # left unset, so that the first read reaches __getattr__
+            object.__delattr__(self, "segments")
+
+    def __getattr__(self, name: str):
+        corners = self._corners
+        if name != "segments" or corners is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        solved = len(corners.force)
+        betas = beta_for_force(
+            self.model, np.array(corners.force), np.array(corners.L[:solved]), corners.policy
+        )
+        segments = _corner_segments(self.model, self.kind, corners, betas.tolist())
+        object.__setattr__(self, "segments", segments)
+        return segments
 
 
 @dataclass(frozen=True)
@@ -163,8 +208,9 @@ def build_brayton(
 
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
-    F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  The four
-    corners' temperatures come from one checked isobaric schedule solve.
+    F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  No state
+    is evaluated here: the four corners' temperatures come from one
+    isobaric schedule solve, run_cycle's or the first read of segments'.
     """
     _require_1d(model, "brayton")
     if not 0.0 < F0 < F1:
@@ -173,16 +219,10 @@ def build_brayton(
         raise ValueError(f"need L_B > L_A > 0, got L_A={L_A}, L_B={L_B}")
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
-    F, L = np.array([F1, F1, F0, F0]), np.array([L_A, L_B, L_C, L_D])
-    beta_a, beta_b, beta_c, beta_d = beta_for_force(model, F, L, policy).tolist()
-    seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
-    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
-    seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", F0)
-    seg_da = adiabatic_segment(model, beta_d, L_D, L_A)
     return CycleSpec(
         model=model,
         kind="brayton",
-        segments=(seg_ab, seg_bc, seg_cd, seg_da),
+        segments=None,
         parameters={
             "F1": F1,
             "F0": F0,
@@ -190,6 +230,7 @@ def build_brayton(
             "L_B": L_B,
             "force_ratio": F0 / F1,
         },
+        _corners=_Corners((L_A, L_B, L_C, L_D), (F1, F1, F0, F0), (0, 2), policy),
     )
 
 
@@ -206,8 +247,9 @@ def build_diesel(
     L1 is the largest coordinate; the isobar runs from L_A = r_C L1 to
     L_B = r_E L1 with 0 < r_C < r_E < 1; r_C = r_E, a zero-area loop,
     raises ValueError.  The corner forces then satisfy F_C = F1 r_E^gamma
-    and F_D = F1 r_C^gamma.  The isobar's ends come from one checked
-    schedule solve.
+    and F_D = F1 r_C^gamma.  No state is evaluated here: the isobar's ends
+    come from one schedule solve, run_cycle's or the first read of
+    segments'.
     """
     _require_1d(model, "diesel")
     if L1 <= 0.0 or F1 <= 0.0:
@@ -218,18 +260,32 @@ def build_diesel(
             f"coordinate L1), got r_C={r_C}, r_E={r_E}"
         )
     L_A, L_B = r_C * L1, r_E * L1
-    beta_a, beta_b = beta_for_force(model, F1, np.array([L_A, L_B]), policy).tolist()
-    beta_d = beta_a * (L1 / L_A) ** model.scaling_power
-    seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", F1)
-    seg_bc = adiabatic_segment(model, beta_b, L_B, L1)
-    seg_cd = isochoric_segment(model, L1, seg_bc.beta_end, beta_d)
-    seg_da = adiabatic_segment(model, beta_d, L1, L_A)
     return CycleSpec(
         model=model,
         kind="diesel",
-        segments=(seg_ab, seg_bc, seg_cd, seg_da),
+        segments=None,
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
+        _corners=_Corners((L_A, L_B, L1, L1), (F1, F1), (0,), policy),
     )
+
+
+def _corner_segments(
+    model: SpectrumModel, kind: str, corners: _Corners, betas: list[float]
+) -> tuple[ProcessSegment, ...]:
+    """The four segments of a Brayton or Diesel from its corners and the
+    betas solved at its isobar corners.  A Diesel's C and D follow from the
+    adiabats through B and A."""
+    L_A, L_B, L_C, L_D = corners.L
+    beta_a, beta_b = betas[:2]
+    seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", corners.force[0])
+    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
+    if kind == "brayton":
+        beta_c, beta_d = betas[2:]
+        seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", corners.force[2])
+    else:
+        beta_d = beta_a * (L_D / L_A) ** model.scaling_power
+        seg_cd = isochoric_segment(model, L_C, seg_bc.beta_end, beta_d)
+    return seg_ab, seg_bc, seg_cd, adiabatic_segment(model, beta_d, L_D, L_A)
 
 
 def build_otto(
@@ -344,6 +400,31 @@ def _closure_residual(segments: tuple[ProcessSegment, ...]) -> float:
     return worst
 
 
+def _solve_corners(
+    spec: CycleSpec, policy: NumericsPolicy, samples_per_segment: int
+) -> tuple[tuple[ProcessSegment, ...], np.ndarray]:
+    """A Brayton's or Diesel's segments and its isobars' beta rows, from one
+    unchecked beta_for_force call: the isobar corners first, then each
+    isobar's samples at its _sample_lengths.  The box solve is per element,
+    so every beta is the one a solve of its element alone gives."""
+    corners = spec._corners
+    t = _unit_grid(samples_per_segment)
+    L = _sample_lengths(
+        [corners.L[i] for i in corners.isobars], [corners.L[i + 1] for i in corners.isobars], t
+    )
+    held = np.repeat([corners.force[i] for i in corners.isobars], t.size)
+    solved = len(corners.force)
+    beta = beta_for_force(
+        spec.model,
+        np.concatenate((corners.force, held)),
+        np.concatenate((corners.L[:solved], L.ravel())),
+        policy,
+        checked=False,
+    )
+    segments = _corner_segments(spec.model, spec.kind, corners, beta[:solved].tolist())
+    return segments, beta[solved:].reshape(L.shape)
+
+
 def run_cycle(
     spec: CycleSpec,
     policy: NumericsPolicy = DEFAULT_POLICY,
@@ -366,8 +447,19 @@ def run_cycle(
     The corners are the segments' first samples and loop_entropy sums each
     segment's S change, both read from the batch's columns in one pass, so
     a run builds no PathSample.
+
+    A Brayton or Diesel spec gives its corners, not its segments: one
+    schedule solve, at policy, takes its isobar corners first, in A-D
+    order, then every isobar sample, and the segments are built from the
+    corner betas as a first read of spec.segments builds them.  The batch
+    takes the solved sample rows and checks their residual; then each
+    isobar corner's force in the corner table is checked to the same 1e-10.
     """
-    results = stacked_heat_work(spec.segments, policy, samples_per_segment)
+    if spec._corners is None:
+        segments, isobar_beta = spec.segments, None
+    else:
+        segments, isobar_beta = _solve_corners(spec, policy, samples_per_segment)
+    results = _stacked_heat_work(segments, policy, samples_per_segment, isobar_beta)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
     # 0.0 - sum rather than -sum, so that Q_out is never -0.0
     q_in = sum((r.Q for r in results if r.Q > 0.0), 0.0)
@@ -376,9 +468,13 @@ def run_cycle(
     # the results share one batch: its (9, k, n) block is read once for the
     # corners, each segment's first sample, and for every segment's S change
     block = results[0]._batch.columns
+    if spec._corners is not None:
+        # the isobar corners come first; a 1D model's U is its axis energy
+        force = np.array(spec._corners.force)
+        _check_schedule(spec.model, force, block[_L, : force.size, 0], block[_U, : force.size, 0])
     corners = block[_CORNER, :, 0].T.tolist()
     loop_entropy = sum(S_end - c[-1] for S_end, c in zip(block[_S, :, -1].tolist(), corners))
-    closure = _closure_residual(spec.segments)
+    closure = _closure_residual(segments)
     first_law = abs(w_net - (q_in - q_out))
     corner_table = tuple(
         CornerRecord(label, *c, regime_parameter(spec.model, c[1], c[0]))

@@ -261,10 +261,21 @@ _ISOTHERMAL, _ISOCHORIC, _ISOBARIC, _ADIABATIC = range(4)
 @functools.lru_cache(maxsize=16)
 def _unit_grid(n: int) -> np.ndarray:
     """np.linspace(0.0, 1.0, n), read-only, built once per n and shared by
-    every batch of n samples per segment."""
+    every batch of n samples per segment; n < 2 raises ValueError."""
+    if n < 2:
+        raise ValueError("samples_per_segment must be at least 2")
     grid = np.linspace(0.0, 1.0, n)
     grid.flags.writeable = False
     return grid
+
+
+def _sample_lengths(L_start, L_end, t) -> np.ndarray:
+    """L, (k, n), at the n path parameters t along k paths from the arrays
+    L_start to L_end, linear in t.  An isobar's samples are solved at these
+    L whether its segment is built first or not, so both routes give the
+    same L bit for bit."""
+    L_start = np.asarray(L_start, dtype=float)[:, None]
+    return L_start + t * (np.asarray(L_end, dtype=float)[:, None] - L_start)
 
 
 def _path_points(
@@ -273,17 +284,18 @@ def _path_points(
     t,
     policy: NumericsPolicy,
     checked: bool = True,
+    isobar_beta=None,
 ):
     """(beta, L), each (k, n), at the n path parameters t along the k
     segments, linear in the free variable, each row by its own kind's
     formula: an isochore holds L and is the only kind linear in beta, an
     isotherm holds beta, an adiabat holds beta L^p, and every isobar element
     takes its beta from one schedule solve, which checks its residual unless
-    checked is False."""
+    checked is False.  isobar_beta, when given, holds the isobars' rows in
+    segment order, solved already, and no schedule is solved here."""
     p = model.scaling_power
-    L0 = np.array([s.L_start for s in segments])[:, None]
-    dL = [0.0 if s.kind == "isochoric" else s.L_end - s.L_start for s in segments]
-    L = L0 + t * np.array(dL)[:, None]
+    L_end = [s.L_start if s.kind == "isochoric" else s.L_end for s in segments]
+    L = _sample_lengths([s.L_start for s in segments], L_end, t)
     beta = np.empty_like(L)
     isobars = []
     for i, s in enumerate(segments):
@@ -296,8 +308,10 @@ def _path_points(
         else:
             isobars.append(i)
     if isobars:
-        held = np.array([segments[i].held_value for i in isobars])[:, None]
-        beta[isobars] = beta_for_force(model, held, L[isobars], policy, checked=checked)
+        if isobar_beta is None:
+            held = np.array([segments[i].held_value for i in isobars])[:, None]
+            isobar_beta = beta_for_force(model, held, L[isobars], policy, checked=checked)
+        beta[isobars] = isobar_beta
     return beta, L
 
 
@@ -424,8 +438,20 @@ def stacked_heat_work(
     read of any of them.  Segments of different models raise
     ValueError.
     """
-    if samples_per_segment < 2:
-        raise ValueError("samples_per_segment must be at least 2")
+    return _stacked_heat_work(segments, policy, samples_per_segment)
+
+
+def _stacked_heat_work(
+    segments: Sequence[ProcessSegment],
+    policy: NumericsPolicy,
+    samples_per_segment: int,
+    isobar_beta=None,
+) -> tuple[SegmentResult, ...]:
+    """stacked_heat_work; isobar_beta, when given, holds the beta rows of the
+    isobars in segment order, solved already at their _sample_lengths (a
+    Brayton's or Diesel's run solves them with its corners), and the batch
+    solves no schedule."""
+    ts = _unit_grid(samples_per_segment)
     if not segments:
         return ()
     segments = tuple(segments)
@@ -434,8 +460,7 @@ def stacked_heat_work(
         raise ValueError("stacked segments must share one model")
     d, p = model.dimension, model.scaling_power
     k, n = len(segments), samples_per_segment
-    ts = _unit_grid(n)
-    beta, L = _path_points(model, segments, ts, policy, checked=False)
+    beta, L = _path_points(model, segments, ts, policy, checked=False, isobar_beta=isobar_beta)
     st = axis_states(model, beta, L)
     isobars = [i for i, seg in enumerate(segments) if seg.kind == "isobaric"]
     if isobars:

@@ -479,8 +479,9 @@ class TestSubnormalHeat:
 # the runs whose report and diagram are kept byte for byte: every config
 # <name>.json in tests/goldens beside its <name>.report.json and
 # <name>.diagram.csv.  They are a warm and a cold box1d Brayton (the cold
-# one's corner A, at x = 4.4, takes the kernel's direct series), a box1d
-# Diesel, a box3d Carnot, a harmonic2d Otto and a spin Carnot.
+# one's corner A, at x = 4.4, takes the kernel's direct series), two box1d
+# Diesels (the long one's isobar ends at L = 1.8000000000000003, an ulp off
+# its corner B at 1.8), a box3d Carnot, a harmonic2d Otto and a spin Carnot.
 GOLDEN_RUNS = tuple(
     sorted(p.stem for p in GOLDEN.parent.glob("*.json") if not p.name.endswith(".report.json"))
 )
@@ -494,7 +495,7 @@ class TestGoldenRuns:
             for suffix in (".json", ".report.json", ".diagram.csv")
         }
         assert {p.name for p in GOLDEN.parent.iterdir()} == outputs | {GOLDEN.name}
-        assert len(GOLDEN_RUNS) >= 6
+        assert len(GOLDEN_RUNS) >= 7
 
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
     def test_run_outputs_byte_identical(self, name, tmp_path):

@@ -134,7 +134,7 @@ class TestBrayton:
         report = run_cycle(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5), samples_per_segment=8)
         assert abs(report.W_net - (report.Q_in - report.Q_out)) <= 1e-8 * report.Q_in
 
-    def test_box_isobars_solved_once_in_the_builder_and_once_for_the_samples(self, monkeypatch):
+    def test_box_isobars_solved_once_in_the_run(self, monkeypatch):
         calls = []
         quadrature = []
         solve = substances._box1d_x_for_mean
@@ -154,9 +154,9 @@ class TestBrayton:
         monkeypatch.setattr(substances, "_box1d_x_for_mean", counted_solve)
         monkeypatch.setattr(processes, "integrate_adaptive_batch", flagged_integrate)
         spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
-        assert calls == [False]
+        assert calls == []
         report = run_cycle(spec, samples_per_segment=16)
-        assert calls == [False, False]
+        assert calls == [False]
         assert abs(report.eta_numeric - report.eta_closed) <= 1e-12
 
 
@@ -594,6 +594,13 @@ class TestSubnormalHeat:
 
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
+GOLDEN_RUNS = sorted(
+    p.stem for p in GOLDENS.glob("*.json") if not p.name.endswith(".report.json")
+)
+# the 1D kinds that have an isobar, and the Brayton and Diesel of
+# BATCH_CYCLES
+ISOBAR_KINDS = ("box1d", "cavity", "harmonic1d")
+ISOBARIC_BATCH_CYCLES = [name for name in BATCH_CYCLES if name.startswith(("brayton-", "diesel-"))]
 
 
 def _count_kernel_calls(monkeypatch):
@@ -610,17 +617,28 @@ def _count_kernel_calls(monkeypatch):
 
 
 class TestKernelCalls:
-    """substances._kernel calls, counted.  A Carnot or Otto builder
-    evaluates no state, so its run's one batch call is the cycle's only
-    call; a Brayton or Diesel builder makes its checked schedule solve's."""
+    """substances._kernel calls, counted.  No builder evaluates a state, so
+    a Carnot's or Otto's run makes the cycle's one call, the batch's, and a
+    Brayton's or Diesel's run adds one schedule solve, of its isobar corners
+    and samples at once."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_carnot_and_otto_builders_make_no_call(self, kind, monkeypatch):
+    def test_builders_make_no_call(self, kind, monkeypatch):
         model = SpectrumModel(kind)
         calls = _count_kernel_calls(monkeypatch)
+        monkeypatch.setattr(cycles, "beta_for_force", _refuse_schedule)
         build_carnot(model, 2.0, 1.0, 1.0, 2.0)
         build_otto(model, 1.0, 2.0, 0.3, 2.0)
+        # Brayton and Diesel on the 1D kinds that have an isobar
+        for cycle in ("brayton", "diesel"):
+            EVERY_CYCLE.get(f"{cycle}-{kind}", lambda: None)()
         assert calls == []
+
+    def test_builders_of_every_isobar_kind_are_counted(self):
+        isobaric = [name for name in EVERY_CYCLE if name.startswith(("brayton-", "diesel-"))]
+        assert sorted(isobaric) == [
+            f"{cycle}-{kind}" for cycle in ("brayton", "diesel") for kind in ISOBAR_KINDS
+        ]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("build", [build_carnot, build_otto], ids=["carnot", "otto"])
@@ -630,37 +648,31 @@ class TestKernelCalls:
         run_cycle(build(SpectrumModel(kind), *args), samples_per_segment=16)
         assert calls == [4 * 16]
 
-    # a box schedule makes its Newton evaluations and its residual check, one
-    # call at the isobar corners: A, B, C and D for a Brayton, A and B for a
-    # Diesel.  The closed schedules of the other kinds make none.
-    @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
-    def test_brayton_builder_makes_its_checked_schedule_calls(self, model, monkeypatch):
-        F1, F0 = (20.0, 8.0) if model.kind == "box1d" else (2.0, 0.5)
+    # a first read of a Brayton's or Diesel's segments makes the checked
+    # schedule solve of its isobar corners, A, B, C and D or A and B: its
+    # Newton evaluations and, on the box, one residual check call.  The
+    # closed schedules of the other kinds make none.  A later read makes no
+    # call.
+    @pytest.mark.parametrize("name", ISOBARIC_BATCH_CYCLES)
+    def test_first_read_of_segments_makes_the_checked_corner_solve(self, name, monkeypatch):
+        spec = BATCH_CYCLES[name]()
         calls = _count_kernel_calls(monkeypatch)
-        spec = build_brayton(model, F1, F0, 1.5, 2.5)
-        built = list(calls)
+        segments = spec.segments
+        read = list(calls)
+        assert spec.segments is segments and calls == read
+        force, L = _corner_schedule(segments)
         calls.clear()
-        corners = np.array([seg.L_start for seg in spec.segments])
-        beta_for_force(model, np.array([F1, F1, F0, F0]), corners, checked=False)
-        assert built == calls + ([4] if model.kind == "box1d" else [])
-
-    @pytest.mark.parametrize("model", [box(1), cavity_mode()], ids=lambda m: m.kind)
-    def test_diesel_builder_makes_its_checked_schedule_calls(self, model, monkeypatch):
-        F1, L1 = (20.0, 2.0) if model.kind == "box1d" else (1.0, 4.0)
-        calls = _count_kernel_calls(monkeypatch)
-        build_diesel(model, F1, L1, 0.55, 0.8)
-        built = list(calls)
-        calls.clear()
-        beta_for_force(model, F1, np.array([0.55 * L1, 0.8 * L1]), checked=False)
-        assert built == calls + ([2] if model.kind == "box1d" else [])
+        beta_for_force(spec.model, force, L, checked=False)
+        assert read == calls + ([L.size] if spec.model.kind == "box1d" else [])
 
     # the calls of each golden run's builder and of its run_cycle.  A box
-    # isobar schedule makes its Newton evaluations, one when warm and three
-    # for the cold Brayton's samples, and one checked state call.
+    # schedule makes its Newton evaluations, one when warm and three for the
+    # cold Brayton's samples, before the batch's call.
     GOLDEN_CALLS = {
-        "brayton_box1d": (2, 2),
-        "brayton_box1d_cold": (2, 4),
-        "diesel_box1d": (2, 2),
+        "brayton_box1d": (0, 2),
+        "brayton_box1d_cold": (0, 4),
+        "diesel_box1d": (0, 2),
+        "diesel_box1d_long": (0, 2),
         "carnot_box3d": (0, 1),
         "carnot_spin_half": (0, 1),
         "otto_harmonic2d": (0, 1),
@@ -675,41 +687,69 @@ class TestKernelCalls:
         run_cycle(spec, config.policy, config.output.samples_per_segment)
         assert (built, len(calls) - built) == self.GOLDEN_CALLS[name]
 
-    @pytest.mark.parametrize(
-        "name", ["brayton-box1d", "brayton-cavity", "diesel-box1d", "diesel-cavity"]
-    )
-    def test_run_makes_one_call_more_than_its_sample_schedule(self, name, monkeypatch):
-        # the Newton evaluations of the isobar samples, then one call on all
-        # k n samples, whose isobar rows the schedule's residual check reads
+    def test_every_golden_run_is_counted(self):
+        assert sorted(self.GOLDEN_CALLS) == sorted(GOLDEN_RUNS)
+
+    @pytest.mark.parametrize("name", ISOBARIC_BATCH_CYCLES)
+    def test_run_makes_one_call_more_than_its_corner_and_sample_schedule(self, name, monkeypatch):
+        # the Newton evaluations of the isobar corners and then the isobar
+        # samples, as one solve, then one call on all k n samples, whose
+        # isobar rows the schedule's residual check reads
         spec = BATCH_CYCLES[name]()
-        isobars = [seg for seg in spec.segments if seg.kind == "isobaric"]
-        t = np.linspace(0.0, 1.0, 16)
-        L = np.array([seg.L_start + t * (seg.L_end - seg.L_start) for seg in isobars])
         calls = _count_kernel_calls(monkeypatch)
         run_cycle(spec, samples_per_segment=16)
         ran = list(calls)
+        force, L = _corner_schedule(spec.segments)
+        t = np.linspace(0.0, 1.0, 16)
+        for seg in spec.segments:
+            if seg.kind == "isobaric":
+                force = np.append(force, np.full(16, seg.held_value))
+                L = np.append(L, seg.L_start + t * (seg.L_end - seg.L_start))
         calls.clear()
-        held = np.array([[seg.held_value] for seg in isobars])
-        beta_for_force(spec.model, held, L, checked=False)
+        beta_for_force(spec.model, force, L, checked=False)
         assert ran == calls + [4 * 16]
 
     @pytest.mark.parametrize("name", ["brayton-box1d", "diesel-box1d"])
-    def test_warm_box_cycle_makes_four_kernel_calls(self, name, monkeypatch):
-        # one Newton evaluation and one state call in the builder, and the
-        # same in the run
+    def test_warm_box_cycle_makes_two_kernel_calls(self, name, monkeypatch):
+        # one Newton evaluation over the isobar corners, in A-D order, then
+        # the isobar samples; then the batch's call.  The builder makes none.
+        solved = []
+        solve = cycles.beta_for_force
+
+        def recorded(model, force, L, *args, **kwargs):
+            solved.append(np.array(L))
+            return solve(model, force, L, *args, **kwargs)
+
+        monkeypatch.setattr(cycles, "beta_for_force", recorded)
         calls = _count_kernel_calls(monkeypatch)
-        run_cycle(BATCH_CYCLES[name]())
-        assert len(calls) == 4
+        report = run_cycle(BATCH_CYCLES[name]())
+        isobars = sum(r.segment.kind == "isobaric" for r in report.segment_results)
+        corners = 2 * isobars
+        assert calls == [corners + isobars * 64, 4 * 64]
+        assert len(solved) == 1
+        assert solved[0][:corners].tolist() == [c.L for c in report.corner_table[:corners]]
 
 
-def _miss_the_solves_from(monkeypatch, start):
-    """Make every box Newton solve return x (1 + 1e-8) from element start on,
-    so that the 1e-10 residual check fails first at that element."""
+def _refuse_schedule(*_args, **_kwargs):
+    raise AssertionError("a schedule was solved")
+
+
+def _corner_schedule(segments):
+    """The held forces and L of a Brayton's or Diesel's isobar corners, in
+    A-D order: each isobar's start and end."""
+    isobars = [seg for seg in segments if seg.kind == "isobaric"]
+    force = np.array([seg.held_value for seg in isobars for _ in (0, 1)])
+    return force, np.array([seg.L_start for seg in segments[: force.size]])
+
+
+def _miss_the_solves_at(monkeypatch, elements):
+    """Make every box Newton solve return x (1 + 1e-8) at elements, an index
+    or a slice, so that the 1e-10 residual check fails there."""
     solve = substances._box1d_x_for_mean
 
     def missed(target, policy):
         x = solve(target, policy).copy()
-        x[start:] *= 1.0 + 1e-8
+        x[elements] *= 1.0 + 1e-8
         return x
 
     monkeypatch.setattr(substances, "_box1d_x_for_mean", missed)
@@ -719,43 +759,244 @@ def _residual_message(L, force):
     return f"isobaric schedule residual exceeds 1e-10 at L={L}, axis target force {force}"
 
 
+def _long_diesel():
+    # its isobar's last sample, L_A + (L_B - L_A), lies at 1.8000000000000003
+    # where corner B lies at L_B = 1.8
+    return build_diesel(box(1), 200.0, 2.0, 0.3, 0.9)
+
+
 class TestScheduleResidualErrors:
     """A schedule solve that misses raises ConvergenceError naming the first
-    failing L: corners in A, B, C, D order, samples in segment order, then
-    sample order."""
+    failing L, with the message of the solve's residual check.
+
+    A first read of segments checks the isobar corners in A, B, C, D order.
+    A run solves the corners, then the samples, in one solve: the batch
+    checks the isobar samples in segment order, then sample order, and then
+    the run checks the corners that the corner table reads, B and D, each
+    an adiabat's start.  The corner table reads A and C from the isobar
+    samples, which are the same solve of the same element.  So a miss from
+    a corner on, which misses every sample too, names the first sample."""
 
     @pytest.mark.parametrize("corner", [0, 1, 2, 3], ids=list("ABCD"))
-    def test_brayton_names_the_first_failing_corner(self, corner, monkeypatch):
-        spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
-        seg = spec.segments[corner]
+    def test_brayton_segments_name_the_first_failing_corner(self, corner, monkeypatch):
+        seg = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2).segments[corner]
         force = 20.0 if corner < 2 else 8.0
-        _miss_the_solves_from(monkeypatch, corner)
+        spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+        _miss_the_solves_at(monkeypatch, slice(corner, None))
         with pytest.raises(ConvergenceError) as err:
-            build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
+            spec.segments
         assert str(err.value) == _residual_message(seg.L_start, force)
 
     @pytest.mark.parametrize("corner", [0, 1], ids=list("AB"))
-    def test_diesel_names_the_first_failing_corner(self, corner, monkeypatch):
+    def test_diesel_segments_name_the_first_failing_corner(self, corner, monkeypatch):
         L = (0.55 * 2.0, 0.8 * 2.0)[corner]
-        _miss_the_solves_from(monkeypatch, corner)
+        spec = build_diesel(box(1), 20.0, 2.0, 0.55, 0.8)
+        _miss_the_solves_at(monkeypatch, slice(corner, None))
         with pytest.raises(ConvergenceError) as err:
-            build_diesel(box(1), 20.0, 2.0, 0.55, 0.8)
+            spec.segments
         assert str(err.value) == _residual_message(L, 20.0)
 
     @pytest.mark.parametrize(
         "build, start, segment, sample",
         [
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 0, 0, 0),
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 16 + 3, 2, 3),
-            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 0, 0, 0),
-            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 5, 0, 5),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 4, 0, 0),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 4 + 16 + 3, 2, 3),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 2, 0, 0),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 2 + 5, 0, 5),
         ],
         ids=["brayton-first", "brayton-CD-4th", "diesel-first", "diesel-6th"],
     )
     def test_run_names_the_first_failing_sample(self, build, start, segment, sample, monkeypatch):
-        spec = build()
-        L = run_cycle(spec, samples_per_segment=16).segment_results[segment].columns[1, sample]
-        _miss_the_solves_from(monkeypatch, start)
+        # the solve's elements are the isobar corners, then the samples
+        expected = run_cycle(build(), samples_per_segment=16).segment_results[segment]
+        L = expected.columns[1, sample].item()
+        _miss_the_solves_at(monkeypatch, slice(start, None))
         with pytest.raises(ConvergenceError) as err:
-            run_cycle(spec, samples_per_segment=16)
-        assert str(err.value) == _residual_message(L.item(), spec.segments[segment].held_value)
+            run_cycle(build(), samples_per_segment=16)
+        assert str(err.value) == _residual_message(L, expected.segment.held_value)
+
+    @pytest.mark.parametrize(
+        "build, corners",
+        [
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 4),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 2),
+        ],
+        ids=["brayton", "diesel"],
+    )
+    def test_run_names_a_sample_before_a_corner(self, build, corners, monkeypatch):
+        # a miss from any corner on misses every sample: the batch names
+        # the first, corner A's L on the A->B isobar
+        spec = build()
+        L_A, F1 = spec.segments[0].L_start, spec.segments[0].held_value
+        for corner in range(corners):
+            with monkeypatch.context() as patch:
+                _miss_the_solves_at(patch, slice(corner, None))
+                with pytest.raises(ConvergenceError) as err:
+                    run_cycle(build(), samples_per_segment=16)
+            assert str(err.value) == _residual_message(L_A, F1)
+
+    @pytest.mark.parametrize(
+        "build, corner",
+        [
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 1),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 3),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 1),
+            (_long_diesel, 1),
+        ],
+        ids=["brayton-B", "brayton-D", "diesel-B", "long-diesel-B"],
+    )
+    def test_run_checks_the_corners_that_start_an_adiabat(self, build, corner, monkeypatch):
+        # a miss at that corner alone: every sample meets its force, and the
+        # corner table's check names the corner's own L
+        seg = build().segments[corner]
+        held = seg.held_value if seg.kind == "isobaric" else build().segments[corner - 1].held_value
+        _miss_the_solves_at(monkeypatch, corner)
+        with pytest.raises(ConvergenceError) as err:
+            run_cycle(build(), samples_per_segment=16)
+        assert str(err.value) == _residual_message(seg.L_start, held)
+
+    def test_long_diesel_isobar_ends_off_its_corner(self):
+        report = run_cycle(_long_diesel(), samples_per_segment=16)
+        assert report.segment_results[0].columns[1, -1] == 1.8000000000000003
+        assert report.corner_table[1].L == 1.8
+
+
+def _outcome(call):
+    """The value of call(), or the class and message of the error it raises."""
+    try:
+        return call()
+    except (ConvergenceError, DomainError) as err:
+        return type(err).__name__, str(err)
+
+
+def _isobar_cycle(kind, cycle, x):
+    """A Brayton or Diesel whose corner B holds x = beta Delta and corner A,
+    on the same isobar, twice it (as tests/test_cycle_oracle.py builds)."""
+    model = SpectrumModel(kind)
+    L_B = 2.0 if cycle == "brayton" else 1.6
+    F1 = mp_oracle.isobar_force(model, x, L_B)
+    L_A = mp_oracle.isobar_length(model, 2.0 * x, F1)
+    if cycle == "brayton":
+        return lambda: build_brayton(model, F1, 0.5 * F1, L_A, L_B)
+    return lambda: build_diesel(model, F1, 2.0, 0.5 * L_A, 0.8)
+
+
+# warm, cold and classical corners on every isobar kind, and the long Diesel
+SEGMENT_ROUTES = {
+    f"{cycle}-{kind}-{x:g}": _isobar_cycle(kind, cycle, x)
+    for kind in ISOBAR_KINDS
+    for cycle in ("brayton", "diesel")
+    for x in (1e-6, 0.03, 10.0)
+}
+SEGMENT_ROUTES["diesel-box1d-long"] = _long_diesel
+
+
+class TestSegmentsReadOrNot:
+    """A Brayton's or Diesel's run builds its segments from its own corner
+    solve, and a first read of spec.segments from the checked one: both
+    must give the same segments, and the run the same report either way."""
+
+    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
+    def test_read_segments_are_the_run_segments(self, name):
+        build = SEGMENT_ROUTES[name]
+        spec = build()
+        read = _outcome(lambda: spec.segments)
+        ran = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
+        if isinstance(ran, tuple):
+            # only a corner that no temperature reaches refuses here
+            # (test_every_route_case_is_kept), and it refuses the read alike
+            assert read == ran
+            return
+        assert len(read) == 4
+        for seg, result in zip(read, ran.segment_results):
+            assert dataclasses.astuple(seg) == dataclasses.astuple(result.segment)
+            assert repr(seg) == repr(result.segment)
+
+    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
+    def test_report_does_not_depend_on_a_read(self, name):
+        build = SEGMENT_ROUTES[name]
+        unread = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
+        spec = build()
+        _outcome(lambda: spec.segments)
+        read_first = _outcome(lambda: run_cycle(spec, samples_per_segment=16))
+        if isinstance(unread, tuple):
+            assert read_first == unread
+            return
+        assert read_first == unread
+        assert repr(_report_fields(read_first)) == repr(_report_fields(unread))
+        for a, b in zip(read_first.segment_results, unread.segment_results):
+            assert a.columns.tobytes() == b.columns.tobytes()
+
+    def test_every_route_case_is_kept(self):
+        # the cases that report: every one but the cold box Brayton, whose
+        # F1 lies below the vacuum force at its rounded L_A
+        refused = [
+            name for name, build in SEGMENT_ROUTES.items()
+            if isinstance(_outcome(lambda b=build: run_cycle(b(), samples_per_segment=2)), tuple)
+        ]
+        assert refused == ["brayton-box1d-10"]
+
+
+def _report_fields(report):
+    """Every field of a report but the segments' samples: its totals and
+    guards, the corner table, and each segment with its totals."""
+    return (
+        report.kind, report.Q_in, report.Q_out, report.W_net, report.eta_numeric,
+        report.eta_closed, report.gamma_used, report.loop_entropy, report.closure_residual,
+        report.closure_ok, report.first_law_residual, report.corner_table,
+        tuple((r.segment, r.Q, r.W_on, r.W_thermal, r.W_scale, r.delta_U)
+              for r in report.segment_results),
+    )
+
+
+def _golden_cycle(name):
+    config = parse_config((GOLDENS / f"{name}.json").read_text())
+    return lambda n: run_cycle(config.build_cycle(), config.policy, n)
+
+
+# the golden runs, every cycle kind on every substance it supports, the
+# isobaric route cases, and loops that refuse: a Carnot whose heat
+# underflows and two thin Ottos that cancel
+SAMPLE_COUNT_CASES = {
+    **{f"golden-{name}": _golden_cycle(name) for name in GOLDEN_RUNS},
+    **{name: lambda n, b=build: run_cycle(b(), samples_per_segment=n) for name, build in EVERY_CYCLE.items()},
+    **{name: lambda n, b=build: run_cycle(b(), samples_per_segment=n) for name, build in SEGMENT_ROUTES.items()},
+    "underflow-carnot-box1d": lambda n: run_cycle(
+        build_carnot(box(1), 1e-3, 5e-4, 1.0, 2.0), samples_per_segment=n
+    ),
+    "thin-otto-box1d": lambda n: run_cycle(
+        build_otto(box(1), 1.0, 1.1, 4.0 * (1.0 / 1.1) ** 2 * (1.0 - 1e-7), 4.0), samples_per_segment=n
+    ),
+    "thin-otto-cavity": lambda n: run_cycle(
+        build_otto(cavity_mode(), 1.0, 1.1, 15.4 / 1.1 * (1.0 - 1e-7), 15.4), samples_per_segment=n
+    ),
+}
+
+
+class TestSampleCountPremise:
+    """Every total and guard of a report reads its segments' end samples
+    only, so a report and its exit outcome are the same at 2 samples per
+    segment as at 64.  A change that makes a total depend on the interior
+    samples fails here."""
+
+    @pytest.mark.parametrize("name", SAMPLE_COUNT_CASES)
+    def test_report_is_the_same_at_2_and_64_samples(self, name):
+        run = SAMPLE_COUNT_CASES[name]
+        few, many = (_outcome(lambda n=n: run(n)) for n in (2, 64))
+        if isinstance(many, tuple):
+            assert few == many
+        else:
+            assert repr(_report_fields(few)) == repr(_report_fields(many))
+
+    def test_refusals_are_covered(self):
+        refused = {
+            name: _outcome(lambda r=run: r(2))[0]
+            for name, run in SAMPLE_COUNT_CASES.items()
+            if isinstance(_outcome(lambda r=run: r(2)), tuple)
+        }
+        assert refused == {
+            "brayton-box1d-10": "DomainError",
+            "underflow-carnot-box1d": "DomainError",
+            "thin-otto-box1d": "ConvergenceError",
+            "thin-otto-cavity": "ConvergenceError",
+        }
