@@ -455,7 +455,8 @@ def run_cycle(
     takes the solved sample rows and checks their residual; then each
     isobar corner's force in the corner table is checked to the same 1e-10.
     """
-    if spec._corners is None:
+    corners = spec._corners
+    if corners is None:
         segments, isobar_beta = spec.segments, None
     else:
         segments, isobar_beta = _solve_corners(spec, policy, samples_per_segment)
@@ -468,17 +469,17 @@ def run_cycle(
     # the results share one batch: its (9, k, n) block is read once for the
     # corners, each segment's first sample, and for every segment's S change
     block = results[0]._batch.columns
-    if spec._corners is not None:
+    if corners is not None:
         # the isobar corners come first; a 1D model's U is its axis energy
-        force = np.array(spec._corners.force)
+        force = np.array(corners.force)
         _check_schedule(spec.model, force, block[_L, : force.size, 0], block[_U, : force.size, 0])
-    corners = block[_CORNER, :, 0].T.tolist()
-    loop_entropy = sum(S_end - c[-1] for S_end, c in zip(block[_S, :, -1].tolist(), corners))
+    table = block[_CORNER, :, 0].T.tolist()
+    loop_entropy = sum(S_end - c[-1] for S_end, c in zip(block[_S, :, -1].tolist(), table))
     closure = _closure_residual(segments)
     first_law = abs(w_net - (q_in - q_out))
     corner_table = tuple(
         CornerRecord(label, *c, regime_parameter(spec.model, c[1], c[0]))
-        for label, c in zip(CORNER_LABELS, corners)
+        for label, c in zip(CORNER_LABELS, table)
     )
     scale = sum(r.W_scale for r in results)
     cancels = _EPS * scale > CANCELLATION_TOL * abs(w_net)

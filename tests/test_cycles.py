@@ -11,6 +11,7 @@ import pytest
 
 import mp_oracle
 from qcycle import cycles, processes, substances
+from test_cycle_oracle import ISOBAR_KINDS, _isobar_case
 from qcycle.config import parse_config
 from qcycle.cycles import (
     CYCLE_BUILDERS,
@@ -597,9 +598,7 @@ GOLDENS = pathlib.Path(__file__).parent / "goldens"
 GOLDEN_RUNS = sorted(
     p.stem for p in GOLDENS.glob("*.json") if not p.name.endswith(".report.json")
 )
-# the 1D kinds that have an isobar, and the Brayton and Diesel of
-# BATCH_CYCLES
-ISOBAR_KINDS = ("box1d", "cavity", "harmonic1d")
+# the Brayton and Diesel of BATCH_CYCLES
 ISOBARIC_BATCH_CYCLES = [name for name in BATCH_CYCLES if name.startswith(("brayton-", "diesel-"))]
 
 
@@ -636,9 +635,9 @@ class TestKernelCalls:
 
     def test_builders_of_every_isobar_kind_are_counted(self):
         isobaric = [name for name in EVERY_CYCLE if name.startswith(("brayton-", "diesel-"))]
-        assert sorted(isobaric) == [
+        assert sorted(isobaric) == sorted(
             f"{cycle}-{kind}" for cycle in ("brayton", "diesel") for kind in ISOBAR_KINDS
-        ]
+        )
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("build", [build_carnot, build_otto], ids=["carnot", "otto"])
@@ -870,15 +869,10 @@ def _outcome(call):
 
 
 def _isobar_cycle(kind, cycle, x):
-    """A Brayton or Diesel whose corner B holds x = beta Delta and corner A,
-    on the same isobar, twice it (as tests/test_cycle_oracle.py builds)."""
-    model = SpectrumModel(kind)
-    L_B = 2.0 if cycle == "brayton" else 1.6
-    F1 = mp_oracle.isobar_force(model, x, L_B)
-    L_A = mp_oracle.isobar_length(model, 2.0 * x, F1)
-    if cycle == "brayton":
-        return lambda: build_brayton(model, F1, 0.5 * F1, L_A, L_B)
-    return lambda: build_diesel(model, F1, 2.0, 0.5 * L_A, 0.8)
+    """The oracle test's Brayton or Diesel whose corner B holds x = beta Delta
+    and corner A, on the same isobar, twice it."""
+    model, build, _, args = _isobar_case(kind, cycle, x)
+    return lambda: build(model, *args)
 
 
 # warm, cold and classical corners on every isobar kind, and the long Diesel
@@ -989,11 +983,8 @@ class TestSampleCountPremise:
             assert repr(_report_fields(few)) == repr(_report_fields(many))
 
     def test_refusals_are_covered(self):
-        refused = {
-            name: _outcome(lambda r=run: r(2))[0]
-            for name, run in SAMPLE_COUNT_CASES.items()
-            if isinstance(_outcome(lambda r=run: r(2)), tuple)
-        }
+        outcomes = {name: _outcome(lambda r=run: r(2)) for name, run in SAMPLE_COUNT_CASES.items()}
+        refused = {name: o[0] for name, o in outcomes.items() if isinstance(o, tuple)}
         assert refused == {
             "brayton-box1d-10": "DomainError",
             "underflow-carnot-box1d": "DomainError",
