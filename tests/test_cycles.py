@@ -847,12 +847,11 @@ class TestScheduleResidualErrors:
     def test_run_checks_the_corners_that_start_an_adiabat(self, build, corner, monkeypatch):
         # a miss at that corner alone: every sample meets its force, and the
         # corner table's check names the corner's own L
-        seg = build().segments[corner]
-        held = seg.held_value if seg.kind == "isobaric" else build().segments[corner - 1].held_value
+        isobar, adiabat = build().segments[corner - 1 : corner + 1]
         _miss_the_solves_at(monkeypatch, corner)
         with pytest.raises(ConvergenceError) as err:
             run_cycle(build(), samples_per_segment=16)
-        assert str(err.value) == _residual_message(seg.L_start, held)
+        assert str(err.value) == _residual_message(adiabat.L_start, isobar.held_value)
 
     def test_long_diesel_isobar_ends_off_its_corner(self):
         report = run_cycle(_long_diesel(), samples_per_segment=16)
