@@ -268,7 +268,7 @@ def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
         ("adiabat_entropy_invariance", _check_adiabat_entropy(), 1e-12),
         ("held_value_drift", max(_held_drift(r) for r in results), 1e-8),
         ("work_force_duality", duality, 1e-10),
-        ("segment_reversal_antisymmetry", _check_reversal(results, policy), 1e-8),
+        ("segment_reversal_antisymmetry", _check_reversal(results, policy), 1e-12),
         ("isobaric_schedule_residual", _check_schedule_residual(policy), 1e-10),
     ]
 
@@ -276,11 +276,11 @@ def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
 def _cycle_suite(policy: NumericsPolicy):
     samples = 16  # diagram density does not matter for loop identities
     reports = [
-        run_cycle(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5, policy), policy, samples),
-        run_cycle(build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 0.8, policy), policy, samples),
-        run_cycle(build_otto(box(1), 1.0, 2.0, 0.3, 2.0, policy), policy, samples),
-        run_cycle(build_otto(cavity_mode(), 1.0, 2.0, 0.3, 1.5, policy), policy, samples),
-        run_cycle(build_carnot(spin_half(), 2.0, 1.0, 1.0, 3.0, policy), policy, samples),
+        run_cycle(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5), policy, samples),
+        run_cycle(build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 0.8), policy, samples),
+        run_cycle(build_otto(box(1), 1.0, 2.0, 0.3, 2.0), policy, samples),
+        run_cycle(build_otto(cavity_mode(), 1.0, 2.0, 0.3, 1.5), policy, samples),
+        run_cycle(build_carnot(spin_half(), 2.0, 1.0, 1.0, 3.0), policy, samples),
     ]
     return reports
 
@@ -290,7 +290,7 @@ def _check_carnot_universality(policy: NumericsPolicy, loops) -> float:
     T_C = T_H/2 and L_B = 2 L_A."""
     worst = 0.0
     for model, t_h, l_a in loops:
-        spec = build_carnot(model, t_h, 0.5 * t_h, l_a, 2.0 * l_a, policy)
+        spec = build_carnot(model, t_h, 0.5 * t_h, l_a, 2.0 * l_a)
         worst = max(worst, abs(run_cycle(spec, policy, 8).eta_numeric - 0.5))
     return worst
 
@@ -301,10 +301,10 @@ def _cycle_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     loop_s = max(abs(r.loop_entropy) for r in reports)
     exact_agreement = max(abs(r.eta_numeric - r.eta_closed) for r in reports)
     box_brayton = run_cycle(
-        build_brayton(box(1), 10.0, 1.25, 100.0, 200.0, policy), policy, 8
+        build_brayton(box(1), 10.0, 1.25, 100.0, 200.0), policy, 8
     )
     box_diesel = run_cycle(
-        build_diesel(box(1), 10.0, 200.0, 0.5, 0.8, policy), policy, 8
+        build_diesel(box(1), 10.0, 200.0, 0.5, 0.8), policy, 8
     )
     classical_agreement = max(
         abs(box_brayton.eta_numeric - box_brayton.eta_closed),

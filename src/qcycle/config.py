@@ -50,7 +50,7 @@ class RunConfig:
         # refuses a wrong ordering, a zero-area loop, an Otto that is no
         # engine or a Brayton on a 2D substance
         try:
-            return builder(self.model(), policy=self.policy, **self.cycle_params)
+            return builder(self.model(), **self.cycle_params)
         except ValueError as err:
             raise ConfigError(f"cycle: {err}") from err
 

@@ -36,7 +36,7 @@ from .processes import (
     isochoric_segment,
     isothermal_segment,
 )
-from .substances import SpectrumModel, _check_schedule, beta_for_force, regime_parameter
+from .substances import SpectrumModel, beta_for_force, regime_parameter
 
 CYCLE_KINDS = ("carnot", "otto", "brayton", "diesel")
 CORNER_LABELS = ("A", "B", "C", "D")
@@ -50,21 +50,18 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 # rows of a SegmentResult's columns: the entropy, and a corner's L, beta, T,
 # F, U and S in CornerRecord's order
-_L, _U, _S = (SAMPLE_FIELDS.index(name) for name in ("L", "U", "S"))
+_L, _S = SAMPLE_FIELDS.index("L"), SAMPLE_FIELDS.index("S")
 _CORNER = slice(_L, _S + 1)
 
 
 class _Corners(NamedTuple):
     """What a Brayton or Diesel builder records in place of its segments:
-    every corner's L in A-D order, the held force of each corner on an
-    isobar (those corners come first), the segments that are isobars, each
-    from its corner i to corner i + 1 at force[i], and the builder's policy,
-    with which a first read of CycleSpec.segments solves the corners."""
+    every corner's L in A-D order, and the segments that are isobars, each
+    from its corner i to corner i + 1, with the force each holds."""
 
     L: tuple[float, float, float, float]
-    force: tuple[float, ...]
     isobars: tuple[int, ...]
-    policy: NumericsPolicy
+    force: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,14 @@ class CycleSpec:
     """A closed four-segment cycle ready to run.
 
     A Brayton or Diesel builder evaluates no state: it passes segments None
-    and records its _Corners.  run_cycle then solves the corners with the
-    isobar samples, and the first read of segments solves the corners alone
-    in one checked schedule solve and keeps the segments.  Both build them
-    with _corner_segments from the same betas, so they are equal bit for
-    bit; a corner the solve cannot reach raises DomainError, and one whose
-    force misses ConvergenceError, at whichever comes first.
+    and records its _Corners.  run_cycle then solves its isobar samples,
+    whose first and last entries are the isobar corners, and builds the
+    segments from them; the first read of segments does the same on the
+    two-point grid, at DEFAULT_POLICY, checks that solve as a run's batch
+    does, and keeps the segments.  The box solve is per element, so the two
+    are equal bit for bit; a corner the solve cannot reach raises
+    DomainError, and one whose force misses ConvergenceError, at whichever
+    comes first.
     """
 
     model: SpectrumModel
@@ -97,11 +96,8 @@ class CycleSpec:
         corners = self._corners
         if name != "segments" or corners is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        solved = len(corners.force)
-        betas = beta_for_force(
-            self.model, np.array(corners.force), np.array(corners.L[:solved]), corners.policy
-        )
-        segments = _corner_segments(self.model, self.kind, corners, betas.tolist())
+        segments, isobar_beta = _solve_corners(self, DEFAULT_POLICY, 2)
+        _stacked_heat_work(segments, DEFAULT_POLICY, 2, isobar_beta)
         object.__setattr__(self, "segments", segments)
         return segments
 
@@ -202,15 +198,15 @@ def build_brayton(
     F0: float,
     L_A: float,
     L_B: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> CycleSpec:
     """Two isobars at F1 > F0 joined by adiabats.
 
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
     F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  No state
-    is evaluated here: the four corners' temperatures come from one
-    isobaric schedule solve, run_cycle's or the first read of segments'.
+    is evaluated here: the four corners' temperatures are the ends of the
+    isobar samples' schedule solve, run_cycle's or the first read of
+    segments'.
     """
     _require_1d(model, "brayton")
     if not 0.0 < F0 < F1:
@@ -230,7 +226,7 @@ def build_brayton(
             "L_B": L_B,
             "force_ratio": F0 / F1,
         },
-        _corners=_Corners((L_A, L_B, L_C, L_D), (F1, F1, F0, F0), (0, 2), policy),
+        _corners=_Corners((L_A, L_B, L_C, L_D), (0, 2), (F1, F0)),
     )
 
 
@@ -240,7 +236,6 @@ def build_diesel(
     L1: float,
     r_C: float,
     r_E: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> CycleSpec:
     """Isobar at F1, adiabat, isochore at L1, adiabat.
 
@@ -248,8 +243,8 @@ def build_diesel(
     L_B = r_E L1 with 0 < r_C < r_E < 1; r_C = r_E, a zero-area loop,
     raises ValueError.  The corner forces then satisfy F_C = F1 r_E^gamma
     and F_D = F1 r_C^gamma.  No state is evaluated here: the isobar's ends
-    come from one schedule solve, run_cycle's or the first read of
-    segments'.
+    are those of its samples' schedule solve, run_cycle's or the first read
+    of segments'.
     """
     _require_1d(model, "diesel")
     if L1 <= 0.0 or F1 <= 0.0:
@@ -265,7 +260,7 @@ def build_diesel(
         kind="diesel",
         segments=None,
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
-        _corners=_Corners((L_A, L_B, L1, L1), (F1, F1), (0,), policy),
+        _corners=_Corners((L_A, L_B, L1, L1), (0,), (F1,)),
     )
 
 
@@ -273,15 +268,15 @@ def _corner_segments(
     model: SpectrumModel, kind: str, corners: _Corners, betas: list[float]
 ) -> tuple[ProcessSegment, ...]:
     """The four segments of a Brayton or Diesel from its corners and the
-    betas solved at its isobar corners.  A Diesel's C and D follow from the
-    adiabats through B and A."""
+    betas solved at its isobar corners, in A-D order.  A Diesel's C and D
+    follow from the adiabats through B and A."""
     L_A, L_B, L_C, L_D = corners.L
     beta_a, beta_b = betas[:2]
     seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", corners.force[0])
     seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
     if kind == "brayton":
         beta_c, beta_d = betas[2:]
-        seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", corners.force[2])
+        seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", corners.force[1])
     else:
         beta_d = beta_a * (L_D / L_A) ** model.scaling_power
         seg_cd = isochoric_segment(model, L_C, seg_bc.beta_end, beta_d)
@@ -294,7 +289,6 @@ def build_otto(
     L1: float,
     beta_hot: float,
     beta_cold: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> CycleSpec:
     """Two isochores at L0 < L1 joined by adiabats.
 
@@ -303,8 +297,7 @@ def build_otto(
     A->B isochore to actually heat, i.e. beta_cold (L0/L1)^p > beta_hot;
     equality, like L0 = L1, is a zero-area loop and raises ValueError.
     Valid for any substance kind; the closed form uses the volume ratio
-    (L0/L1)^d.  No isobar is solved, so policy goes unread; it keeps the
-    four builders' signatures alike.
+    (L0/L1)^d.
     """
     if not 0.0 < L0 < L1:
         raise ValueError(f"need L1 > L0 > 0, got L0={L0}, L1={L1}")
@@ -343,13 +336,10 @@ def build_carnot(
     T_C: float,
     L_A: float,
     L_B: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> CycleSpec:
     """Two isotherms at T_H > T_C joined by adiabats; any substance kind.
 
-    T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError.  No
-    isobar is solved, so policy goes unread; it keeps the four builders'
-    signatures alike.
+    T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError.
     """
     if not 0.0 < T_C < T_H:
         raise ValueError(f"need T_H > T_C > 0, got T_H={T_H}, T_C={T_C}")
@@ -377,9 +367,9 @@ def build_carnot(
 
 
 # cycle kind -> the name of its builder in this module and the builder's
-# parameters between model and policy, in the order a config error lists the
-# kinds.  A builder is named rather than held, so a call looks it up in this
-# module's namespace and passes through whatever is bound there.
+# parameters after model, in the order a config error lists the kinds.  A
+# builder is named rather than held, so a call looks it up in this module's
+# namespace and passes through whatever is bound there.
 CYCLE_BUILDERS = {
     "brayton": ("build_brayton", ("F1", "F0", "L_A", "L_B")),
     "diesel": ("build_diesel", ("F1", "L1", "r_C", "r_E")),
@@ -404,25 +394,19 @@ def _solve_corners(
     spec: CycleSpec, policy: NumericsPolicy, samples_per_segment: int
 ) -> tuple[tuple[ProcessSegment, ...], np.ndarray]:
     """A Brayton's or Diesel's segments and its isobars' beta rows, from one
-    unchecked beta_for_force call: the isobar corners first, then each
-    isobar's samples at its _sample_lengths.  The box solve is per element,
-    so every beta is the one a solve of its element alone gives."""
+    unchecked beta_for_force call on the isobar samples at their
+    _sample_lengths.  Each row starts and ends exactly at its corners, so
+    its first and last betas are the isobar corners' betas, in A-D order."""
     corners = spec._corners
-    t = _unit_grid(samples_per_segment)
     L = _sample_lengths(
-        [corners.L[i] for i in corners.isobars], [corners.L[i + 1] for i in corners.isobars], t
+        [corners.L[i] for i in corners.isobars],
+        [corners.L[i + 1] for i in corners.isobars],
+        _unit_grid(samples_per_segment),
     )
-    held = np.repeat([corners.force[i] for i in corners.isobars], t.size)
-    solved = len(corners.force)
-    beta = beta_for_force(
-        spec.model,
-        np.concatenate((corners.force, held)),
-        np.concatenate((corners.L[:solved], L.ravel())),
-        policy,
-        checked=False,
-    )
-    segments = _corner_segments(spec.model, spec.kind, corners, beta[:solved].tolist())
-    return segments, beta[solved:].reshape(L.shape)
+    force = np.array(corners.force)[:, None]
+    beta = beta_for_force(spec.model, force, L, policy, checked=False)
+    betas = beta[:, [0, -1]].ravel().tolist()
+    return _corner_segments(spec.model, spec.kind, corners, betas), beta
 
 
 def run_cycle(
@@ -449,14 +433,12 @@ def run_cycle(
     a run builds no PathSample.
 
     A Brayton or Diesel spec gives its corners, not its segments: one
-    schedule solve, at policy, takes its isobar corners first, in A-D
-    order, then every isobar sample, and the segments are built from the
-    corner betas as a first read of spec.segments builds them.  The batch
-    takes the solved sample rows and checks their residual; then each
-    isobar corner's force in the corner table is checked to the same 1e-10.
+    schedule solve, at policy, takes every isobar sample, and the segments
+    are built from the rows' first and last betas, the isobar corners', as
+    a first read of spec.segments builds them.  The batch takes the solved
+    rows and checks their residual, corners included.
     """
-    corners = spec._corners
-    if corners is None:
+    if spec._corners is None:
         segments, isobar_beta = spec.segments, None
     else:
         segments, isobar_beta = _solve_corners(spec, policy, samples_per_segment)
@@ -469,10 +451,6 @@ def run_cycle(
     # the results share one batch: its (9, k, n) block is read once for the
     # corners, each segment's first sample, and for every segment's S change
     block = results[0]._batch.columns
-    if corners is not None:
-        # the isobar corners come first; a 1D model's U is its axis energy
-        force = np.array(corners.force)
-        _check_schedule(spec.model, force, block[_L, : force.size, 0], block[_U, : force.size, 0])
     table = block[_CORNER, :, 0].T.tolist()
     loop_entropy = sum(S_end - c[-1] for S_end, c in zip(block[_S, :, -1].tolist(), table))
     closure = _closure_residual(segments)

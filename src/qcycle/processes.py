@@ -271,11 +271,15 @@ def _unit_grid(n: int) -> np.ndarray:
 
 def _sample_lengths(L_start, L_end, t) -> np.ndarray:
     """L, (k, n), at the n path parameters t along k paths from the arrays
-    L_start to L_end, linear in t.  An isobar's samples are solved at these
-    L whether its segment is built first or not, so both routes give the
-    same L bit for bit."""
+    L_start to L_end, linear in t.  Where the last t is 1, as on the unit
+    grid, the last sample is L_end itself, as np.linspace pins its last
+    point: L_start + (L_end - L_start) can miss L_end by an ulp."""
     L_start = np.asarray(L_start, dtype=float)[:, None]
-    return L_start + t * (np.asarray(L_end, dtype=float)[:, None] - L_start)
+    L_end = np.asarray(L_end, dtype=float)
+    L = L_start + t * (L_end[:, None] - L_start)
+    if t[-1] == 1.0:
+        L[:, -1] = L_end
+    return L
 
 
 def _path_points(
@@ -283,19 +287,22 @@ def _path_points(
     segments: Sequence[ProcessSegment],
     t,
     policy: NumericsPolicy,
-    checked: bool = True,
     isobar_beta=None,
 ):
     """(beta, L), each (k, n), at the n path parameters t along the k
     segments, linear in the free variable, each row by its own kind's
     formula: an isochore holds L and is the only kind linear in beta, an
     isotherm holds beta, an adiabat holds beta L^p, and every isobar element
-    takes its beta from one schedule solve, which checks its residual unless
-    checked is False.  isobar_beta, when given, holds the isobars' rows in
-    segment order, solved already, and no schedule is solved here."""
+    takes its beta from one unchecked schedule solve, whose residual the
+    caller checks on the states it evaluates there.  Where the last t is 1,
+    as on the unit grid, each row's last sample is its segment's end: L_end,
+    and beta_end off an isobar, whose beta is solved at L_end.  So a segment
+    run backwards has the same end states.  isobar_beta, when
+    given, holds the isobars' rows in segment order, solved already, and no
+    schedule is solved here."""
     p = model.scaling_power
-    L_end = [s.L_start if s.kind == "isochoric" else s.L_end for s in segments]
-    L = _sample_lengths([s.L_start for s in segments], L_end, t)
+    L = _sample_lengths([s.L_start for s in segments], [s.L_end for s in segments], t)
+    pinned = t[-1] == 1.0
     beta = np.empty_like(L)
     isobars = []
     for i, s in enumerate(segments):
@@ -307,10 +314,13 @@ def _path_points(
             beta[i] = s.beta_start * (L[i] / s.L_start) ** p
         else:
             isobars.append(i)
+            continue
+        if pinned:
+            beta[i, -1] = s.beta_end
     if isobars:
         if isobar_beta is None:
             held = np.array([segments[i].held_value for i in isobars])[:, None]
-            isobar_beta = beta_for_force(model, held, L[isobars], policy, checked=checked)
+            isobar_beta = beta_for_force(model, held, L[isobars], policy, checked=False)
         beta[isobars] = isobar_beta
     return beta, L
 
@@ -415,7 +425,8 @@ def stacked_heat_work(
     isobar sample from one schedule solve) and one axis_states call give
     every sample's beta, L, per-axis ground energy E_0 and kernel moments as
     (k, n) arrays, on the n-point unit grid that every batch of n samples
-    shares; the solve's 1e-10 residual check reads the isobar rows of that
+    shares, each row starting and ending exactly at its segment's start and
+    end; the solve's 1e-10 residual check reads the isobar rows of that
     call.  Each segment's heat and work rows are written into the
     preallocated (9, k, n) columns by its own kind's formula, and its totals
     are read from the rows' end values.  The results keep the finished
@@ -449,8 +460,8 @@ def _stacked_heat_work(
 ) -> tuple[SegmentResult, ...]:
     """stacked_heat_work; isobar_beta, when given, holds the beta rows of the
     isobars in segment order, solved already at their _sample_lengths (a
-    Brayton's or Diesel's run solves them with its corners), and the batch
-    solves no schedule."""
+    Brayton's or Diesel's run solves them first and takes its corners from
+    their ends), and the batch solves no schedule but checks them."""
     ts = _unit_grid(samples_per_segment)
     if not segments:
         return ()
@@ -460,7 +471,7 @@ def _stacked_heat_work(
         raise ValueError("stacked segments must share one model")
     d, p = model.dimension, model.scaling_power
     k, n = len(segments), samples_per_segment
-    beta, L = _path_points(model, segments, ts, policy, checked=False, isobar_beta=isobar_beta)
+    beta, L = _path_points(model, segments, ts, policy, isobar_beta)
     st = axis_states(model, beta, L)
     isobars = [i for i, seg in enumerate(segments) if seg.kind == "isobaric"]
     if isobars:
@@ -550,7 +561,10 @@ def work_gauss_reference(
 
     def work_rate(t: np.ndarray) -> np.ndarray:
         beta, L = _path_points(model, (segment,), t, policy)
-        U = model.dimension * axis_states(model, beta, L).energy
+        energy = axis_states(model, beta, L).energy
+        if segment.kind == "isobaric":
+            _check_schedule(model, segment.held_value, L, energy)
+        U = model.dimension * energy
         return -model.scaling_power * U / L * dL
 
     return integrate_gauss(work_rate, 0.0, 1.0, panels=panels)

@@ -480,8 +480,9 @@ class TestSubnormalHeat:
 # <name>.json in tests/goldens beside its <name>.report.json and
 # <name>.diagram.csv.  They are a warm and a cold box1d Brayton (the cold
 # one's corner A, at x = 4.4, takes the kernel's direct series), two box1d
-# Diesels (the long one's isobar ends at L = 1.8000000000000003, an ulp off
-# its corner B at 1.8), a box3d Carnot, a harmonic2d Otto and a spin Carnot.
+# Diesels (the long one's L_A + (L_B - L_A) is 1.8000000000000003, an ulp
+# off its corner B at 1.8, where its isobar's last sample lies all the
+# same), a box3d Carnot, a harmonic2d Otto and a spin Carnot.
 GOLDEN_RUNS = tuple(
     sorted(p.stem for p in GOLDEN.parent.glob("*.json") if not p.name.endswith(".report.json"))
 )

@@ -93,11 +93,12 @@ class TestClosedFormEfficiency:
 class TestBuilderTable:
     @pytest.mark.parametrize("kind", CYCLE_KINDS)
     def test_table_matches_the_builders_signature(self, kind):
-        # the parameters between model and policy, in order
+        # the parameters after model, in order: a builder takes no policy,
+        # which only run_cycle reads
         name, fields = CYCLE_BUILDERS[kind]
         params = list(inspect.signature(getattr(cycles, name)).parameters)
-        assert (params[0], params[-1]) == ("model", "policy")
-        assert tuple(params[1:-1]) == fields
+        assert params[0] == "model"
+        assert tuple(params[1:]) == fields
 
     def test_table_lists_every_cycle_kind(self):
         assert list(CYCLE_BUILDERS) == ["brayton", "diesel", "otto", "carnot"]
@@ -499,7 +500,7 @@ class TestCrossCheckOnRead:
 
     def test_cross_check_that_cannot_converge_raises_on_read(self):
         policy = NumericsPolicy(quad_tol=1e-16, quad_max_depth=1)
-        report = run_cycle(build_diesel(box(1), 20.0, 2.0, 0.5, 0.8, policy), policy, 16)
+        report = run_cycle(build_diesel(box(1), 20.0, 2.0, 0.5, 0.8), policy, 16)
         assert 0.0 < report.eta_numeric < 1.0
         for r in report.segment_results:
             with pytest.raises(ConvergenceError, match="max depth"):
@@ -618,8 +619,8 @@ def _count_kernel_calls(monkeypatch):
 class TestKernelCalls:
     """substances._kernel calls, counted.  No builder evaluates a state, so
     a Carnot's or Otto's run makes the cycle's one call, the batch's, and a
-    Brayton's or Diesel's run adds one schedule solve, of its isobar corners
-    and samples at once."""
+    Brayton's or Diesel's run adds one schedule solve, of its isobar
+    samples, whose ends are its isobar corners."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_builders_make_no_call(self, kind, monkeypatch):
@@ -647,22 +648,22 @@ class TestKernelCalls:
         run_cycle(build(SpectrumModel(kind), *args), samples_per_segment=16)
         assert calls == [4 * 16]
 
-    # a first read of a Brayton's or Diesel's segments makes the checked
-    # schedule solve of its isobar corners, A, B, C and D or A and B: its
-    # Newton evaluations and, on the box, one residual check call.  The
-    # closed schedules of the other kinds make none.  A later read makes no
-    # call.
+    # a first read of a Brayton's or Diesel's segments makes the calls of a
+    # run at 2 samples per segment: the schedule solve of its isobar corners,
+    # A, B, C and D or A and B (Newton evaluations on the box, none on the
+    # closed schedules), and the batch's call, whose states check it.  A
+    # later read makes no call.
     @pytest.mark.parametrize("name", ISOBARIC_BATCH_CYCLES)
-    def test_first_read_of_segments_makes_the_checked_corner_solve(self, name, monkeypatch):
+    def test_first_read_of_segments_makes_a_two_sample_run(self, name, monkeypatch):
         spec = BATCH_CYCLES[name]()
         calls = _count_kernel_calls(monkeypatch)
         segments = spec.segments
         read = list(calls)
         assert spec.segments is segments and calls == read
-        force, L = _corner_schedule(segments)
         calls.clear()
-        beta_for_force(spec.model, force, L, checked=False)
-        assert read == calls + ([L.size] if spec.model.kind == "box1d" else [])
+        run_cycle(BATCH_CYCLES[name](), samples_per_segment=2)
+        assert read == calls
+        assert read[-1] == 4 * 2
 
     # the calls of each golden run's builder and of its run_cycle.  A box
     # schedule makes its Newton evaluations, one when warm and three for the
@@ -690,28 +691,25 @@ class TestKernelCalls:
         assert sorted(self.GOLDEN_CALLS) == sorted(GOLDEN_RUNS)
 
     @pytest.mark.parametrize("name", ISOBARIC_BATCH_CYCLES)
-    def test_run_makes_one_call_more_than_its_corner_and_sample_schedule(self, name, monkeypatch):
-        # the Newton evaluations of the isobar corners and then the isobar
-        # samples, as one solve, then one call on all k n samples, whose
-        # isobar rows the schedule's residual check reads
-        spec = BATCH_CYCLES[name]()
+    def test_run_makes_one_call_more_than_its_sample_schedule(self, name, monkeypatch):
+        # the Newton evaluations of the isobar samples, the run's L rows,
+        # then one call on all k n samples, whose isobar rows the
+        # schedule's residual check reads
         calls = _count_kernel_calls(monkeypatch)
-        run_cycle(spec, samples_per_segment=16)
+        report = run_cycle(BATCH_CYCLES[name](), samples_per_segment=16)
         ran = list(calls)
-        force, L = _corner_schedule(spec.segments)
-        t = np.linspace(0.0, 1.0, 16)
-        for seg in spec.segments:
-            if seg.kind == "isobaric":
-                force = np.append(force, np.full(16, seg.held_value))
-                L = np.append(L, seg.L_start + t * (seg.L_end - seg.L_start))
+        isobars = [r for r in report.segment_results if r.segment.kind == "isobaric"]
+        force = np.array([[r.segment.held_value] for r in isobars])
+        L = np.array([r.columns[1] for r in isobars])
         calls.clear()
-        beta_for_force(spec.model, force, L, checked=False)
+        beta_for_force(report.segment_results[0].segment.model, force, L, checked=False)
         assert ran == calls + [4 * 16]
 
     @pytest.mark.parametrize("name", ["brayton-box1d", "diesel-box1d"])
     def test_warm_box_cycle_makes_two_kernel_calls(self, name, monkeypatch):
-        # one Newton evaluation over the isobar corners, in A-D order, then
-        # the isobar samples; then the batch's call.  The builder makes none.
+        # one Newton evaluation over the isobar samples, whose first and
+        # last L are the isobar corners, in A-D order; then the batch's
+        # call.  The builder makes none.
         solved = []
         solve = cycles.beta_for_force
 
@@ -723,22 +721,14 @@ class TestKernelCalls:
         calls = _count_kernel_calls(monkeypatch)
         report = run_cycle(BATCH_CYCLES[name]())
         isobars = sum(r.segment.kind == "isobaric" for r in report.segment_results)
-        corners = 2 * isobars
-        assert calls == [corners + isobars * 64, 4 * 64]
-        assert len(solved) == 1
-        assert solved[0][:corners].tolist() == [c.L for c in report.corner_table[:corners]]
+        assert calls == [isobars * 64, 4 * 64]
+        assert len(solved) == 1 and solved[0].shape == (isobars, 64)
+        corners = [c.L for c in report.corner_table[: 2 * isobars]]
+        assert solved[0][:, [0, -1]].ravel().tolist() == corners
 
 
 def _refuse_schedule(*_args, **_kwargs):
     raise AssertionError("a schedule was solved")
-
-
-def _corner_schedule(segments):
-    """The held forces and L of a Brayton's or Diesel's isobar corners, in
-    A-D order: each isobar's start and end."""
-    isobars = [seg for seg in segments if seg.kind == "isobaric"]
-    force = np.array([seg.held_value for seg in isobars for _ in (0, 1)])
-    return force, np.array([seg.L_start for seg in segments[: force.size]])
 
 
 def _miss_the_solves_at(monkeypatch, elements):
@@ -759,8 +749,8 @@ def _residual_message(L, force):
 
 
 def _long_diesel():
-    # its isobar's last sample, L_A + (L_B - L_A), lies at 1.8000000000000003
-    # where corner B lies at L_B = 1.8
+    # L_A + (L_B - L_A) is 1.8000000000000003, where corner B lies at
+    # L_B = 1.8: its isobar's last sample must be pinned to L_B
     return build_diesel(box(1), 200.0, 2.0, 0.3, 0.9)
 
 
@@ -768,13 +758,12 @@ class TestScheduleResidualErrors:
     """A schedule solve that misses raises ConvergenceError naming the first
     failing L, with the message of the solve's residual check.
 
-    A first read of segments checks the isobar corners in A, B, C, D order.
-    A run solves the corners, then the samples, in one solve: the batch
-    checks the isobar samples in segment order, then sample order, and then
-    the run checks the corners that the corner table reads, B and D, each
-    an adiabat's start.  The corner table reads A and C from the isobar
-    samples, which are the same solve of the same element.  So a miss from
-    a corner on, which misses every sample too, names the first sample."""
+    A run solves the isobar samples, row by row in segment order, and the
+    batch checks them in that order.  Each row starts and ends at its
+    corners, so the first read of segments, which makes that solve and
+    check on two samples per segment, checks the isobar corners in A, B, C,
+    D order, and a run checks every corner too, as its row's first or last
+    sample."""
 
     @pytest.mark.parametrize("corner", [0, 1, 2, 3], ids=list("ABCD"))
     def test_brayton_segments_name_the_first_failing_corner(self, corner, monkeypatch):
@@ -798,15 +787,15 @@ class TestScheduleResidualErrors:
     @pytest.mark.parametrize(
         "build, start, segment, sample",
         [
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 4, 0, 0),
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 4 + 16 + 3, 2, 3),
-            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 2, 0, 0),
-            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 2 + 5, 0, 5),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 0, 0, 0),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 16 + 3, 2, 3),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 0, 0, 0),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 5, 0, 5),
         ],
         ids=["brayton-first", "brayton-CD-4th", "diesel-first", "diesel-6th"],
     )
     def test_run_names_the_first_failing_sample(self, build, start, segment, sample, monkeypatch):
-        # the solve's elements are the isobar corners, then the samples
+        # the solve's elements are the isobar samples, row by row
         expected = run_cycle(build(), samples_per_segment=16).segment_results[segment]
         L = expected.columns[1, sample].item()
         _miss_the_solves_at(monkeypatch, slice(start, None))
@@ -822,40 +811,45 @@ class TestScheduleResidualErrors:
         ],
         ids=["brayton", "diesel"],
     )
-    def test_run_names_a_sample_before_a_corner(self, build, corners, monkeypatch):
-        # a miss from any corner on misses every sample: the batch names
-        # the first, corner A's L on the A->B isobar
+    def test_run_names_the_first_failing_corner(self, build, corners, monkeypatch):
+        # a miss from a corner's element on, A, B, C and D at the first and
+        # last sample of each isobar row, names that corner's L, as the
+        # first read of segments does
         spec = build()
-        L_A, F1 = spec.segments[0].L_start, spec.segments[0].held_value
-        for corner in range(corners):
+        elements = (0, 15, 16, 31)[:corners]
+        for corner, element in enumerate(elements):
+            isobar = spec.segments[corner // 2 * 2]
             with monkeypatch.context() as patch:
-                _miss_the_solves_at(patch, slice(corner, None))
+                _miss_the_solves_at(patch, slice(element, None))
                 with pytest.raises(ConvergenceError) as err:
                     run_cycle(build(), samples_per_segment=16)
-            assert str(err.value) == _residual_message(L_A, F1)
+            L = spec.segments[corner].L_start
+            assert str(err.value) == _residual_message(L, isobar.held_value)
 
     @pytest.mark.parametrize(
-        "build, corner",
+        "build, corner, element",
         [
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 1),
-            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 3),
-            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 1),
-            (_long_diesel, 1),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 1, 15),
+            (lambda: build_brayton(box(1), 20.0, 8.0, 1.0, 1.2), 3, 31),
+            (lambda: build_diesel(box(1), 20.0, 2.0, 0.55, 0.8), 1, 15),
+            (_long_diesel, 1, 15),
         ],
         ids=["brayton-B", "brayton-D", "diesel-B", "long-diesel-B"],
     )
-    def test_run_checks_the_corners_that_start_an_adiabat(self, build, corner, monkeypatch):
-        # a miss at that corner alone: every sample meets its force, and the
-        # corner table's check names the corner's own L
+    def test_run_checks_the_corners_that_start_an_adiabat(self, build, corner, element, monkeypatch):
+        # a miss at that corner alone, its isobar row's last sample: the
+        # batch's check names the corner's own L
         isobar, adiabat = build().segments[corner - 1 : corner + 1]
-        _miss_the_solves_at(monkeypatch, corner)
+        _miss_the_solves_at(monkeypatch, element)
         with pytest.raises(ConvergenceError) as err:
             run_cycle(build(), samples_per_segment=16)
         assert str(err.value) == _residual_message(adiabat.L_start, isobar.held_value)
 
-    def test_long_diesel_isobar_ends_off_its_corner(self):
+    def test_long_diesel_isobar_ends_at_its_corner(self):
+        L_A, L_B = 0.3 * 2.0, 0.9 * 2.0
+        assert L_A + 1.0 * (L_B - L_A) == 1.8000000000000003
         report = run_cycle(_long_diesel(), samples_per_segment=16)
-        assert report.segment_results[0].columns[1, -1] == 1.8000000000000003
+        assert report.segment_results[0].columns[1, -1] == 1.8
         assert report.corner_table[1].L == 1.8
 
 
@@ -885,9 +879,10 @@ SEGMENT_ROUTES["diesel-box1d-long"] = _long_diesel
 
 
 class TestSegmentsReadOrNot:
-    """A Brayton's or Diesel's run builds its segments from its own corner
-    solve, and a first read of spec.segments from the checked one: both
-    must give the same segments, and the run the same report either way."""
+    """A Brayton's or Diesel's run builds its segments from the ends of its
+    isobar rows, and a first read of spec.segments from the same solve on
+    two samples per segment: both must give the same segments, and the run
+    the same report either way."""
 
     @pytest.mark.parametrize("name", SEGMENT_ROUTES)
     def test_read_segments_are_the_run_segments(self, name):

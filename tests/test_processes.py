@@ -7,9 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from test_cycles import GOLDEN_RUNS, SEGMENT_ROUTES, _golden_cycle
+from qcycle.cycles import run_cycle
 from qcycle.errors import DomainError
 from qcycle.processes import (
     SAMPLE_FIELDS,
+    SEGMENT_KINDS,
     _unit_grid,
     adiabatic_advance,
     adiabatic_segment,
@@ -490,3 +493,106 @@ class TestUnitGrid:
         for n in (2, 3, 16, 64):
             t = segment_heat_work(seg, samples_per_segment=n).columns[0]
             assert t.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
+
+
+def _ulp_segments(model):
+    """One segment of each kind whose linear end misses its end field by an
+    ulp: 0.6 + (1.8 - 0.6) is 1.8000000000000003 and 1.8 + (0.6 - 1.8) is
+    0.5999999999999999, in L, and in beta on the isochore.  The spin's
+    negative force is held on a compression, the other kinds' on an
+    expansion."""
+    L0, L1 = (1.8, 0.6) if model.kind == "spin_half" else (0.6, 1.8)
+    return (
+        isothermal_segment(model, 0.7, 0.6, 1.8),
+        isochoric_segment(model, 1.0, 0.6, 1.8),
+        isobaric_segment(model, equilibrium_force(model, 0.7, L0), L0, L1),
+        adiabatic_segment(model, 0.7, 0.6, 1.8),
+    )
+
+
+def _ends(results):
+    """Each result's first and last (L, beta) against its segment's start
+    and end fields, as two lists to compare."""
+    L, beta = SAMPLE_FIELDS.index("L"), SAMPLE_FIELDS.index("beta")
+    rows = [r.columns[[L, beta]][:, [0, -1]].T.ravel().tolist() for r in results]
+    fields = [[r.segment.L_start, r.segment.beta_start, r.segment.L_end, r.segment.beta_end]
+              for r in results]
+    return rows, fields
+
+
+def _reversed(results, n):
+    return stacked_heat_work([reverse_segment(r.segment) for r in results], samples_per_segment=n)
+
+
+class TestRowsEndAtTheirSegmentEnds:
+    """Every row's first and last (L, beta) are its segment's start and end
+    fields, bit for bit: the unit grid's last sample takes L_end and beta_end
+    (on an isobar, the schedule's beta at L_end), as np.linspace pins its
+    last point, rather than start + 1.0 (end - start), which can miss by an
+    ulp.  So a Brayton's or Diesel's isobar rows hold its corners."""
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_segments_of_every_kind(self, kind, n):
+        results = stacked_heat_work(_ulp_segments(SpectrumModel(kind)), samples_per_segment=n)
+        rows, fields = _ends(results)
+        assert rows == fields
+        rows, fields = _ends(_reversed(results, n))
+        assert rows == fields
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_golden_cycles(self, name, n):
+        results = _golden_cycle(name)(n).segment_results
+        for batch in (results, _reversed(results, n)):
+            rows, fields = _ends(batch)
+            assert rows == fields
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
+    def test_route_cycles(self, name, n):
+        try:
+            results = run_cycle(SEGMENT_ROUTES[name](), samples_per_segment=n).segment_results
+        except DomainError:
+            # the cold box Brayton: no temperature reaches its corner A
+            assert name == "brayton-box1d-10"
+            return
+        for batch in (results, _reversed(results, n)):
+            rows, fields = _ends(batch)
+            assert rows == fields
+
+
+def _random_segment(rng):
+    """A segment of a random kind on a random substance, or None for an
+    isobar whose held force no temperature reaches at its far end."""
+    model = SpectrumModel(KINDS[rng.integers(len(KINDS))])
+    kind = SEGMENT_KINDS[rng.integers(len(SEGMENT_KINDS))]
+    beta, beta_end = rng.uniform(0.05, 5.0, 2)
+    L0, L1 = rng.uniform(0.3, 3.0, 2)
+    if kind == "isothermal":
+        return isothermal_segment(model, beta, L0, L1)
+    if kind == "isochoric":
+        return isochoric_segment(model, L0, beta, beta_end)
+    if kind == "adiabatic":
+        return adiabatic_segment(model, beta, L0, L1)
+    try:
+        return isobaric_segment(model, equilibrium_force(model, beta, L0), L0, L1)
+    except DomainError:
+        return None
+
+
+def test_reversal_is_exactly_antisymmetric():
+    # a segment run backwards evaluates the same two end states, so its Q,
+    # W_on and delta_U are exactly the negatives, at any sample count
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(600):
+        seg = _random_segment(rng)
+        if seg is None:
+            continue
+        n = (2, 3, 16, 64)[rng.integers(4)]
+        fwd = segment_heat_work(seg, samples_per_segment=n)
+        back = segment_heat_work(reverse_segment(seg), samples_per_segment=n)
+        assert (back.Q, back.W_on, back.delta_U) == (-fwd.Q, -fwd.W_on, -fwd.delta_U), seg
+        checked += 1
+    assert checked >= 500
