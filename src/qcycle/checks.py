@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference
 from .cycles import build_brayton, build_carnot, build_diesel, build_otto, run_cycle
-from .numerics import DEFAULT_POLICY, NumericsPolicy, derivative_centered
+from .numerics import derivative_centered
 from .processes import (
     SAMPLE_FIELDS,
     adiabatic_advance,
@@ -163,8 +163,7 @@ def _check_monotonicity() -> float:
     return 0.0
 
 
-def _substance_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
-    # no substance check solves an isobar or integrates, so policy goes unread
+def _substance_checks() -> list[tuple[str, float, float]]:
     return [
         ("force_matches_free_energy_gradient", _check_force_gradient(), 1e-11),
         ("gibbs_normalization", _check_normalization(), 1e-12),
@@ -176,7 +175,7 @@ def _substance_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     ]
 
 
-def _segment_set(policy: NumericsPolicy):
+def _segment_set():
     """Representative segments of every kind over several substances."""
     b1, cav, sp, h1 = box(1), cavity_mode(), spin_half(), harmonic(1)
     return (
@@ -186,8 +185,8 @@ def _segment_set(policy: NumericsPolicy):
         isochoric_segment(b1, 1.2, 0.6, 1.8),
         isochoric_segment(sp, 1.0, 0.5, 2.5),
         # box1d zero-temperature force at L=1 is pi^2; stay above it
-        isobaric_segment(b1, 20.0, 1.0, 2.0, policy),
-        isobaric_segment(cav, 1.0, 1.0, 1.6, policy),
+        isobaric_segment(b1, 20.0, 1.0, 2.0),
+        isobaric_segment(cav, 1.0, 1.0, 1.6),
         adiabatic_segment(b1, 0.7, 1.0, 1.9),
         adiabatic_segment(cav, 0.9, 1.0, 2.3),
     )
@@ -229,10 +228,10 @@ def _held_drift(result) -> float:
     return float(np.abs(values - held).max()) / max(abs(held), _TINY)
 
 
-def _check_reversal(results, policy: NumericsPolicy) -> float:
+def _check_reversal(results) -> float:
     worst = 0.0
     for r in results:
-        back = segment_heat_work(reverse_segment(r.segment), policy, 16)
+        back = segment_heat_work(reverse_segment(r.segment), samples_per_segment=16)
         worst = max(
             worst,
             abs(r.Q + back.Q) / _scale(r),
@@ -241,7 +240,7 @@ def _check_reversal(results, policy: NumericsPolicy) -> float:
     return worst
 
 
-def _check_schedule_residual(policy: NumericsPolicy) -> float:
+def _check_schedule_residual() -> float:
     """50 cavity (force, L) pairs across the valid domain 2 F L^2 > kappa."""
     rng = random.Random(20130527)
     model = cavity_mode()
@@ -250,16 +249,16 @@ def _check_schedule_residual(policy: NumericsPolicy) -> float:
         L = rng.uniform(0.5, 3.0)
         vacuum = 0.5 * model.mode_constant / (L * L)
         target = vacuum * (1.0 + rng.uniform(0.05, 5.0))
-        beta = isobaric_schedule(model, target, L, policy)
+        beta = isobaric_schedule(model, target, L)
         realized = equilibrium_force(model, beta, L)
         worst = max(worst, abs(realized - target) / target)
     return worst
 
 
-def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
-    results = [segment_heat_work(seg, policy, 16) for seg in _segment_set(policy)]
+def _process_checks() -> list[tuple[str, float, float]]:
+    results = [segment_heat_work(seg, samples_per_segment=16) for seg in _segment_set()]
     duality = max(
-        abs(r.W_on - work_gauss_reference(r.segment, policy)) / _scale(r)
+        abs(r.W_on - work_gauss_reference(r.segment)) / _scale(r)
         for r in results
         if r.segment.kind != "isochoric"
     )
@@ -268,43 +267,43 @@ def _process_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
         ("adiabat_entropy_invariance", _check_adiabat_entropy(), 1e-12),
         ("held_value_drift", max(_held_drift(r) for r in results), 1e-8),
         ("work_force_duality", duality, 1e-10),
-        ("segment_reversal_antisymmetry", _check_reversal(results, policy), 1e-12),
-        ("isobaric_schedule_residual", _check_schedule_residual(policy), 1e-10),
+        ("segment_reversal_antisymmetry", _check_reversal(results), 1e-12),
+        ("isobaric_schedule_residual", _check_schedule_residual(), 1e-10),
     ]
 
 
-def _cycle_suite(policy: NumericsPolicy):
-    samples = 16  # diagram density does not matter for loop identities
-    reports = [
-        run_cycle(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5), policy, samples),
-        run_cycle(build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 0.8), policy, samples),
-        run_cycle(build_otto(box(1), 1.0, 2.0, 0.3, 2.0), policy, samples),
-        run_cycle(build_otto(cavity_mode(), 1.0, 2.0, 0.3, 1.5), policy, samples),
-        run_cycle(build_carnot(spin_half(), 2.0, 1.0, 1.0, 3.0), policy, samples),
-    ]
-    return reports
+def _cycle_suite():
+    specs = (
+        build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5),
+        build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 0.8),
+        build_otto(box(1), 1.0, 2.0, 0.3, 2.0),
+        build_otto(cavity_mode(), 1.0, 2.0, 0.3, 1.5),
+        build_carnot(spin_half(), 2.0, 1.0, 1.0, 3.0),
+    )
+    # diagram density does not matter for loop identities
+    return [run_cycle(spec, samples_per_segment=16) for spec in specs]
 
 
-def _check_carnot_universality(policy: NumericsPolicy, loops) -> float:
+def _check_carnot_universality(loops) -> float:
     """Worst |eta_numeric - 0.5| over Carnot loops (model, T_H, L_A) at
     T_C = T_H/2 and L_B = 2 L_A."""
     worst = 0.0
     for model, t_h, l_a in loops:
         spec = build_carnot(model, t_h, 0.5 * t_h, l_a, 2.0 * l_a)
-        worst = max(worst, abs(run_cycle(spec, policy, 8).eta_numeric - 0.5))
+        worst = max(worst, abs(run_cycle(spec, samples_per_segment=8).eta_numeric - 0.5))
     return worst
 
 
-def _cycle_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
-    reports = _cycle_suite(policy)
+def _cycle_checks() -> list[tuple[str, float, float]]:
+    reports = _cycle_suite()
     closure = max(r.closure_residual for r in reports)
     loop_s = max(abs(r.loop_entropy) for r in reports)
     exact_agreement = max(abs(r.eta_numeric - r.eta_closed) for r in reports)
     box_brayton = run_cycle(
-        build_brayton(box(1), 10.0, 1.25, 100.0, 200.0), policy, 8
+        build_brayton(box(1), 10.0, 1.25, 100.0, 200.0), samples_per_segment=8
     )
     box_diesel = run_cycle(
-        build_diesel(box(1), 10.0, 200.0, 0.5, 0.8), policy, 8
+        build_diesel(box(1), 10.0, 200.0, 0.5, 0.8), samples_per_segment=8
     )
     classical_agreement = max(
         abs(box_brayton.eta_numeric - box_brayton.eta_closed),
@@ -324,22 +323,21 @@ def _cycle_checks(policy: NumericsPolicy) -> list[tuple[str, float, float]]:
     return [
         ("loop_closure", closure, 1e-10),
         ("loop_entropy_zero", loop_s, 1e-9),
-        ("carnot_universality_exact", _check_carnot_universality(policy, exact), 1e-12),
+        ("carnot_universality_exact", _check_carnot_universality(exact), 1e-12),
         (
             "carnot_universality_box_classical",
-            _check_carnot_universality(policy, classical),
+            _check_carnot_universality(classical),
             1e-12,
         ),
-        ("carnot_universality_cold", _check_carnot_universality(policy, cold), 1e-12),
+        ("carnot_universality_cold", _check_carnot_universality(cold), 1e-12),
         ("efficiency_agreement_exact", exact_agreement, 1e-12),
         ("efficiency_agreement_box_classical", classical_agreement, 1e-12),
     ]
 
 
-def run_checks(
-    scope: str = "all", policy: NumericsPolicy = DEFAULT_POLICY
-) -> list[CheckResult]:
-    """Run the invariant suites of one scope (or all of them)."""
+def run_checks(scope: str = "all") -> list[CheckResult]:
+    """Run the invariant suites of one scope (or all of them), at
+    DEFAULT_POLICY."""
     if scope not in SCOPES + ("all",):
         raise ValueError(f"scope must be one of {SCOPES + ('all',)}, got {scope!r}")
     suites = {
@@ -350,7 +348,7 @@ def run_checks(
     wanted = SCOPES if scope == "all" else (scope,)
     out: list[CheckResult] = []
     for name in wanted:
-        for check_name, deviation, tolerance in suites[name](policy):
+        for check_name, deviation, tolerance in suites[name]():
             out.append(
                 CheckResult(
                     name=check_name,

@@ -69,14 +69,11 @@ class CycleSpec:
     """A closed four-segment cycle ready to run.
 
     A Brayton or Diesel builder evaluates no state: it passes segments None
-    and records its _Corners.  run_cycle then solves its isobar samples,
+    and records its _Corners.  Only run_cycle solves its isobar samples,
     whose first and last entries are the isobar corners, and builds the
-    segments from them; the first read of segments does the same on the
-    two-point grid, at DEFAULT_POLICY, checks that solve as a run's batch
-    does, and keeps the segments.  The box solve is per element, so the two
-    are equal bit for bit; a corner the solve cannot reach raises
-    DomainError, and one whose force misses ConvergenceError, at whichever
-    comes first.
+    segments from them, which its report's segment_results hold; a corner
+    the solve cannot reach raises DomainError there, and one whose force
+    misses ConvergenceError.
     """
 
     model: SpectrumModel
@@ -86,20 +83,8 @@ class CycleSpec:
     _corners: _Corners | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.segments is None:
-            if self._corners is None:
-                raise ValueError("a cycle needs its segments or its corners")
-            # left unset, so that the first read reaches __getattr__
-            object.__delattr__(self, "segments")
-
-    def __getattr__(self, name: str):
-        corners = self._corners
-        if name != "segments" or corners is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        segments, isobar_beta = _solve_corners(self, DEFAULT_POLICY, 2)
-        _stacked_heat_work(segments, DEFAULT_POLICY, 2, isobar_beta)
-        object.__setattr__(self, "segments", segments)
-        return segments
+        if self.segments is None and self._corners is None:
+            raise ValueError("a cycle needs its segments or its corners")
 
 
 @dataclass(frozen=True)
@@ -204,9 +189,8 @@ def build_brayton(
     Corners C and D are derived from the adiabatic relation
     F L^gamma = const: L_C = L_B (F1/F0)^(1/gamma), L_D likewise from L_A.
     F1 = F0 or L_A = L_B, a zero-area loop, raises ValueError.  No state
-    is evaluated here: the four corners' temperatures are the ends of the
-    isobar samples' schedule solve, run_cycle's or the first read of
-    segments'.
+    is evaluated here: the four corners' temperatures are the ends of
+    run_cycle's schedule solve of the isobar samples.
     """
     _require_1d(model, "brayton")
     if not 0.0 < F0 < F1:
@@ -243,8 +227,7 @@ def build_diesel(
     L_B = r_E L1 with 0 < r_C < r_E < 1; r_C = r_E, a zero-area loop,
     raises ValueError.  The corner forces then satisfy F_C = F1 r_E^gamma
     and F_D = F1 r_C^gamma.  No state is evaluated here: the isobar's ends
-    are those of its samples' schedule solve, run_cycle's or the first read
-    of segments'.
+    are those of run_cycle's schedule solve of its samples.
     """
     _require_1d(model, "diesel")
     if L1 <= 0.0 or F1 <= 0.0:
@@ -434,9 +417,9 @@ def run_cycle(
 
     A Brayton or Diesel spec gives its corners, not its segments: one
     schedule solve, at policy, takes every isobar sample, and the segments
-    are built from the rows' first and last betas, the isobar corners', as
-    a first read of spec.segments builds them.  The batch takes the solved
-    rows and checks their residual, corners included.
+    are built from the rows' first and last betas, the isobar corners'.
+    The batch takes the solved rows and checks their residual, corners
+    included.
     """
     if spec._corners is None:
         segments, isobar_beta = spec.segments, None

@@ -213,10 +213,9 @@ def isobaric_segment(
     force_held: float,
     L_start: float,
     L_end: float,
-    policy: NumericsPolicy = DEFAULT_POLICY,
 ) -> ProcessSegment:
     beta_start, beta_end = isobaric_schedule(
-        model, force_held, np.array([L_start, L_end]), policy
+        model, force_held, np.array([L_start, L_end])
     ).tolist()
     return ProcessSegment(
         kind="isobaric",

@@ -547,7 +547,7 @@ class TestCheck:
         assert lines[-1] == "7/7 checks passed"
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(checks, "_substance_checks", lambda policy: [("forced", 1.0, 0.5)])
+        monkeypatch.setattr(checks, "_substance_checks", lambda: [("forced", 1.0, 0.5)])
         assert main(["check", "--scope", "substance"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].endswith("FAIL") and lines[-1] == "0/1 checks passed"

@@ -11,7 +11,7 @@ from qcycle.config import (
     substance_document,
     validate_config,
 )
-from qcycle.cycles import CYCLE_BUILDERS
+from qcycle.cycles import CYCLE_BUILDERS, run_cycle
 from qcycle.errors import ConfigError
 from qcycle.numerics import DEFAULT_POLICY, NumericsPolicy
 from qcycle.substances import (
@@ -209,9 +209,13 @@ def test_config_builds_runnable_cycle():
         "substance": {"kind": "cavity"},
         "cycle": {"kind": "brayton", "F1": 2.0, "F0": 0.5, "L_A": 1.5, "L_B": 2.5},
     }
-    spec = validate_config(doc).build_cycle()
+    config = validate_config(doc)
+    spec = config.build_cycle()
     assert spec.kind == "brayton"
-    assert len(spec.segments) == 4
+    # a Brayton's segments are built by its run
+    assert spec.segments is None
+    report = run_cycle(spec, config.policy, config.output.samples_per_segment)
+    assert len(report.segment_results) == 4
 
 
 def test_json_text_entry_point():

@@ -1,5 +1,6 @@
 """Cycle builders, closed-form efficiencies and numeric agreement."""
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -105,17 +106,21 @@ class TestBuilderTable:
         assert sorted(CYCLE_BUILDERS) == sorted(CYCLE_KINDS)
 
 
+def _run_segments(spec):
+    """The segments a run of spec builds, in A-D order."""
+    return [r.segment for r in run_cycle(spec, samples_per_segment=16).segment_results]
+
+
 class TestBrayton:
     def test_box_corner_ratio(self):
-        spec = build_brayton(box(1), 8.0 * 30.0, 30.0, 1.0, 2.0)
-        adiabat = spec.segments[1]
+        segments = _run_segments(build_brayton(box(1), 8.0 * 30.0, 30.0, 1.0, 2.0))
+        adiabat = segments[1]
         assert adiabat.L_end / adiabat.L_start == pytest.approx(2.0, rel=1e-14)
-        assert spec.segments[0].held_value == 240.0  # high-force isobar A->B
-        assert spec.segments[2].held_value == 30.0
+        assert segments[0].held_value == 240.0  # high-force isobar A->B
+        assert segments[2].held_value == 30.0
 
     def test_cavity_corner_ratio(self):
-        spec = build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5)
-        adiabat = spec.segments[1]
+        adiabat = _run_segments(build_brayton(cavity_mode(), 2.0, 0.5, 1.5, 2.5))[1]
         assert adiabat.L_end / adiabat.L_start == pytest.approx(2.0, rel=1e-14)
 
     def test_cavity_efficiency_exact(self):
@@ -417,8 +422,8 @@ class TestStackedSegments:
         spec = BATCH_CYCLES[name]()
         report = run_cycle(spec, samples_per_segment=16)
         assert len(report.segment_results) == 4
-        for result, segment in zip(report.segment_results, spec.segments):
-            assert_same_result(result, segment_heat_work(segment, samples_per_segment=16))
+        for result in report.segment_results:
+            assert_same_result(result, segment_heat_work(result.segment, samples_per_segment=16))
 
     def test_segments_of_two_cycles_in_one_batch(self):
         segments = BATCH_CYCLES["otto-box1d"]().segments + BATCH_CYCLES["carnot-box1d"]().segments
@@ -439,7 +444,8 @@ class TestStackedSegments:
     def test_corners_are_the_gibbs_states_of_the_segment_starts(self, name):
         spec = BATCH_CYCLES[name]()
         report = run_cycle(spec, samples_per_segment=16)
-        for corner, segment in zip(report.corner_table, spec.segments):
+        for corner, result in zip(report.corner_table, report.segment_results):
+            segment = result.segment
             state = gibbs_state(spec.model, segment.beta_start, segment.L_start)
             assert (corner.L, corner.beta) == (segment.L_start, segment.beta_start)
             assert corner.F == force(state, spec.model)
@@ -451,7 +457,8 @@ class TestStackedSegments:
         spec = BATCH_CYCLES[name]()
         report = run_cycle(spec, samples_per_segment=16)
         model = spec.model
-        for r, seg in zip(report.segment_results, spec.segments):
+        for r in report.segment_results:
+            seg = r.segment
             ground = model.ground_energy(seg.L_end) - model.ground_energy(seg.L_start)
             scale = abs(r.W_on) + abs(model.ground_energy(min(seg.L_start, seg.L_end)))
             assert abs(r.W_on - r.W_thermal - ground) <= 1e-14 * scale
@@ -487,7 +494,7 @@ class TestCrossCheckOnRead:
         assert calls == []
         results = report.segment_results
         first = results[-1].Q_direct
-        heat_exchanging = sum(s.kind != "adiabatic" for s in spec.segments)
+        heat_exchanging = sum(r.segment.kind != "adiabatic" for r in results)
         assert calls == [heat_exchanging]
         direct = [r.Q_direct for r in results] + [r.Q_direct for r in results]
         assert calls == [heat_exchanging]
@@ -648,23 +655,6 @@ class TestKernelCalls:
         run_cycle(build(SpectrumModel(kind), *args), samples_per_segment=16)
         assert calls == [4 * 16]
 
-    # a first read of a Brayton's or Diesel's segments makes the calls of a
-    # run at 2 samples per segment: the schedule solve of its isobar corners,
-    # A, B, C and D or A and B (Newton evaluations on the box, none on the
-    # closed schedules), and the batch's call, whose states check it.  A
-    # later read makes no call.
-    @pytest.mark.parametrize("name", ISOBARIC_BATCH_CYCLES)
-    def test_first_read_of_segments_makes_a_two_sample_run(self, name, monkeypatch):
-        spec = BATCH_CYCLES[name]()
-        calls = _count_kernel_calls(monkeypatch)
-        segments = spec.segments
-        read = list(calls)
-        assert spec.segments is segments and calls == read
-        calls.clear()
-        run_cycle(BATCH_CYCLES[name](), samples_per_segment=2)
-        assert read == calls
-        assert read[-1] == 4 * 2
-
     # the calls of each golden run's builder and of its run_cycle.  A box
     # schedule makes its Newton evaluations, one when warm and three for the
     # cold Brayton's samples, before the batch's call.
@@ -731,6 +721,49 @@ def _refuse_schedule(*_args, **_kwargs):
     raise AssertionError("a schedule was solved")
 
 
+# the Braytons and Diesels of BATCH_CYCLES, and a box Brayton whose F1 lies
+# below the vacuum force at L_A, a corner that no temperature reaches
+SPEC_CASES = {
+    **{name: BATCH_CYCLES[name] for name in ISOBARIC_BATCH_CYCLES},
+    "brayton-box1d-unreachable": lambda: build_brayton(box(1), 1.0, 0.5, 1.0, 1.2),
+}
+
+
+class TestSpecIsData:
+    """A Brayton's or Diesel's spec holds its corners and no segments: only
+    run_cycle solves them.  So printing, comparing or copying a spec
+    evaluates no state and raises nothing, even where the run refuses."""
+
+    @pytest.mark.parametrize("name", SPEC_CASES)
+    def test_spec_operations_make_no_call(self, name, monkeypatch):
+        build = SPEC_CASES[name]
+        spec, twin = build(), build()
+        with monkeypatch.context() as patch:
+            calls = _count_kernel_calls(patch)
+            patch.setattr(cycles, "beta_for_force", _refuse_schedule)
+            assert spec.segments is None
+            assert repr(spec) == repr(twin)
+            assert spec == twin and not spec != twin
+            other = dataclasses.replace(twin, parameters={})
+            assert spec != other and not spec == other
+            copies = copy.deepcopy(spec), dataclasses.replace(spec)
+            assert all(c == spec and c._corners == spec._corners for c in copies)
+            assert calls == []
+        ran = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
+        for c in copies:
+            assert _outcome(lambda: run_cycle(c, samples_per_segment=16)) == ran
+
+    def test_unreachable_corner_refuses_the_run(self):
+        spec = SPEC_CASES["brayton-box1d-unreachable"]()
+        with pytest.raises(DomainError) as err:
+            run_cycle(spec)
+        assert str(err.value) == (
+            "no positive temperature: the box1d equilibrium force lies above "
+            "the vacuum force, vacuum force 9.869604401089358 at L=1.0, axis "
+            "target 1.0"
+        )
+
+
 def _miss_the_solves_at(monkeypatch, elements):
     """Make every box Newton solve return x (1 + 1e-8) at elements, an index
     or a slice, so that the 1e-10 residual check fails there."""
@@ -760,29 +793,8 @@ class TestScheduleResidualErrors:
 
     A run solves the isobar samples, row by row in segment order, and the
     batch checks them in that order.  Each row starts and ends at its
-    corners, so the first read of segments, which makes that solve and
-    check on two samples per segment, checks the isobar corners in A, B, C,
-    D order, and a run checks every corner too, as its row's first or last
-    sample."""
-
-    @pytest.mark.parametrize("corner", [0, 1, 2, 3], ids=list("ABCD"))
-    def test_brayton_segments_name_the_first_failing_corner(self, corner, monkeypatch):
-        seg = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2).segments[corner]
-        force = 20.0 if corner < 2 else 8.0
-        spec = build_brayton(box(1), 20.0, 8.0, 1.0, 1.2)
-        _miss_the_solves_at(monkeypatch, slice(corner, None))
-        with pytest.raises(ConvergenceError) as err:
-            spec.segments
-        assert str(err.value) == _residual_message(seg.L_start, force)
-
-    @pytest.mark.parametrize("corner", [0, 1], ids=list("AB"))
-    def test_diesel_segments_name_the_first_failing_corner(self, corner, monkeypatch):
-        L = (0.55 * 2.0, 0.8 * 2.0)[corner]
-        spec = build_diesel(box(1), 20.0, 2.0, 0.55, 0.8)
-        _miss_the_solves_at(monkeypatch, slice(corner, None))
-        with pytest.raises(ConvergenceError) as err:
-            spec.segments
-        assert str(err.value) == _residual_message(L, 20.0)
+    corners, so a run checks every isobar corner, as its row's first or
+    last sample."""
 
     @pytest.mark.parametrize(
         "build, start, segment, sample",
@@ -813,17 +825,16 @@ class TestScheduleResidualErrors:
     )
     def test_run_names_the_first_failing_corner(self, build, corners, monkeypatch):
         # a miss from a corner's element on, A, B, C and D at the first and
-        # last sample of each isobar row, names that corner's L, as the
-        # first read of segments does
-        spec = build()
+        # last sample of each isobar row, names that corner's L
+        segments = _run_segments(build())
         elements = (0, 15, 16, 31)[:corners]
         for corner, element in enumerate(elements):
-            isobar = spec.segments[corner // 2 * 2]
+            isobar = segments[corner // 2 * 2]
             with monkeypatch.context() as patch:
                 _miss_the_solves_at(patch, slice(element, None))
                 with pytest.raises(ConvergenceError) as err:
                     run_cycle(build(), samples_per_segment=16)
-            L = spec.segments[corner].L_start
+            L = segments[corner].L_start
             assert str(err.value) == _residual_message(L, isobar.held_value)
 
     @pytest.mark.parametrize(
@@ -839,7 +850,7 @@ class TestScheduleResidualErrors:
     def test_run_checks_the_corners_that_start_an_adiabat(self, build, corner, element, monkeypatch):
         # a miss at that corner alone, its isobar row's last sample: the
         # batch's check names the corner's own L
-        isobar, adiabat = build().segments[corner - 1 : corner + 1]
+        isobar, adiabat = _run_segments(build())[corner - 1 : corner + 1]
         _miss_the_solves_at(monkeypatch, element)
         with pytest.raises(ConvergenceError) as err:
             run_cycle(build(), samples_per_segment=16)
@@ -869,60 +880,13 @@ def _isobar_cycle(kind, cycle, x):
 
 
 # warm, cold and classical corners on every isobar kind, and the long Diesel
-SEGMENT_ROUTES = {
+ISOBAR_CYCLES = {
     f"{cycle}-{kind}-{x:g}": _isobar_cycle(kind, cycle, x)
     for kind in ISOBAR_KINDS
     for cycle in ("brayton", "diesel")
     for x in (1e-6, 0.03, 10.0)
 }
-SEGMENT_ROUTES["diesel-box1d-long"] = _long_diesel
-
-
-class TestSegmentsReadOrNot:
-    """A Brayton's or Diesel's run builds its segments from the ends of its
-    isobar rows, and a first read of spec.segments from the same solve on
-    two samples per segment: both must give the same segments, and the run
-    the same report either way."""
-
-    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
-    def test_read_segments_are_the_run_segments(self, name):
-        build = SEGMENT_ROUTES[name]
-        spec = build()
-        read = _outcome(lambda: spec.segments)
-        ran = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
-        if isinstance(ran, tuple):
-            # only a corner that no temperature reaches refuses here
-            # (test_every_route_case_is_kept), and it refuses the read alike
-            assert read == ran
-            return
-        assert len(read) == 4
-        for seg, result in zip(read, ran.segment_results):
-            assert dataclasses.astuple(seg) == dataclasses.astuple(result.segment)
-            assert repr(seg) == repr(result.segment)
-
-    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
-    def test_report_does_not_depend_on_a_read(self, name):
-        build = SEGMENT_ROUTES[name]
-        unread = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
-        spec = build()
-        _outcome(lambda: spec.segments)
-        read_first = _outcome(lambda: run_cycle(spec, samples_per_segment=16))
-        if isinstance(unread, tuple):
-            assert read_first == unread
-            return
-        assert read_first == unread
-        assert repr(_report_fields(read_first)) == repr(_report_fields(unread))
-        for a, b in zip(read_first.segment_results, unread.segment_results):
-            assert a.columns.tobytes() == b.columns.tobytes()
-
-    def test_every_route_case_is_kept(self):
-        # the cases that report: every one but the cold box Brayton, whose
-        # F1 lies below the vacuum force at its rounded L_A
-        refused = [
-            name for name, build in SEGMENT_ROUTES.items()
-            if isinstance(_outcome(lambda b=build: run_cycle(b(), samples_per_segment=2)), tuple)
-        ]
-        assert refused == ["brayton-box1d-10"]
+ISOBAR_CYCLES["diesel-box1d-long"] = _long_diesel
 
 
 def _report_fields(report):
@@ -943,12 +907,12 @@ def _golden_cycle(name):
 
 
 # the golden runs, every cycle kind on every substance it supports, the
-# isobaric route cases, and loops that refuse: a Carnot whose heat
+# isobaric cycles, and loops that refuse: a Carnot whose heat
 # underflows and two thin Ottos that cancel
 SAMPLE_COUNT_CASES = {
     **{f"golden-{name}": _golden_cycle(name) for name in GOLDEN_RUNS},
     **{name: lambda n, b=build: run_cycle(b(), samples_per_segment=n) for name, build in EVERY_CYCLE.items()},
-    **{name: lambda n, b=build: run_cycle(b(), samples_per_segment=n) for name, build in SEGMENT_ROUTES.items()},
+    **{name: lambda n, b=build: run_cycle(b(), samples_per_segment=n) for name, build in ISOBAR_CYCLES.items()},
     "underflow-carnot-box1d": lambda n: run_cycle(
         build_carnot(box(1), 1e-3, 5e-4, 1.0, 2.0), samples_per_segment=n
     ),

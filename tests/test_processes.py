@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from test_cycles import GOLDEN_RUNS, SEGMENT_ROUTES, _golden_cycle
+from test_cycles import GOLDEN_RUNS, ISOBAR_CYCLES, _golden_cycle
 from qcycle.cycles import run_cycle
 from qcycle.errors import DomainError
 from qcycle.processes import (
@@ -549,10 +549,10 @@ class TestRowsEndAtTheirSegmentEnds:
             assert rows == fields
 
     @pytest.mark.parametrize("n", [2, 16, 64])
-    @pytest.mark.parametrize("name", SEGMENT_ROUTES)
+    @pytest.mark.parametrize("name", ISOBAR_CYCLES)
     def test_route_cycles(self, name, n):
         try:
-            results = run_cycle(SEGMENT_ROUTES[name](), samples_per_segment=n).segment_results
+            results = run_cycle(ISOBAR_CYCLES[name](), samples_per_segment=n).segment_results
         except DomainError:
             # the cold box Brayton: no temperature reaches its corner A
             assert name == "brayton-box1d-10"
