@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,37 +54,45 @@ _L, _S = SAMPLE_FIELDS.index("L"), SAMPLE_FIELDS.index("S")
 _CORNER = slice(_L, _S + 1)
 
 
-class _Corners(NamedTuple):
-    """What a Brayton or Diesel builder records in place of its segments:
-    every corner's L in A-D order, and the segments that are isobars, each
-    from its corner i to corner i + 1, with the force each holds."""
+# cycle kind -> the kind of each of its segments; segment i runs from
+# corner i to corner i + 1, and the last from D back to A
+CYCLE_SEGMENTS = {
+    "carnot": ("isothermal", "adiabatic", "isothermal", "adiabatic"),
+    "otto": ("isochoric", "adiabatic", "isochoric", "adiabatic"),
+    "brayton": ("isobaric", "adiabatic", "isobaric", "adiabatic"),
+    "diesel": ("isobaric", "adiabatic", "isochoric", "adiabatic"),
+}
+
+
+class Corners(NamedTuple):
+    """A cycle's corners in A-D order: each corner's L; each corner's beta
+    where its builder knows it, all four for a Carnot or Otto and None for a
+    Brayton or Diesel, whose run solves them; and the force each isobar
+    holds, in segment order."""
 
     L: tuple[float, float, float, float]
-    isobars: tuple[int, ...]
+    beta: tuple[float, float, float, float] | None
     force: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """A closed four-segment cycle ready to run.
+    """A closed four-corner cycle ready to run: its substance, its kind, the
+    parameters of its closed form and its Corners, joined in turn by the
+    processes CYCLE_SEGMENTS names for its kind.
 
-    A Brayton or Diesel builder evaluates no state: it passes segments None
-    and records its _Corners.  Only run_cycle solves its isobar samples,
-    whose first and last entries are the isobar corners, and builds the
-    segments from them, which its report's segment_results hold; a corner
-    the solve cannot reach raises DomainError there, and one whose force
-    misses ConvergenceError.
+    A spec is data: no builder evaluates a state, and run_cycle alone builds
+    the segments, which its report's segment_results hold.  So printing,
+    comparing or copying a spec solves nothing.  A spec compares by value
+    but is unhashable, since parameters is a dict.
     """
 
     model: SpectrumModel
     kind: str
-    segments: tuple[ProcessSegment, ...] | None
     parameters: dict[str, float]
-    _corners: _Corners | None = field(default=None, repr=False, compare=False)
+    corners: Corners
 
-    def __post_init__(self) -> None:
-        if self.segments is None and self._corners is None:
-            raise ValueError("a cycle needs its segments or its corners")
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,6 @@ def build_brayton(
     return CycleSpec(
         model=model,
         kind="brayton",
-        segments=None,
         parameters={
             "F1": F1,
             "F0": F0,
@@ -210,7 +217,7 @@ def build_brayton(
             "L_B": L_B,
             "force_ratio": F0 / F1,
         },
-        _corners=_Corners((L_A, L_B, L_C, L_D), (0, 2), (F1, F0)),
+        corners=Corners((L_A, L_B, L_C, L_D), None, (F1, F0)),
     )
 
 
@@ -241,29 +248,9 @@ def build_diesel(
     return CycleSpec(
         model=model,
         kind="diesel",
-        segments=None,
         parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
-        _corners=_Corners((L_A, L_B, L1, L1), (0,), (F1,)),
+        corners=Corners((L_A, L_B, L1, L1), None, (F1,)),
     )
-
-
-def _corner_segments(
-    model: SpectrumModel, kind: str, corners: _Corners, betas: list[float]
-) -> tuple[ProcessSegment, ...]:
-    """The four segments of a Brayton or Diesel from its corners and the
-    betas solved at its isobar corners, in A-D order.  A Diesel's C and D
-    follow from the adiabats through B and A."""
-    L_A, L_B, L_C, L_D = corners.L
-    beta_a, beta_b = betas[:2]
-    seg_ab = ProcessSegment("isobaric", model, beta_a, L_A, beta_b, L_B, "F", corners.force[0])
-    seg_bc = adiabatic_segment(model, beta_b, L_B, L_C)
-    if kind == "brayton":
-        beta_c, beta_d = betas[2:]
-        seg_cd = ProcessSegment("isobaric", model, beta_c, L_C, beta_d, L_D, "F", corners.force[1])
-    else:
-        beta_d = beta_a * (L_D / L_A) ** model.scaling_power
-        seg_cd = isochoric_segment(model, L_C, seg_bc.beta_end, beta_d)
-    return seg_ab, seg_bc, seg_cd, adiabatic_segment(model, beta_d, L_D, L_A)
 
 
 def build_otto(
@@ -295,14 +282,9 @@ def build_otto(
             f"the hot corner, need beta_cold (L0/L1)^p > beta_hot, got "
             f"{beta_a} <= {beta_hot}"
         )
-    seg_ab = isochoric_segment(model, L0, beta_a, beta_hot)
-    seg_bc = adiabatic_segment(model, beta_hot, L0, L1)
-    seg_cd = isochoric_segment(model, L1, beta_c, beta_cold)
-    seg_da = adiabatic_segment(model, beta_cold, L1, L0)
     return CycleSpec(
         model=model,
         kind="otto",
-        segments=(seg_ab, seg_bc, seg_cd, seg_da),
         parameters={
             "L0": L0,
             "L1": L1,
@@ -310,6 +292,7 @@ def build_otto(
             "beta_cold": beta_cold,
             "volume_ratio": (L0 / L1) ** model.dimension,
         },
+        corners=Corners((L0, L0, L1, L1), (beta_a, beta_hot, beta_c, beta_cold), ()),
     )
 
 
@@ -322,7 +305,8 @@ def build_carnot(
 ) -> CycleSpec:
     """Two isotherms at T_H > T_C joined by adiabats; any substance kind.
 
-    T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError.
+    T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError, as does
+    a T_H/T_C that stretches L_D = L_A (T_H/T_C)^(1/p) past the largest float.
     """
     if not 0.0 < T_C < T_H:
         raise ValueError(f"need T_H > T_C > 0, got T_H={T_H}, T_C={T_C}")
@@ -331,14 +315,11 @@ def build_carnot(
     beta_h, beta_c = 1.0 / T_H, 1.0 / T_C
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
-    seg_ab = isothermal_segment(model, beta_h, L_A, L_B)
-    seg_bc = adiabatic_segment(model, beta_h, L_B, L_C)
-    seg_cd = isothermal_segment(model, beta_c, L_C, L_D)
-    seg_da = adiabatic_segment(model, beta_c, L_D, L_A)
+    if math.isinf(L_D):
+        raise ValueError(f"T_H/T_C = {T_H / T_C:g} stretches L_D past the largest float")
     return CycleSpec(
         model=model,
         kind="carnot",
-        segments=(seg_ab, seg_bc, seg_cd, seg_da),
         parameters={
             "T_H": T_H,
             "T_C": T_C,
@@ -346,6 +327,7 @@ def build_carnot(
             "L_B": L_B,
             "temperature_ratio": T_C / T_H,
         },
+        corners=Corners((L_A, L_B, L_C, L_D), (beta_h, beta_h, beta_c, beta_c), ()),
     )
 
 
@@ -373,23 +355,49 @@ def _closure_residual(segments: tuple[ProcessSegment, ...]) -> float:
     return worst
 
 
-def _solve_corners(
+def _cycle_segments(
     spec: CycleSpec, policy: NumericsPolicy, samples_per_segment: int
-) -> tuple[tuple[ProcessSegment, ...], np.ndarray]:
-    """A Brayton's or Diesel's segments and its isobars' beta rows, from one
-    unchecked beta_for_force call on the isobar samples at their
-    _sample_lengths.  Each row starts and ends exactly at its corners, so
-    its first and last betas are the isobar corners' betas, in A-D order."""
-    corners = spec._corners
-    L = _sample_lengths(
-        [corners.L[i] for i in corners.isobars],
-        [corners.L[i + 1] for i in corners.isobars],
-        _unit_grid(samples_per_segment),
-    )
-    force = np.array(corners.force)[:, None]
-    beta = beta_for_force(spec.model, force, L, policy, checked=False)
-    betas = beta[:, [0, -1]].ravel().tolist()
-    return _corner_segments(spec.model, spec.kind, corners, betas), beta
+) -> tuple[tuple[ProcessSegment, ...], np.ndarray | None]:
+    """The spec's segments in A-D order, and its isobars' beta rows, or None
+    for a cycle with no isobar.
+
+    A Carnot's or Otto's corners carry their betas.  A Brayton's or
+    Diesel's come from one unchecked beta_for_force call, at policy, on
+    every isobar sample at its _sample_lengths: each row starts and ends
+    exactly at its corners, so its first and last betas are those corners'.
+    A Diesel's C and D then follow along the adiabats from B and from A.  An
+    adiabat derives its own end beta, so the closure residual reads how far
+    that end lies from the next segment's start.
+    """
+    model, (L, beta, force) = spec.model, spec.corners
+    kinds = CYCLE_SEGMENTS[spec.kind]
+    isobars = [i for i, kind in enumerate(kinds) if kind == "isobaric"]
+    rows = None
+    if isobars:
+        lengths = _sample_lengths(
+            [L[i] for i in isobars], [L[i + 1] for i in isobars], _unit_grid(samples_per_segment)
+        )
+        rows = beta_for_force(model, np.array(force)[:, None], lengths, policy, checked=False)
+        beta = [0.0] * 4
+        for i, (start, end) in zip(isobars, rows[:, [0, -1]].tolist()):
+            beta[i], beta[i + 1] = start, end
+        if spec.kind == "diesel":
+            p = model.scaling_power
+            beta[2] = beta[1] * (L[2] / L[1]) ** p
+            beta[3] = beta[0] * (L[3] / L[0]) ** p
+    held = iter(force)
+    segments = []
+    for i, kind in enumerate(kinds):
+        j = (i + 1) % 4
+        if kind == "adiabatic":
+            segments.append(adiabatic_segment(model, beta[i], L[i], L[j]))
+        elif kind == "isothermal":
+            segments.append(isothermal_segment(model, beta[i], L[i], L[j]))
+        elif kind == "isochoric":
+            segments.append(isochoric_segment(model, L[i], beta[i], beta[j]))
+        else:
+            segments.append(ProcessSegment(kind, model, beta[i], L[i], beta[j], L[j], "F", next(held)))
+    return tuple(segments), rows
 
 
 def run_cycle(
@@ -415,16 +423,14 @@ def run_cycle(
     segment's S change, both read from the batch's columns in one pass, so
     a run builds no PathSample.
 
-    A Brayton or Diesel spec gives its corners, not its segments: one
-    schedule solve, at policy, takes every isobar sample, and the segments
-    are built from the rows' first and last betas, the isobar corners'.
-    The batch takes the solved rows and checks their residual, corners
-    included.
+    Every kind takes one route: the segments are built from the spec's
+    corners by _cycle_segments.  A Brayton or Diesel first solves every
+    isobar sample in one schedule solve, at policy, whose rows end at the
+    isobar corners; the batch takes those rows and checks their residual,
+    corners included.  A Carnot or Otto, whose corners carry their betas,
+    makes the batch's kernel call alone.
     """
-    if spec._corners is None:
-        segments, isobar_beta = spec.segments, None
-    else:
-        segments, isobar_beta = _solve_corners(spec, policy, samples_per_segment)
+    segments, isobar_beta = _cycle_segments(spec, policy, samples_per_segment)
     results = _stacked_heat_work(segments, policy, samples_per_segment, isobar_beta)
     # float starts, so that a cycle with no heat of one sign writes 0.0, and
     # 0.0 - sum rather than -sum, so that Q_out is never -0.0

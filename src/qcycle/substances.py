@@ -547,45 +547,31 @@ def _cold_seed(target: np.ndarray) -> np.ndarray:
 def _box1d_x_for_mean(target: np.ndarray, policy: NumericsPolicy) -> np.ndarray:
     """The x > 0 at which box1d's <g>(x) equals target > 0, per element.
 
-    Safeguarded Newton on phi(s) = ln(<g>/target) in s = ln x, slope
-    dphi/ds = -x Var(g)/<g> < 0, on all elements at once, seeded by
-    _box1d_x_seed: the warm limit of the theta inversion solved in closed
-    form where x <= 1, the two lowest levels where x > 1.  Every evaluated s
-    narrows its element's bracket, and a step that leaves the bracket is
-    replaced by bisection.  Newton converges quadratically, so an element
-    whose step falls below 1e-9 takes it and is done: one kernel evaluation
-    for x < 0.1, at most two below x = 0.5.  The last step is taken as
-    x e^step, since e^(s + step) would round x to the spacing of ln x, 2e-15
-    relative at x = 1e-12.  An iteration after which every element is done,
-    as the first one usually is, returns before the bracket bookkeeping.
-    policy.root_max_iter caps the kernel evaluations.
+    Newton on phi(s) = ln(<g>/target) in s = ln x, slope dphi/ds =
+    -x Var(g)/<g> < 0, on all elements at once, seeded by _box1d_x_seed: the
+    warm limit of the theta inversion solved in closed form where x <= 1,
+    the two lowest levels where x > 1.  The seed lies within 0.6 % of the
+    root, so no step needs a bracket.  Newton converges quadratically, so an
+    element whose step falls below 1e-9 takes it and is done: one kernel
+    evaluation for x < 0.1, at most two below x = 0.5.  The last step is
+    taken as x e^step, since e^(s + step) would round x to the spacing of
+    ln x, 2e-15 relative at x = 1e-12.  policy.root_max_iter caps the kernel
+    evaluations.
     """
     s = _box1d_x_seed(target)
-    lo, hi = -np.inf, np.inf  # the brackets on s, arrays from the first narrowing
     result = np.empty_like(s)
     todo = np.arange(s.size)  # the elements still iterating
     for _ in range(policy.root_max_iter):
         x = np.exp(s)
         _, mean, var = _kernel("box1d", x)
-        # <g> underflows to 0 only where x is far too large: there phi = -inf
-        # and the step is nan, so the bracket moves and the step is refused
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.log(mean / target)
-            step = phi * mean / (x * var)
+        step = np.log(mean / target) * mean / (x * var)
         done = np.abs(step) <= 1e-9
         if done.all():
             result[todo] = x * np.exp(step)
             return result
-        rising = phi > 0.0
-        lo, hi = np.where(rising, s, lo), np.where(rising, hi, s)
         result[todo[done]] = x[done] * np.exp(step[done])
-        trial = s + step
-        inside = (lo < trial) & (trial < hi)
-        s = np.where(inside, trial, np.where(rising, s + 1.0, s - 1.0))
-        bisect = ~inside & (lo > -np.inf) & (hi < np.inf)
-        s[bisect] = 0.5 * (lo[bisect] + hi[bisect])
         going = ~done
-        todo, s, lo, hi, target = todo[going], s[going], lo[going], hi[going], target[going]
+        todo, s, target = todo[going], (s + step)[going], target[going]
     raise ConvergenceError(
         f"isobaric schedule: Newton solve for <g> = {target[0]!r} did not "
         f"converge in {policy.root_max_iter} iterations"

@@ -212,10 +212,10 @@ def test_config_builds_runnable_cycle():
     config = validate_config(doc)
     spec = config.build_cycle()
     assert spec.kind == "brayton"
-    # a Brayton's segments are built by its run
-    assert spec.segments is None
+    # a spec is its corners: a Brayton's betas are solved by its run
+    assert spec.corners.beta is None and spec.corners.force == (2.0, 0.5)
     report = run_cycle(spec, config.policy, config.output.samples_per_segment)
-    assert len(report.segment_results) == 4
+    assert [r.segment.L_start for r in report.segment_results] == list(spec.corners.L)
 
 
 def test_json_text_entry_point():

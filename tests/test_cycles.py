@@ -17,6 +17,8 @@ from qcycle.config import parse_config
 from qcycle.cycles import (
     CYCLE_BUILDERS,
     CYCLE_KINDS,
+    CYCLE_SEGMENTS,
+    Corners,
     CycleSpec,
     build_brayton,
     build_carnot,
@@ -29,7 +31,6 @@ from qcycle.errors import ConvergenceError, DomainError
 from qcycle.numerics import NumericsPolicy
 from qcycle.processes import (
     SAMPLE_FIELDS,
-    isothermal_segment,
     segment_heat_work,
     stacked_heat_work,
 )
@@ -77,6 +78,14 @@ class TestClosedFormEfficiency:
     def test_diesel_equal_ratios_rejected(self):
         with pytest.raises(ValueError):
             closed_form_efficiency("diesel", 3.0, {"r_C": 0.6, "r_E": 0.6})
+
+    @pytest.mark.parametrize(
+        "r_C, r_E", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)],
+        ids=["r_C-0", "r_C-1", "r_E-0", "r_E-1"],
+    )
+    def test_diesel_ratios_at_their_bounds_rejected(self, r_C, r_E):
+        with pytest.raises(ValueError, match="diesel ratios must lie in"):
+            closed_form_efficiency("diesel", 3.0, {"r_C": r_C, "r_E": r_E})
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
@@ -187,6 +196,10 @@ class TestDiesel:
         with pytest.raises(ValueError):
             build_diesel(cavity_mode(), 1.0, 4.0, 0.5, 1.2)
 
+    def test_zero_largest_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="L1 > 0"):
+            build_diesel(cavity_mode(), 1.0, 0.0, 0.5, 0.8)
+
 
 class TestOttoAndCarnot:
     def test_otto_box_closed_form(self):
@@ -217,6 +230,17 @@ class TestOttoAndCarnot:
     def test_otto_not_an_engine_rejected(self):
         with pytest.raises(ValueError):
             build_otto(box(1), 1.0, 2.0, 1.0, 2.0)  # beta_cold/4 < beta_hot
+
+    @pytest.mark.parametrize(
+        "model, T_H, T_C, L_A",
+        [(harmonic(1), 1e300, 1e-10, 1.0), (box(1), 1e300, 1e-300, 1.0), (cavity_mode(), 1e300, 1.0, 1e10)],
+        ids=["harmonic1d", "box1d", "cavity-long"],
+    )
+    def test_carnot_stretched_past_the_largest_float_rejected(self, model, T_H, T_C, L_A):
+        # L_D = L_A (T_H/T_C)^(1/p) is inf: the builder refuses the loop
+        # rather than leave its run an adiabat that ends at beta = 0
+        with pytest.raises(ValueError, match="stretches L_D past the largest float"):
+            build_carnot(model, T_H, T_C, L_A, 2.0 * L_A)
 
     def test_carnot_universality(self):
         for model in (cavity_mode(), harmonic(1), spin_half()):
@@ -426,14 +450,14 @@ class TestStackedSegments:
             assert_same_result(result, segment_heat_work(result.segment, samples_per_segment=16))
 
     def test_segments_of_two_cycles_in_one_batch(self):
-        segments = BATCH_CYCLES["otto-box1d"]().segments + BATCH_CYCLES["carnot-box1d"]().segments
+        segments = _run_segments(BATCH_CYCLES["otto-box1d"]()) + _run_segments(BATCH_CYCLES["carnot-box1d"]())
         results = stacked_heat_work(segments, samples_per_segment=8)
         assert len(results) == 8
         for result, segment in zip(results, segments):
             assert_same_result(result, segment_heat_work(segment, samples_per_segment=8))
 
     def test_mixed_models_rejected(self):
-        segments = BATCH_CYCLES["otto-box1d"]().segments[:2] + BATCH_CYCLES["otto-box2d"]().segments[:2]
+        segments = _run_segments(BATCH_CYCLES["otto-box1d"]())[:2] + _run_segments(BATCH_CYCLES["otto-box2d"]())[:2]
         with pytest.raises(ValueError, match="one model"):
             stacked_heat_work(segments)
 
@@ -591,13 +615,12 @@ class TestSubnormalHeat:
             run_cycle(spec, samples_per_segment=8)
 
     def test_net_work_that_cancels_to_zero_is_a_cancellation(self):
-        # an isotherm out and back: Q_in is normal and the two W_thermal are
+        # a Carnot at one temperature, whose adiabats have zero length: its
+        # isotherm out and back has a normal Q_in and two W_thermal that are
         # exact negatives, so W_net is 0 and the cancellation test, not the
         # subnormal guard, refuses it
-        model = box(1)
-        out = isothermal_segment(model, 1.0, 1.0, 2.0)
-        back = isothermal_segment(model, 1.0, 2.0, 1.0)
-        spec = CycleSpec(model, "carnot", (out, back), {"T_H": 1.0, "T_C": 1.0})
+        corners = Corners((1.0, 2.0, 2.0, 1.0), (1.0, 1.0, 1.0, 1.0), ())
+        spec = CycleSpec(box(1), "carnot", {"temperature_ratio": 1.0}, corners)
         with pytest.raises(ConvergenceError, match="W_net = -?0 .* cancellation factor is inf"):
             run_cycle(spec, samples_per_segment=8)
 
@@ -710,7 +733,7 @@ class TestKernelCalls:
         run_cycle(spec, samples_per_segment=2)
         assert calls == first
         assert first[-1] == 4 * 2
-        assert all(n == len(spec._corners.isobars) * 2 for n in first[:-1])
+        assert all(n == len(spec.corners.force) * 2 for n in first[:-1])
 
     @pytest.mark.parametrize("name", ["brayton-box1d", "diesel-box1d"])
     def test_warm_box_cycle_makes_two_kernel_calls(self, name, monkeypatch):
@@ -738,18 +761,22 @@ def _refuse_schedule(*_args, **_kwargs):
     raise AssertionError("a schedule was solved")
 
 
-# the Braytons and Diesels of BATCH_CYCLES, and a box Brayton whose F1 lies
-# below the vacuum force at L_A, a corner that no temperature reaches
+# the Braytons and Diesels of BATCH_CYCLES, one Carnot and one Otto, and a
+# box Brayton whose F1 lies below the vacuum force at L_A, a corner that no
+# temperature reaches
 SPEC_CASES = {
     **{name: BATCH_CYCLES[name] for name in ISOBARIC_BATCH_CYCLES},
+    "carnot-box1d": BATCH_CYCLES["carnot-box1d"],
+    "otto-box1d": BATCH_CYCLES["otto-box1d"],
     "brayton-box1d-unreachable": lambda: build_brayton(box(1), 1.0, 0.5, 1.0, 1.2),
 }
 
 
 class TestSpecIsData:
-    """A Brayton's or Diesel's spec holds its corners and no segments: only
-    run_cycle solves them.  So printing, comparing or copying a spec
-    evaluates no state and raises nothing, even where the run refuses."""
+    """A spec holds its corners and no segments: only run_cycle builds them,
+    and solves a Brayton's or Diesel's corner betas.  So printing, comparing
+    or copying a spec evaluates no state and raises nothing, even where the
+    run refuses."""
 
     @pytest.mark.parametrize("name", SPEC_CASES)
     def test_spec_operations_make_no_call(self, name, monkeypatch):
@@ -758,17 +785,28 @@ class TestSpecIsData:
         with monkeypatch.context() as patch:
             calls = _count_kernel_calls(patch)
             patch.setattr(cycles, "beta_for_force", _refuse_schedule)
-            assert spec.segments is None
+            assert [f.name for f in dataclasses.fields(spec)] == ["model", "kind", "parameters", "corners"]
             assert repr(spec) == repr(twin)
             assert spec == twin and not spec != twin
             other = dataclasses.replace(twin, parameters={})
             assert spec != other and not spec == other
+            # the corners are compared: a spec whose corners lie elsewhere
+            # is another cycle
+            moved = dataclasses.replace(twin, corners=twin.corners._replace(L=twin.corners.L[::-1]))
+            assert spec != moved and not spec == moved
             copies = copy.deepcopy(spec), dataclasses.replace(spec)
-            assert all(c == spec and c._corners == spec._corners for c in copies)
+            assert all(c == spec and c.corners == spec.corners for c in copies)
             assert calls == []
         ran = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
         for c in copies:
             assert _outcome(lambda: run_cycle(c, samples_per_segment=16)) == ran
+
+    @pytest.mark.parametrize("kind", CYCLE_KINDS)
+    def test_spec_is_unhashable(self, kind):
+        # equal specs may hold equal dicts, so no spec has a hash
+        spec = BATCH_CYCLES[f"{kind}-box1d"]()
+        with pytest.raises(TypeError, match=r"^unhashable type: 'CycleSpec'$"):
+            hash(spec)
 
     def test_unreachable_corner_refuses_the_run(self):
         spec = SPEC_CASES["brayton-box1d-unreachable"]()
@@ -926,15 +964,25 @@ ISOBAR_CYCLES = {
 ISOBAR_CYCLES["diesel-box1d-long"] = _long_diesel
 
 
-class TestSegmentsComeFromTheRun:
-    """A Brayton's or Diesel's run builds its segments from the ends of its
-    isobar rows: they must sit on the spec's corners and forces, close the
-    loop, and leave the spec as it was, so that a second run of the same
-    spec reports what a fresh spec's run does."""
+# the isobar cycles, and one Carnot and one Otto, whose corners carry their
+# betas
+RUN_ROUTE_CYCLES = {
+    **ISOBAR_CYCLES,
+    "carnot-box2d": BATCH_CYCLES["carnot-box2d"],
+    "otto-box2d": BATCH_CYCLES["otto-box2d"],
+}
 
-    @pytest.mark.parametrize("name", ISOBAR_CYCLES)
+
+class TestSegmentsComeFromTheRun:
+    """Every run builds its segments from the spec's corners, a Brayton's or
+    Diesel's from the ends of its isobar rows: they must be the kinds
+    CYCLE_SEGMENTS names, sit on the spec's corners, betas and forces, close
+    the loop, and leave the spec as it was, so that a second run of the
+    same spec reports what a fresh spec's run does."""
+
+    @pytest.mark.parametrize("name", RUN_ROUTE_CYCLES)
     def test_run_segments_sit_on_the_spec_corners(self, name):
-        spec = ISOBAR_CYCLES[name]()
+        spec = RUN_ROUTE_CYCLES[name]()
         ran = _outcome(lambda: run_cycle(spec, samples_per_segment=16))
         if isinstance(ran, tuple):
             # only a corner that no temperature reaches refuses here
@@ -942,11 +990,17 @@ class TestSegmentsComeFromTheRun:
             assert ran[0] == "DomainError"
             return
         segments = [r.segment for r in ran.segment_results]
-        corners = spec._corners
+        corners = spec.corners
+        kinds = CYCLE_SEGMENTS[spec.kind]
+        assert [s.kind for s in segments] == list(kinds)
         assert [s.L_start for s in segments] == list(corners.L)
+        if corners.beta is not None:
+            assert [s.beta_start for s in segments] == list(corners.beta)
         for seg, after in zip(segments, segments[1:] + segments[:1]):
             assert seg.L_end == after.L_start
-        for i, held in zip(corners.isobars, corners.force):
+        isobars = [i for i, kind in enumerate(kinds) if kind == "isobaric"]
+        assert (corners.beta is None) == bool(isobars)
+        for i, held in zip(isobars, corners.force, strict=True):
             isobar, before = segments[i], segments[i - 1]
             assert (isobar.kind, isobar.held_value) == ("isobaric", held)
             # the isobar's ends, and the end of the adiabat whose frozen
@@ -960,13 +1014,13 @@ class TestSegmentsComeFromTheRun:
             for beta, L in ends:
                 assert force(gibbs_state(spec.model, beta, L), spec.model) == pytest.approx(held, rel=1e-9)
 
-    @pytest.mark.parametrize("name", ISOBAR_CYCLES)
+    @pytest.mark.parametrize("name", RUN_ROUTE_CYCLES)
     def test_report_does_not_depend_on_an_earlier_run(self, name):
-        build = ISOBAR_CYCLES[name]
+        build = RUN_ROUTE_CYCLES[name]
         fresh = _outcome(lambda: run_cycle(build(), samples_per_segment=16))
         spec = build()
         _outcome(lambda: run_cycle(spec, samples_per_segment=16))
-        assert spec.segments is None and spec == build()
+        assert spec == build()
         again = _outcome(lambda: run_cycle(spec, samples_per_segment=16))
         if isinstance(fresh, tuple):
             assert again == fresh

@@ -6,6 +6,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcycle import reference, substances
 from qcycle.cycles import build_brayton, build_carnot, build_otto, run_cycle
@@ -788,6 +790,25 @@ class TestBox1dNewtonSeed:
         assert (counts[xs < 0.1] == 1).all()
         assert (counts[(xs >= 0.1) & (xs < 0.5)] <= 2).all()
         assert counts.max() <= 4
+
+    # up to <g> = 1e150: above about 5e153, x falls below 1e-154, where
+    # Var(g) ~ 1/(2 x^2) overflows float64 and the kernel warns
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=math.log(1e-300), max_value=math.log(1e150)))
+    def test_newton_solves_any_target_in_four_evaluations(self, log_target):
+        target = np.array([math.exp(log_target)])
+        calls = []
+        kernel = substances._kernel
+
+        def counted(kind, x):
+            calls.append(kind)
+            return kernel(kind, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(substances, "_kernel", counted)
+            x = substances._box1d_x_for_mean(target, NumericsPolicy())
+        assert len(calls) <= 4
+        assert abs(self.mean_at(x)[0] / target[0] - 1.0) <= 1e-12
 
     def test_round_trip_through_the_kernel(self):
         # 50,000 points, so that the band above the kernel's switch at
