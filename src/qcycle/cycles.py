@@ -77,22 +77,21 @@ class Corners(NamedTuple):
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """A closed four-corner cycle ready to run: its substance, its kind, the
-    parameters of its closed form and its Corners, joined in turn by the
-    processes CYCLE_SEGMENTS names for its kind.
+    """A closed four-corner cycle ready to run: its substance, its kind, its
+    Corners, joined in turn by the processes CYCLE_SEGMENTS names for its
+    kind, and eta_closed, its closed-form efficiency.
 
     A spec is data: no builder evaluates a state, and run_cycle alone builds
     the segments, which its report's segment_results hold.  So printing,
-    comparing or copying a spec solves nothing.  A spec compares by value
-    but is unhashable, since parameters is a dict.
+    comparing, copying or hashing a spec solves nothing, and equal specs
+    hash equal.  Every corner L, and every corner beta a builder knows, is
+    a positive finite float: a builder refuses any other.
     """
 
     model: SpectrumModel
     kind: str
-    parameters: dict[str, float]
     corners: Corners
-
-    __hash__ = None
+    eta_closed: float
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,25 @@ def _require_1d(model: SpectrumModel, kind: str) -> None:
         )
 
 
+def _spec(model: SpectrumModel, kind: str, corners: Corners, ratios: dict) -> CycleSpec:
+    """The spec of a builder's corners, with its closed form evaluated once
+    at ratios.
+
+    A corner L, or a corner beta the builder knows, that is not a positive
+    finite float, because the builder's arithmetic overflowed or underflowed,
+    raises ValueError naming the corner; a ratio that underflowed to 0 is
+    refused by closed_form_efficiency's own range check.
+    """
+    for name, values in (("L", corners.L), ("beta", corners.beta or ())):
+        for label, value in zip(CORNER_LABELS, values):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"corner {label} of the {kind} cycle has {name} = {value}, "
+                    "which is not a positive finite float"
+                )
+    return CycleSpec(model, kind, corners, closed_form_efficiency(kind, model.gamma, ratios))
+
+
 def build_brayton(
     model: SpectrumModel,
     F1: float,
@@ -207,18 +225,8 @@ def build_brayton(
         raise ValueError(f"need L_B > L_A > 0, got L_A={L_A}, L_B={L_B}")
     stretch = (F1 / F0) ** (1.0 / model.gamma)
     L_C, L_D = L_B * stretch, L_A * stretch
-    return CycleSpec(
-        model=model,
-        kind="brayton",
-        parameters={
-            "F1": F1,
-            "F0": F0,
-            "L_A": L_A,
-            "L_B": L_B,
-            "force_ratio": F0 / F1,
-        },
-        corners=Corners((L_A, L_B, L_C, L_D), None, (F1, F0)),
-    )
+    corners = Corners((L_A, L_B, L_C, L_D), None, (F1, F0))
+    return _spec(model, "brayton", corners, {"force_ratio": F0 / F1})
 
 
 def build_diesel(
@@ -245,12 +253,8 @@ def build_diesel(
             f"coordinate L1), got r_C={r_C}, r_E={r_E}"
         )
     L_A, L_B = r_C * L1, r_E * L1
-    return CycleSpec(
-        model=model,
-        kind="diesel",
-        parameters={"F1": F1, "L1": L1, "r_C": r_C, "r_E": r_E},
-        corners=Corners((L_A, L_B, L1, L1), None, (F1,)),
-    )
+    corners = Corners((L_A, L_B, L1, L1), None, (F1,))
+    return _spec(model, "diesel", corners, {"r_C": r_C, "r_E": r_E})
 
 
 def build_otto(
@@ -275,25 +279,18 @@ def build_otto(
         raise ValueError("need positive beta_hot and beta_cold")
     power = model.scaling_power
     beta_a = beta_cold * (L0 / L1) ** power
-    beta_c = beta_hot * (L1 / L0) ** power
+    try:
+        beta_c = beta_hot * (L1 / L0) ** power
+    except OverflowError:
+        beta_c = math.inf  # refused by _spec, as a product that is inf
     if beta_a <= beta_hot:
         raise ValueError(
             "not an engine: compression must leave the substance colder than "
             f"the hot corner, need beta_cold (L0/L1)^p > beta_hot, got "
             f"{beta_a} <= {beta_hot}"
         )
-    return CycleSpec(
-        model=model,
-        kind="otto",
-        parameters={
-            "L0": L0,
-            "L1": L1,
-            "beta_hot": beta_hot,
-            "beta_cold": beta_cold,
-            "volume_ratio": (L0 / L1) ** model.dimension,
-        },
-        corners=Corners((L0, L0, L1, L1), (beta_a, beta_hot, beta_c, beta_cold), ()),
-    )
+    corners = Corners((L0, L0, L1, L1), (beta_a, beta_hot, beta_c, beta_cold), ())
+    return _spec(model, "otto", corners, {"volume_ratio": (L0 / L1) ** model.dimension})
 
 
 def build_carnot(
@@ -306,7 +303,8 @@ def build_carnot(
     """Two isotherms at T_H > T_C joined by adiabats; any substance kind.
 
     T_H = T_C or L_A = L_B, a zero-area loop, raises ValueError, as does
-    a T_H/T_C that stretches L_D = L_A (T_H/T_C)^(1/p) past the largest float.
+    a T_H/T_C that stretches L_C = L_B (T_H/T_C)^(1/p) past the largest float
+    or a T_C so small that beta_C = 1/T_C is inf.
     """
     if not 0.0 < T_C < T_H:
         raise ValueError(f"need T_H > T_C > 0, got T_H={T_H}, T_C={T_C}")
@@ -315,20 +313,8 @@ def build_carnot(
     beta_h, beta_c = 1.0 / T_H, 1.0 / T_C
     stretch = (T_H / T_C) ** (1.0 / model.scaling_power)
     L_C, L_D = L_B * stretch, L_A * stretch
-    if math.isinf(L_D):
-        raise ValueError(f"T_H/T_C = {T_H / T_C:g} stretches L_D past the largest float")
-    return CycleSpec(
-        model=model,
-        kind="carnot",
-        parameters={
-            "T_H": T_H,
-            "T_C": T_C,
-            "L_A": L_A,
-            "L_B": L_B,
-            "temperature_ratio": T_C / T_H,
-        },
-        corners=Corners((L_A, L_B, L_C, L_D), (beta_h, beta_h, beta_c, beta_c), ()),
-    )
+    corners = Corners((L_A, L_B, L_C, L_D), (beta_h, beta_h, beta_c, beta_c), ())
+    return _spec(model, "carnot", corners, {"temperature_ratio": T_C / T_H})
 
 
 # cycle kind -> the name of its builder in this module and the builder's
@@ -419,7 +405,9 @@ def run_cycle(
     A cycle that does not cancel but whose Q_in or |W_net| lies below the
     smallest normal float raises DomainError: a subnormal keeps only an
     absolute accuracy of 2^-1074, so its ratio would be no efficiency.
-    The corners are the segments' first samples and loop_entropy sums each
+    A cycle that passes those tests but whose Q_in or W_net is inf or nan,
+    an overflow in some segment's sums, raises DomainError too.
+    eta_closed is the spec's, which its builder evaluated.  The corners are the segments' first samples and loop_entropy sums each
     segment's S change, both read from the batch's columns in one pass, so
     a run builds no PathSample.
 
@@ -467,15 +455,18 @@ def run_cycle(
             f"cancellation factor is {factor:.6g}, so eps times it "
             f"exceeds {CANCELLATION_TOL:g}"
         )
+    if not (math.isfinite(q_in) and math.isfinite(w_net)):
+        raise DomainError(
+            f"Q_in = {q_in:.6g} and W_net = {w_net:.6g} of the {spec.kind} "
+            "cycle are not both finite: its segments' heat or work overflows"
+        )
     return CycleReport(
         kind=spec.kind,
         Q_in=q_in,
         Q_out=q_out,
         W_net=w_net,
         eta_numeric=w_net / q_in,
-        eta_closed=closed_form_efficiency(
-            spec.kind, spec.model.gamma, spec.parameters
-        ),
+        eta_closed=spec.eta_closed,
         gamma_used=spec.model.gamma,
         corner_table=corner_table,
         segment_results=results,

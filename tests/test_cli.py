@@ -476,6 +476,51 @@ class TestSubnormalHeat:
         assert not (tmp_path / "diagram.csv").exists()
 
 
+# cycles with a corner that no float holds, each refused by its builder:
+# a cavity Carnot whose L_C alone overflows, a box1d Otto whose
+# (L1/L0)^2 raises OverflowError, and a cavity Brayton whose F1/F0 is inf
+UNREPRESENTABLE = {
+    "carnot-cavity": ("cavity", {"kind": "carnot", "T_H": 1e150, "T_C": 1e-150, "L_A": 1e-10, "L_B": 1e10}),
+    "otto-box1d": ("box1d", {"kind": "otto", "L0": 1.0, "L1": 1e160, "beta_hot": 1e-300, "beta_cold": 1e300}),
+    "brayton-cavity": ("cavity", {"kind": "brayton", "F1": 1e200, "F0": 1e-200, "L_A": 1.0, "L_B": 2.0}),
+}
+
+
+class TestUnrepresentable:
+    @pytest.mark.parametrize("name", UNREPRESENTABLE)
+    def test_corner_no_float_holds_exits_2_and_writes_no_report(self, tmp_path, capsys, name):
+        kind, cycle = UNREPRESENTABLE[name]
+        doc = patch_outputs({"substance": {"kind": kind}, "cycle": cycle}, tmp_path)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cycle: corner C of the {cycle['kind']} cycle has ")
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "diagram.csv").exists()
+
+    @pytest.mark.parametrize(
+        "T_H, T_C, L_A, L_B",
+        [(1e100, 1e-100, 1.0, 1e60), (1e150, 1e-150, 1e-10, 1e10)],
+        ids=["T_H-1e100", "T_H-1e150"],
+    )
+    def test_totals_that_are_not_finite_exit_4_and_write_no_report(
+        self, tmp_path, capsys, T_H, T_C, L_A, L_B
+    ):
+        # box1d corner C at L = 1e160 is finite, but its L^2 overflows in the
+        # run, so W_net is nan.  Tier-1 turns the overflow's RuntimeWarning
+        # into an error; it is ignored here, as a run outside tier-1 does
+        doc = patch_outputs({
+            "substance": {"kind": "box1d"},
+            "cycle": {"kind": "carnot", "T_H": T_H, "T_C": T_C, "L_A": L_A, "L_B": L_B},
+        }, tmp_path)
+        with np.errstate(all="ignore"):
+            assert main(["run", str(write_config(tmp_path, doc))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: Q_in = ")
+        assert "and W_net = nan of the carnot cycle are not both finite" in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "diagram.csv").exists()
+
+
 # the runs whose report and diagram are kept byte for byte: every config
 # <name>.json in tests/goldens beside its <name>.report.json and
 # <name>.diagram.csv.  They are a warm and a cold box1d Brayton (the cold

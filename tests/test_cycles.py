@@ -232,15 +232,52 @@ class TestOttoAndCarnot:
             build_otto(box(1), 1.0, 2.0, 1.0, 2.0)  # beta_cold/4 < beta_hot
 
     @pytest.mark.parametrize(
-        "model, T_H, T_C, L_A",
-        [(harmonic(1), 1e300, 1e-10, 1.0), (box(1), 1e300, 1e-300, 1.0), (cavity_mode(), 1e300, 1.0, 1e10)],
-        ids=["harmonic1d", "box1d", "cavity-long"],
+        "model, T_H, T_C, L_A, L_B",
+        [
+            (harmonic(1), 1e300, 1e-10, 1.0, 2.0),
+            (box(1), 1e300, 1e-300, 1.0, 2.0),
+            (cavity_mode(), 1e300, 1.0, 1e10, 2e10),
+            # L_C = L_B (T_H/T_C)^(1/p) is inf, L_D = L_A (T_H/T_C)^(1/p)
+            # is not; a box's p = 2 needs the longer L_B for it
+            (cavity_mode(), 1e150, 1e-150, 1e-10, 1e10),
+            (box(1), 1e150, 1e-150, 1e-10, 1e200),
+            (harmonic(1), 1e150, 1e-150, 1e-10, 1e10),
+        ],
+        ids=["harmonic1d", "box1d", "cavity-long", "cavity-only-C", "box1d-only-C", "harmonic1d-only-C"],
     )
-    def test_carnot_stretched_past_the_largest_float_rejected(self, model, T_H, T_C, L_A):
-        # L_D = L_A (T_H/T_C)^(1/p) is inf: the builder refuses the loop
-        # rather than leave its run an adiabat that ends at beta = 0
-        with pytest.raises(ValueError, match="stretches L_D past the largest float"):
-            build_carnot(model, T_H, T_C, L_A, 2.0 * L_A)
+    def test_carnot_stretched_past_the_largest_float_rejected(self, model, T_H, T_C, L_A, L_B):
+        # corner C's L is inf: the builder refuses the loop rather than
+        # leave its run sums that overflow to nan
+        with pytest.raises(ValueError, match=r"^corner C of the carnot cycle has L = inf, "):
+            build_carnot(model, T_H, T_C, L_A, L_B)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # beta_C = 1/T_C is inf
+            lambda: build_carnot(box(1), 1e-300, 5e-324, 1.0, 2.0),
+            # (L1/L0)^2 = 1e320 raises OverflowError in float arithmetic;
+            # the builder refuses it as it would a product that is inf
+            lambda: build_otto(box(1), 1.0, 1e160, 1e-300, 1e300),
+        ],
+        ids=["carnot", "otto"],
+    )
+    def test_corner_beta_past_the_largest_float_rejected(self, build):
+        with pytest.raises(ValueError, match=r"^corner C of the \w+ cycle has beta = inf, "):
+            build()
+
+    @pytest.mark.parametrize(
+        "model, L0, beta_hot",
+        [(box(3), 1e-200, 1e-301), (harmonic(2), 1e-250, 1e-201)],
+        ids=["box3d", "harmonic2d"],
+    )
+    def test_otto_volume_ratio_that_underflows_rejected(self, model, L0, beta_hot):
+        # every corner is finite, but the volume ratio (L0/L1)^d underflows
+        # to 0: closed_form_efficiency refuses it in the builder, before any
+        # run.  (A Carnot's or Brayton's ratio underflows only where its
+        # inverse stretches corner C to inf, which is refused first.)
+        with pytest.raises(ValueError, match=r"^volume ratio must lie in \(0, 1\], got 0\.0$"):
+            build_otto(model, L0, 1e-50, beta_hot, 1.0)
 
     def test_carnot_universality(self):
         for model in (cavity_mode(), harmonic(1), spin_half()):
@@ -620,7 +657,7 @@ class TestSubnormalHeat:
         # exact negatives, so W_net is 0 and the cancellation test, not the
         # subnormal guard, refuses it
         corners = Corners((1.0, 2.0, 2.0, 1.0), (1.0, 1.0, 1.0, 1.0), ())
-        spec = CycleSpec(box(1), "carnot", {"temperature_ratio": 1.0}, corners)
+        spec = CycleSpec(box(1), "carnot", corners, 0.0)
         with pytest.raises(ConvergenceError, match="W_net = -?0 .* cancellation factor is inf"):
             run_cycle(spec, samples_per_segment=8)
 
@@ -785,10 +822,10 @@ class TestSpecIsData:
         with monkeypatch.context() as patch:
             calls = _count_kernel_calls(patch)
             patch.setattr(cycles, "beta_for_force", _refuse_schedule)
-            assert [f.name for f in dataclasses.fields(spec)] == ["model", "kind", "parameters", "corners"]
+            assert [f.name for f in dataclasses.fields(spec)] == ["model", "kind", "corners", "eta_closed"]
             assert repr(spec) == repr(twin)
             assert spec == twin and not spec != twin
-            other = dataclasses.replace(twin, parameters={})
+            other = dataclasses.replace(twin, eta_closed=0.0)
             assert spec != other and not spec == other
             # the corners are compared: a spec whose corners lie elsewhere
             # is another cycle
@@ -802,11 +839,12 @@ class TestSpecIsData:
             assert _outcome(lambda: run_cycle(c, samples_per_segment=16)) == ran
 
     @pytest.mark.parametrize("kind", CYCLE_KINDS)
-    def test_spec_is_unhashable(self, kind):
-        # equal specs may hold equal dicts, so no spec has a hash
-        spec = BATCH_CYCLES[f"{kind}-box1d"]()
-        with pytest.raises(TypeError, match=r"^unhashable type: 'CycleSpec'$"):
-            hash(spec)
+    def test_equal_specs_hash_equal(self, kind):
+        # a spec is a model, a kind, its Corners and a float: it hashes by
+        # value, so two builds of one cycle are one set member
+        spec, twin = BATCH_CYCLES[f"{kind}-box1d"](), BATCH_CYCLES[f"{kind}-box1d"]()
+        assert spec is not twin and hash(spec) == hash(twin)
+        assert {spec, twin} == {spec} and len({spec, twin}) == 1
 
     def test_unreachable_corner_refuses_the_run(self):
         spec = SPEC_CASES["brayton-box1d-unreachable"]()

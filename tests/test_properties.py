@@ -14,7 +14,10 @@ from qcycle.processes import (
     segment_heat_work,
 )
 from qcycle.reference import gibbs_sums
+from qcycle import cycles
 from qcycle.substances import (
+    KINDS,
+    SpectrumModel,
     box,
     cavity_mode,
     entropy,
@@ -23,7 +26,7 @@ from qcycle.substances import (
     internal_energy,
     spin_half,
 )
-from qcycle.cycles import closed_form_efficiency
+from qcycle.cycles import CYCLE_BUILDERS, CYCLE_KINDS, closed_form_efficiency
 
 MODELS = st.sampled_from([box(1), cavity_mode(), harmonic(1), spin_half()])
 BETAS = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
@@ -148,3 +151,34 @@ def test_cavity_force_above_vacuum(beta, L):
 def test_boltzmann_ordering(model, beta, L):
     p = gibbs_sums(model, beta, L).probabilities
     assert np.all(np.diff(p) <= 1e-18)
+
+
+# a cycle parameter log-uniform over almost every decade a float holds,
+# and a Diesel ratio in (0, 1)
+HUGE_RANGE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(CYCLE_KINDS),
+    substance=st.sampled_from(KINDS),
+    values=st.tuples(HUGE_RANGE, HUGE_RANGE, HUGE_RANGE, HUGE_RANGE),
+    ratios=st.tuples(OPEN_UNIT, OPEN_UNIT),
+)
+# an engine whose (L1/L0)^2 raises OverflowError at corner C
+@example(kind="otto", substance="box1d", values=(1.0, 1e160, 1e-300, 1e300), ratios=(0.5, 0.5))
+def test_a_build_refuses_or_holds_only_floats_it_can_run(kind, substance, values, ratios):
+    name, fields = CYCLE_BUILDERS[kind]
+    # a Diesel's last two parameters are r_C and r_E
+    params = dict(zip(fields, values[:2] + ratios if kind == "diesel" else values))
+    builder = getattr(cycles, name)
+    try:
+        spec = builder(SpectrumModel(kind=substance), **params)
+    except ValueError:
+        return
+    L, beta, _ = spec.corners
+    assert all(0.0 < value < math.inf for value in L + (beta or ()))
+    assert 0.0 <= spec.eta_closed <= 1.0
+    twin = builder(SpectrumModel(kind=substance), **params)
+    assert twin == spec and hash(twin) == hash(spec)
