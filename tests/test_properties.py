@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcycle import cycles
 from qcycle.processes import (
     adiabatic_advance,
     isothermal_segment,
@@ -14,7 +15,6 @@ from qcycle.processes import (
     segment_heat_work,
 )
 from qcycle.reference import gibbs_sums
-from qcycle import cycles
 from qcycle.substances import (
     KINDS,
     SpectrumModel,
